@@ -11,8 +11,10 @@ coordinate (E = exp of the last coordinate).  Differentiation along that
 coordinate acts as E*d/dE, which keeps the ring purely polynomial.
 
 The module also provides the exact linear algebra the rest of the package
-leans on: an incremental rational Gaussian eliminator and fraction-free
-(Bareiss) determinants/adjugates for matrices of Poly.
+leans on: an incremental rational Gaussian eliminator, a fraction-free
+(Bareiss) determinant, and the two primitives every tensor computation goes
+through: ``mat_inverse_unit`` (the one exact inverse) and ``contract`` (the
+one index contraction).
 """
 
 from __future__ import annotations
@@ -442,13 +444,6 @@ class Poly:
                 offenders)
         return degs.pop()
 
-    def is_homogeneous(self) -> bool:
-        try:
-            self.weighted_degree()
-            return True
-        except NotHomogeneous:
-            return False
-
     # ---- display ----
 
     def __repr__(self):
@@ -496,10 +491,6 @@ class LinearSolveResult:
     kind: str
     solution: Optional[Dict[str, Fraction]]
     nullspace: List[Dict[str, Fraction]]
-
-    @property
-    def is_unique(self) -> bool:
-        return self.kind == UNIQUE
 
 
 def solve_linear(equations: Iterable[Tuple[Mapping[str, Fraction], Fraction]],
@@ -587,7 +578,7 @@ def solve_linear(equations: Iterable[Tuple[Mapping[str, Fraction], Fraction]],
 
 
 # ---------------------------------------------------------------------------
-# Matrices of Poly: fraction-free determinants, adjugates, unit inverses
+# Matrices of Poly: determinant, adjugate, the exact inverse, contraction
 # ---------------------------------------------------------------------------
 
 Matrix = List[List[Poly]]
@@ -622,23 +613,50 @@ def mat_det(matrix: Matrix) -> Poly:
     return -det if sign < 0 else det
 
 
-def mat_minor(matrix: Matrix, i: int, j: int) -> Matrix:
-    return [[matrix[r][c] for c in range(len(matrix)) if c != j]
-            for r in range(len(matrix)) if r != i]
-
-
 def mat_adjugate(matrix: Matrix) -> Matrix:
-    """Adjugate matrix via cofactor determinants: adj(A)[i][j] = C_ji."""
+    """Adjugate by one fraction-free Gauss-Jordan sweep on [A | I].
+
+    Each step replaces every entry off the pivot row by
+    (pivot * a - a_col * a_row) / previous pivot, an exact division because
+    every entry is a minor of [A | I] (Bareiss, Math. Comp. 22, 1968).  The
+    sweep ends at [d I | T] with d = sign * det(A), so adj(A) = sign * T,
+    where sign counts the row swaps.  A singular matrix of size n >= 2 raises
+    NonInvertibleMatrix; the 1x1 adjugate is [[1]].
+    """
     n = len(matrix)
     chart = matrix[0][0].chart
     if n == 1:
         return [[Poly.const(chart, 1)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = mat_det(mat_minor(matrix, j, i))
-            adj[i][j] = -cof if (i + j) % 2 else cof
-    return adj
+    zero = Poly.const(chart, 0)
+    one = Poly.const(chart, 1)
+    m = [list(row) + [one if c == r else zero for c in range(n)]
+         for r, row in enumerate(matrix)]
+    sign = 1
+    prev = one
+    for p in range(n):
+        for r in range(p, n):
+            if not m[r][p].is_zero():
+                break
+        else:
+            raise NonInvertibleMatrix("matrix is singular")
+        if r != p:
+            m[p], m[r] = m[r], m[p]
+            sign = -sign
+        pivot_row = m[p]
+        piv = pivot_row[p]
+        for r in range(n):
+            if r == p:
+                continue
+            row = m[r]
+            f = row[p]
+            for c in range(p + 1, 2 * n):
+                num = row[c] * piv
+                if not f.is_zero() and not pivot_row[c].is_zero():
+                    num = num - f * pivot_row[c]
+                row[c] = num.exact_div(prev)
+            row[p] = zero
+        prev = piv
+    return [[-e if sign < 0 else e for e in row[n:]] for row in m]
 
 
 def mat_inverse_unit(matrix: Matrix) -> Matrix:
@@ -653,24 +671,32 @@ def mat_inverse_unit(matrix: Matrix) -> Matrix:
     return [[entry * inv_det for entry in row] for row in adj]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, mid, m = len(a), len(b), len(b[0])
-    chart = a[0][0].chart
+def contract(matrix: Sequence[Sequence], tensor: list, axis: int) -> list:
+    """out[..i..] = sum_a matrix[i][a] * tensor[..a..], summed along ``axis``.
+
+    ``tensor`` is a nested list with Poly entries; ``matrix`` holds Polys or
+    rationals.  Zero factors are skipped.
+    """
+    if axis:
+        return [contract(matrix, sub, axis - 1) for sub in tensor]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = Poly.const(chart, 0)
-            for t in range(mid):
-                if not a[i][t].is_zero() and not b[t][j].is_zero():
-                    s = s + a[i][t] * b[t][j]
-            row.append(s)
-        out.append(row)
+    for row in matrix:
+        nonzero = [(a, c) for a, c in enumerate(row)
+                   if not (c.is_zero() if isinstance(c, Poly) else c == 0)]
+        out.append(_combine(nonzero, tensor))
     return out
 
 
-def identity_matrix(chart: Chart, n: int) -> Matrix:
-    return [[Poly.const(chart, 1 if i == j else 0) for j in range(n)] for i in range(n)]
+def _combine(row: List[tuple], parts: list):
+    """The sum of c * parts[a] over the pairs (a, c) of ``row``, entry by entry."""
+    first = parts[0]
+    if isinstance(first, Poly):
+        acc = Poly.const(first.chart, 0)
+        for a, c in row:
+            if not parts[a].is_zero():
+                acc = acc + c * parts[a]
+        return acc
+    return [_combine(row, [part[idx] for part in parts]) for idx in range(len(first))]
 
 
 # ---------------------------------------------------------------------------

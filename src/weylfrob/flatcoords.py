@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import (Chart, Matrix, Poly, mat_adjugate, mat_det,
+from .exactalg import (Chart, Matrix, Poly, contract, mat_inverse_unit,
                        monomials_of_weighted_degree, solve_linear)
 from .metrics import BilinearForm, transform_form
 from .orbitspace import CoordMap, t_chart, w_chart, z_chart
@@ -58,37 +58,24 @@ class SeriesRecursionMismatch(ArithmeticError):
 
 def covariant_form(form: BilinearForm) -> Matrix:
     """Inverse matrix of a contravariant metric whose determinant is a unit."""
-    det = mat_det(form.mat)
-    if det.is_zero() or not det.is_unit_monomial():
-        raise ArithmeticError(f"metric determinant is not a unit monomial: {det!r}")
-    inv_det = det.unit_inverse()
-    adj = mat_adjugate(form.mat)
-    return [[entry * inv_det for entry in row] for row in adj]
+    return mat_inverse_unit(form.mat)
 
 
-def lower_christoffels(form: BilinearForm) -> List[List[List[Poly]]]:
-    """Classical Christoffel symbols gamma^m_{ij} of the metric (lower indices)."""
-    cov = covariant_form(form)
+def lower_christoffels(form: BilinearForm,
+                       cov: Optional[Matrix] = None) -> List[List[List[Poly]]]:
+    """Classical Christoffel symbols gamma^m_{ij} of the metric (lower indices).
+
+    ``cov`` is the covariant form of ``form``, for a caller that holds it.
+    """
+    if cov is None:
+        cov = covariant_form(form)
     n = form.dim
-    chart = form.chart
-    zero = Poly.const(chart, 0)
     dcov = [[[cov[s][j].coord_diff(i) for i in range(n)] for j in range(n)]
             for s in range(n)]
-    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            for m in range(n):
-                acc = zero
-                for s in range(n):
-                    if form.mat[m][s].is_zero():
-                        continue
-                    brace = dcov[s][j][i] + dcov[s][i][j] - dcov[i][j][s]
-                    if not brace.is_zero():
-                        acc = acc + form.mat[m][s] * brace
-                half = acc * Fraction(1, 2)
-                out[m][i][j] = half
-                out[m][j][i] = half
-    return out
+    half = Fraction(1, 2)
+    brace = [[[(dcov[s][j][i] + dcov[s][i][j] - dcov[i][j][s]) * half
+               for j in range(n)] for i in range(n)] for s in range(n)]
+    return contract(form.mat, brace, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +421,8 @@ def gamma_w(spec: RootSystemSpec, eta_w: BilinearForm) -> List[List[List[Poly]]]
     l, k = spec.rank, spec.vertex
     n = l - k
     wc = eta_w.chart
-    gammas = lower_christoffels(eta_w)
+    cov = covariant_form(eta_w)
+    gammas = lower_christoffels(eta_w, cov)
     dim = l + 1
     # (1) vanishing rows: m in 1..k, l, l+1
     for m in list(range(0, k)) + [l - 1, l]:
@@ -446,7 +434,6 @@ def gamma_w(spec: RootSystemSpec, eta_w: BilinearForm) -> List[List[List[Poly]]]
     allowed = {f"w{idx}" for idx in range(k + 3, l + 1)}
     if n >= 1 and k + 1 <= l - 1:
         # (2) gamma^{k+1}_{ij} = -d eta_{ij} / d w^l
-        cov = covariant_form(eta_w)
         for i in range(dim):
             for j in range(dim):
                 expected = -cov[i][j].diff(f"w{l}")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import Chart, Poly, Rational, solve_linear
-from .flatcoords import FlatChartData, flat_pipeline
+from .exactalg import Chart, Matrix, Poly, Rational, contract, solve_linear
+from .flatcoords import FlatChartData, covariant_form, flat_pipeline
 from .metrics import (BilinearForm, ChristoffelContra, FlatPencil, build_pencil,
                       transform_christoffel, transform_form)
 from .orbitspace import (compute_g_direct, generator_exprs, oracle_chart,
@@ -90,7 +90,6 @@ class FrobeniusStructure:
     euler: EulerField
     potential: PotentialF
     b_ident: Optional[BIdentification] = None
-    charge: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -107,29 +106,8 @@ def lie_euler(p: Poly) -> Poly:
     return Poly(p.chart, out)
 
 
-def constant_matrix(form: BilinearForm) -> List[List[Rational]]:
-    return [[entry.constant_value() for entry in row] for row in form.mat]
-
-
-def invert_constant(mat: List[List[Rational]]) -> List[List[Rational]]:
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for p in range(n):
-        if not a[p][p]:
-            for r in range(p + 1, n):
-                if a[r][p]:
-                    a[p], a[r] = a[r], a[p]
-                    break
-            else:
-                raise ArithmeticError("constant metric is singular")
-        f = a[p][p]
-        a[p] = [x / f for x in a[p]]
-        for r in range(n):
-            if r != p and a[r][p]:
-                g = a[r][p]
-                a[r] = [x - g * y for x, y in zip(a[r], a[p])]
-    return [row[n:] for row in a]
+def constant_matrix(mat: Matrix) -> List[List[Rational]]:
+    return [[entry.constant_value() for entry in row] for row in mat]
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +154,7 @@ def third_derivatives(spec: RootSystemSpec, gamma_t: ChristoffelContra,
                             f"c^{{{i + 1},{j + 1}}}_{m + 1} differs between routes")
                 c[i][j][m] = vals[0]
 
-    f3 = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            for m in range(dim):
-                acc = zero
-                for i in range(dim):
-                    if not eta_cov[a][i]:
-                        continue
-                    for j in range(dim):
-                        if not eta_cov[b][j]:
-                            continue
-                        term = c[i][j][m]
-                        if not term.is_zero():
-                            acc = acc + term * (eta_cov[a][i] * eta_cov[b][j])
-                f3[a][b][m] = acc
+    f3 = contract(eta_cov, contract(eta_cov, c, 0), 1)
     for a in range(dim):
         for b in range(dim):
             for m in range(dim):
@@ -230,19 +194,7 @@ def third_derivatives_from_metric(spec: RootSystemSpec, g_t: BilinearForm,
                 out[exps] = c / w
             fup[i][j] = Poly(chart, out)
             fup[j][i] = fup[i][j]
-    f2 = [[zero] * dim for _ in range(dim)]
-    for a in range(dim):
-        for b in range(a, dim):
-            acc = zero
-            for i in range(dim):
-                if not eta_cov[a][i]:
-                    continue
-                for j in range(dim):
-                    if not eta_cov[b][j] or fup[i][j].is_zero():
-                        continue
-                    acc = acc + fup[i][j] * (eta_cov[a][i] * eta_cov[b][j])
-            f2[a][b] = acc
-            f2[b][a] = acc
+    f2 = contract(eta_cov, contract(eta_cov, fup, 0), 1)
     # the tag t^{l+1} at F^{l+1,l+1} lowers to (kpos, kpos); its m-derivative
     # contributes 1 exactly at (kpos, kpos, last)
     f3 = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
@@ -257,7 +209,8 @@ def third_derivatives_from_metric(spec: RootSystemSpec, g_t: BilinearForm,
 
 
 def integrate_potential(spec: RootSystemSpec, f3: List[List[List[Poly]]],
-                        eta_cov: List[List[Rational]], g_t: BilinearForm) -> PotentialF:
+                        eta_cov: List[List[Rational]], eta_up: List[List[Rational]],
+                        g_t: BilinearForm) -> PotentialF:
     """Antidifferentiate the third-derivative tensor into the potential.
 
     Candidate monomials are proposed by integrating each term of each
@@ -349,7 +302,7 @@ def integrate_potential(spec: RootSystemSpec, f3: List[List[List[Poly]]],
     poly = Poly(chart, terms)
     potential = PotentialF(chart, k, poly)
     _check_shape(spec, potential, eta_cov)
-    _check_metric_identity(spec, potential, eta_cov, g_t)
+    _check_metric_identity(spec, potential, eta_up, g_t)
     return potential
 
 
@@ -428,33 +381,16 @@ def raised_hessian(potential: PotentialF, eta_up: List[List[Rational]]):
     The explicit-t^{l+1} tag of F_{kk} raises to the (l+1, l+1) slot with
     coefficient 1 (eta^{l+1,k} = 1).
     """
-    chart = potential.chart
-    dim = chart.dim
     f2 = second_derivatives(potential)
-    zero = Poly.const(chart, 0)
-    fup = [[zero] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            acc = zero
-            for a in range(dim):
-                if not eta_up[i][a]:
-                    continue
-                for b in range(dim):
-                    if not eta_up[j][b] or f2[a][b].is_zero():
-                        continue
-                    acc = acc + f2[a][b] * (eta_up[i][a] * eta_up[j][b])
-            fup[i][j] = acc
-            fup[j][i] = acc
-    return fup
+    return contract(eta_up, contract(eta_up, f2, 0), 1)
 
 
 def _check_metric_identity(spec: RootSystemSpec, potential: PotentialF,
-                           eta_cov: List[List[Rational]], g_t: BilinearForm) -> None:
+                           eta_up: List[List[Rational]], g_t: BilinearForm) -> None:
     """g^{ij} = L_E F^{ij} entrywise (with the tag contributing 1/k)."""
     l, k = spec.rank, spec.vertex
     dim = l + 1
     last = l
-    eta_up = invert_constant(eta_cov)
     fup = raised_hessian(potential, eta_up)
     kpos = k - 1
     tag = eta_up[last][kpos]  # = 1; tag coefficient after raising
@@ -477,18 +413,9 @@ def verify_wdvv(struct: FrobeniusStructure) -> List[Tuple[Tuple[int, int, int, i
     f3 = third_from_potential(struct.potential)
     eta_up = struct.eta_up
     dim = len(f3)
-    chart = struct.potential.chart
-    zero = Poly.const(chart, 0)
-    h = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            for mu in range(dim):
-                acc = zero
-                for lam in range(dim):
-                    if eta_up[lam][mu] and not f3[i][j][lam].is_zero():
-                        acc = acc + f3[i][j][lam] * eta_up[lam][mu]
-                h[i][j][mu] = acc
-                h[j][i][mu] = acc
+    zero = Poly.const(struct.potential.chart, 0)
+    # h_{ij}^mu = F_{ij lam} eta^{lam mu}; eta^{..} is symmetric
+    h = contract(eta_up, f3, 2)
     failures = []
     for i in range(dim):
         for p in range(i + 1, dim):
@@ -541,7 +468,7 @@ def verify_intersection(struct: FrobeniusStructure) -> None:
     l, k = spec.rank, spec.vertex
     dim = l + 1
     last = l
-    _check_metric_identity(spec, struct.potential, struct.eta_cov, struct.g_t)
+    _check_metric_identity(spec, struct.potential, struct.eta_up, struct.g_t)
     fup = raised_hessian(struct.potential, struct.eta_up)
     dt = flat_degrees(l, k)
     chart = struct.potential.chart
@@ -586,8 +513,8 @@ def _build_c(spec: RootSystemSpec) -> FrobeniusStructure:
     flat = flat_pipeline(spec, pencil.eta)
     g_t = transform_form(pencil.g, flat.y_to_t)
     gamma_t = transform_christoffel(pencil.gamma_g, flat.y_to_t, g_t)
-    eta_cov = invert_constant(constant_matrix(flat.eta_t))
-    eta_up = constant_matrix(flat.eta_t)
+    eta_up = constant_matrix(flat.eta_t.mat)
+    eta_cov = constant_matrix(covariant_form(flat.eta_t))
     euler = EulerField(dtilde=tuple(flat_degrees(l, k)[:l]),
                        last_component=Fraction(1, k))
     f3 = third_derivatives(spec, gamma_t, eta_cov)
@@ -600,7 +527,7 @@ def _build_c(spec: RootSystemSpec) -> FrobeniusStructure:
                     raise IntegrabilityViolation(
                         f"F_({a + 1},{b + 1},{c + 1}) differs between the "
                         "connection and metric routes")
-    potential = integrate_potential(spec, f3, eta_cov, g_t)
+    potential = integrate_potential(spec, f3, eta_cov, eta_up, g_t)
     return FrobeniusStructure(spec=spec, cspec=spec, pencil=pencil, flat=flat,
                               g_t=g_t, gamma_t=gamma_t, eta_t=flat.eta_t,
                               eta_cov=eta_cov, eta_up=eta_up, euler=euler,
@@ -622,7 +549,7 @@ def b_to_c(spec: RootSystemSpec) -> FrobeniusStructure:
     log_scale = Fraction(1, 2) if spec.vertex == spec.rank else Fraction(1)
     validated = spec.rank <= B_ORACLE_BOUND
     if validated:
-        _validate_b_pullback(spec, cstruct, log_scale)
+        _validate_b_pullback(spec, cstruct.pencil.g, log_scale)
     return FrobeniusStructure(spec=spec, cspec=cspec, pencil=cstruct.pencil,
                               flat=cstruct.flat, g_t=cstruct.g_t,
                               gamma_t=cstruct.gamma_t, eta_t=cstruct.eta_t,
@@ -631,7 +558,7 @@ def b_to_c(spec: RootSystemSpec) -> FrobeniusStructure:
                               b_ident=BIdentification(spec, log_scale, validated))
 
 
-def _validate_b_pullback(spec: RootSystemSpec, cstruct: FrobeniusStructure,
+def _validate_b_pullback(spec: RootSystemSpec, g_c: BilinearForm,
                          log_scale: Fraction) -> None:
     l = spec.rank
     metric_b, _ = build(spec)
@@ -644,7 +571,6 @@ def _validate_b_pullback(spec: RootSystemSpec, cstruct: FrobeniusStructure,
     exp_scaled = r ** int(4 * log_scale)
     subs = {f"y{j}": ybar[j - 1] for j in range(1, l + 1)}
     subs["E"] = exp_scaled
-    g_c = cstruct.pencil.g
     dim = l + 1
     for i in range(dim):
         for j in range(dim):
@@ -655,13 +581,14 @@ def _validate_b_pullback(spec: RootSystemSpec, cstruct: FrobeniusStructure,
                     "differs from the B-side first-principles pairing")
 
 
-def oracle_check(spec: RootSystemSpec, max_rank: int = 3) -> bool:
-    """Direct-definition metric equals the constructed one (family C), or the
-    pullback identification holds (family B).  Returns False above the bound."""
+def oracle_check(struct: FrobeniusStructure, max_rank: int = 3) -> bool:
+    """The structure's metric equals the direct-definition one (family C), or
+    its pullback identification holds (family B).  Returns False above the
+    bound."""
+    spec = struct.spec
     if spec.rank > max_rank:
         return False
     if spec.family == "C":
-        struct = build_structure(spec)
         direct = compute_g_direct(spec, max_rank)
         dim = spec.rank + 1
         for i in range(dim):
@@ -670,9 +597,7 @@ def oracle_check(spec: RootSystemSpec, max_rank: int = 3) -> bool:
                     raise OracleMismatch(
                         f"{spec.label()}: g[{i + 1}][{j + 1}] differs from the oracle")
         return True
-    cstruct = build_structure(RootSystemSpec("C", spec.rank, spec.vertex))
-    log_scale = Fraction(1, 2) if spec.vertex == spec.rank else Fraction(1)
-    _validate_b_pullback(spec, cstruct, log_scale)
+    _validate_b_pullback(spec, struct.pencil.g, struct.b_ident.log_scale)
     # also check the B-side direct metric re-expressed on its own chart
     direct_b = compute_g_direct(spec, max_rank)
     if not direct_b.is_symmetric():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import Chart, Matrix, Poly, mat_det, mat_inverse_unit
+from .exactalg import Chart, Matrix, Poly, contract, mat_det, mat_inverse_unit
 from .orbitspace import (CoordMap, extend_with_uv, generator_map, inject,
                          theta_chart, theta_map, y_chart, zeta_chart)
 from .rootdata import RootSystemSpec
@@ -42,9 +42,6 @@ class BilinearForm:
     def dim(self) -> int:
         return len(self.mat)
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.mat[i][j]
-
     def is_symmetric(self) -> bool:
         n = self.dim
         return all(self.mat[i][j] == self.mat[j][i] for i in range(n) for j in range(i))
@@ -63,9 +60,6 @@ class ChristoffelContra:
     @property
     def dim(self) -> int:
         return len(self.arr)
-
-    def entry(self, i: int, j: int, m: int) -> Poly:
-        return self.arr[i][j][m]
 
     def map_entries(self, fn) -> "ChristoffelContra":
         return ChristoffelContra(self.chart,
@@ -166,31 +160,11 @@ def transform_form(form: BilinearForm, cmap: CoordMap) -> BilinearForm:
     """Contravariant 2-tensor components in the target chart of the map."""
     if form.chart != cmap.source:
         raise ValueError("form does not live on the map's source chart")
-    K = cmap.jacobian_pullback()
-    J = mat_inverse_unit(K)
-    n = form.dim
-    tgt = cmap.target
-    zero = Poly.const(tgt, 0)
-    gsub = [[cmap.push(form.mat[a][b]) if not form.mat[a][b].is_zero() else zero
-             for b in range(n)] for a in range(n)]
-    half = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for b in range(n):
-            acc = zero
-            for a in range(n):
-                if not J[i][a].is_zero() and not gsub[a][b].is_zero():
-                    acc = acc + J[i][a] * gsub[a][b]
-            half[i][b] = acc
-    out = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = zero
-            for b in range(n):
-                if not half[i][b].is_zero() and not J[j][b].is_zero():
-                    acc = acc + half[i][b] * J[j][b]
-            out[i][j] = acc
-            out[j][i] = acc
-    return BilinearForm(tgt, out)
+    J = mat_inverse_unit(cmap.jacobian_pullback())
+    zero = Poly.const(cmap.target, 0)
+    gsub = [[cmap.push(e) if not e.is_zero() else zero for e in row]
+            for row in form.mat]
+    return BilinearForm(cmap.target, contract(J, contract(J, gsub, 0), 1))
 
 
 def transform_christoffel(gamma: ChristoffelContra, cmap: CoordMap,
@@ -206,60 +180,19 @@ def transform_christoffel(gamma: ChristoffelContra, cmap: CoordMap,
     K = cmap.jacobian_pullback()
     J = mat_inverse_unit(K)
     n = gamma.dim
-    tgt = cmap.target
-    zero = Poly.const(tgt, 0)
-    gsub = [[[cmap.push(gamma.arr[a][b][q]) if not gamma.arr[a][b][q].is_zero() else zero
-              for q in range(n)] for b in range(n)] for a in range(n)]
-    # tensorial part, contracted one index at a time
-    A = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for c in range(n):
-            for q in range(n):
-                acc = zero
-                for a in range(n):
-                    if not J[i][a].is_zero() and not gsub[a][c][q].is_zero():
-                        acc = acc + J[i][a] * gsub[a][c][q]
-                A[i][c][q] = acc
-    B = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for q in range(n):
-                acc = zero
-                for c in range(n):
-                    if not A[i][c][q].is_zero() and not J[j][c].is_zero():
-                        acc = acc + A[i][c][q] * J[j][c]
-                B[i][j][q] = acc
-    tens = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                acc = zero
-                for q in range(n):
-                    if not B[i][j][q].is_zero() and not K[q][m].is_zero():
-                        acc = acc + B[i][j][q] * K[q][m]
-                tens[i][j][m] = acc
-    # inhomogeneous part
-    dK = [[[K[c][m].coord_diff(a) for m in range(n)] for a in range(n)]
-          for c in range(n)]
-    E1 = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for a in range(n):
-            for m in range(n):
-                acc = zero
-                for c in range(n):
-                    if not J[j][c].is_zero() and not dK[c][a][m].is_zero():
-                        acc = acc + J[j][c] * dK[c][a][m]
-                E1[j][a][m] = acc
-    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                acc = tens[i][j][m]
-                for a in range(n):
-                    if not g_target.mat[i][a].is_zero() and not E1[j][a][m].is_zero():
-                        acc = acc - g_target.mat[i][a] * E1[j][a][m]
-                out[i][j][m] = acc
-    return ChristoffelContra(tgt, out)
+    zero = Poly.const(cmap.target, 0)
+    gsub = [[[cmap.push(e) if not e.is_zero() else zero for e in row]
+             for row in plane] for plane in gamma.arr]
+    K_t = [[K[q][m] for q in range(n)] for m in range(n)]
+    tens = contract(K_t, contract(J, contract(J, gsub, 0), 1), 2)
+    # inhomogeneous part; dK[a][c][m] = d_a K^c_m
+    dK = [[[K[c][m].coord_diff(a) for m in range(n)] for c in range(n)]
+          for a in range(n)]
+    inhom = contract(J, contract(g_target.mat, dK, 0), 1)
+    out = [[[t - h for t, h in zip(t_row, h_row)]
+            for t_row, h_row in zip(t_plane, h_plane)]
+           for t_plane, h_plane in zip(tens, inhom)]
+    return ChristoffelContra(cmap.target, out)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +270,6 @@ def det_eta_closed_form(spec: RootSystemSpec, chart: Optional[Chart] = None) -> 
     sign = -1 if (((k - 1) // 2) + 1 + n * (n - 1) // 2) % 2 else 1
     coeff = Fraction(sign) * k ** (k - 1) * 4 ** n * (n ** n if n else 1)
     return Poly.monomial(chart, {f"{pfx}{l}": n}, coeff)
-
-
-def paper_literal_det_sign(spec: RootSystemSpec) -> int:
-    return -1 if spec.rank % 2 else 1
 
 
 def det_eta_check(spec: RootSystemSpec, eta: BilinearForm) -> Poly:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactalg import (Chart, ChartMismatch, Matrix, Poly, VarSpec,
+from .exactalg import (Chart, ChartMismatch, Matrix, Poly, VarSpec, contract,
                        monomials_of_weighted_degree, rat, solve_linear)
 from .rootdata import ExtendedMetric, RootSystemSpec, build, degrees, flat_degrees
 
@@ -384,18 +384,14 @@ def oracle_pairing(metric: ExtendedMetric, funcs: Sequence[Poly],
     theta_r = [theta(f, l + 1) for f in funcs]
     size = l + 1
     g: Matrix = [[Poly.const(chart, 0)] * size for _ in range(size)]
+    block = [[metric[(a, b)] for b in range(l)] for a in range(l)]
+    # pair[j][i] = theta_v[i][a] m_ab theta_v[j][b]
+    pair = contract(theta_v, contract(block, theta_v, 1), 1)
     quarter = Fraction(-1, 4)
     for i in range(l):
-        for j in range(i, l):
-            acc = Poly.const(chart, 0)
-            for a in range(l):
-                for b in range(l):
-                    mab = metric[(a, b)]
-                    if mab:
-                        acc = acc + theta_v[i][a] * theta_v[j][b] * mab
-            acc = acc * quarter + theta_r[i] * theta_r[j] * (Fraction(-1, 16) * m_rr)
-            g[i][j] = acc
-            g[j][i] = acc
+        for j in range(l):
+            g[i][j] = (pair[j][i] * quarter
+                       + theta_r[i] * theta_r[j] * (Fraction(-1, 16) * m_rr))
     for i in range(l):
         entry = theta_r[i] * (Fraction(-1, 4) * c * m_rr)
         g[i][l] = entry

@@ -136,10 +136,10 @@ def test_criterion_08_oracle_equivalence():
     started = time.monotonic()
     for l in (1, 2, 3):
         for k in range(1, l + 1):
-            assert oracle_check(RootSystemSpec("C", l, k))
+            assert oracle_check(build_structure(RootSystemSpec("C", l, k)))
     for l in (2, 3):
         for k in range(1, l + 1):
-            assert oracle_check(RootSystemSpec("B", l, k))  # includes k = l
+            assert oracle_check(build_structure(RootSystemSpec("B", l, k)))  # includes k = l
     _report("criterion 8 (oracle equivalence, C and B)", started)
 
 

@@ -1,12 +1,16 @@
 """CLI behaviour: exit codes, JSON round-trip, LaTeX export."""
 
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from weylfrob import cli
+from weylfrob.exactalg import Poly
 from weylfrob.fixtures import C3K1, Fixture
 from weylfrob.frobenius import build_structure
+from weylfrob.metrics import BilinearForm, ChristoffelContra
 from weylfrob.rootdata import RootSystemSpec
 from weylfrob.serialize import document_json, load_document, structure_document
 
@@ -126,3 +130,85 @@ def test_document_contains_all_maps_and_charts(tmp_path):
     assert "forward" in doc["maps"]["generators_zeta_to_y"]
     assert "pullback" not in doc["maps"]["generators_zeta_to_y"]
     assert "pullback" in doc["maps"]["w_to_t"] and "forward" in doc["maps"]["w_to_t"]
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "--family", "C", "--rank", "2", "--vertex", "1"],
+    ["verify", "--family", "C", "--rank", "2", "--vertex", "1"],
+])
+def test_internal_error_exits_3(monkeypatch, capsys, command):
+    def broken(spec):
+        raise KeyError("injected")
+
+    monkeypatch.setattr(cli, "build_structure", broken)
+    assert run(command) == 3
+    assert capsys.readouterr().err == "internal error: KeyError: 'injected'\n"
+
+
+# ---------------------------------------------------------------------------
+# Mutation suite: each check must fail on a structure with one entry corrupted
+# ---------------------------------------------------------------------------
+
+def _bump_form(form, i, j):
+    mat = [list(row) for row in form.mat]
+    mat[i][j] = mat[i][j] + 1
+    return BilinearForm(form.chart, mat)
+
+
+def _bump_connection(gamma, i, j, m):
+    arr = [[list(row) for row in plane] for plane in gamma.arr]
+    arr[i][j][m] = arr[i][j][m] + 1
+    return ChristoffelContra(gamma.chart, arr)
+
+
+def _bump_f_coefficient(struct, monomial):
+    """Add 1 to the coefficient of one monomial that F already contains."""
+    potential = struct.potential
+    mono = Poly.monomial(potential.chart, monomial)
+    (exps,) = mono.terms
+    assert exps in potential.poly.terms
+    return replace(struct, potential=replace(potential, poly=potential.poly + mono))
+
+
+def _bump_eta_up(struct, i, j):
+    eta_up = [list(row) for row in struct.eta_up]
+    eta_up[i][j] += Fraction(1)
+    return replace(struct, eta_up=eta_up)
+
+
+# C3k1: F contains t3^8 (a pure G term) and t1 t2 t3 (the unity-row tail)
+MUTATIONS = [
+    ("wdvv", "F coefficient of t3^8",
+     lambda s: _bump_f_coefficient(s, {"t3": 8})),
+    ("euler", "F coefficient of t1 t2 t3",
+     lambda s: _bump_f_coefficient(s, {"t1": 1, "t2": 1, "t3": 1})),
+    ("intersection", "g_t[0][0]",
+     lambda s: replace(s, g_t=_bump_form(s.g_t, 0, 0))),
+    ("intersection", "Gamma_t[0][0][0]",
+     lambda s: replace(s, gamma_t=_bump_connection(s.gamma_t, 0, 0, 0))),
+    ("eta-form", "pencil.eta[1][1]",
+     lambda s: replace(s, pencil=replace(s.pencil, eta=_bump_form(s.pencil.eta, 1, 1)))),
+    ("det", "pencil.eta[0][3]",
+     lambda s: replace(s, pencil=replace(s.pencil, eta=_bump_form(s.pencil.eta, 0, 3)))),
+    ("pencil", "gamma_eta[0][0][0]",
+     lambda s: replace(s, pencil=replace(
+         s.pencil, gamma_eta=_bump_connection(s.pencil.gamma_eta, 0, 0, 0)))),
+    ("duality", "eta_up[0][0]", lambda s: _bump_eta_up(s, 0, 0)),
+    ("oracle", "pencil.g[0][0]",
+     lambda s: replace(s, pencil=replace(s.pencil, g=_bump_form(s.pencil.g, 0, 0)))),
+]
+
+
+@pytest.mark.parametrize("check,where,corrupt", MUTATIONS,
+                         ids=[f"{c}:{w}" for c, w, _ in MUTATIONS])
+def test_check_fails_on_corrupted_copy(check, where, corrupt):
+    spec = RootSystemSpec("C", 3, 1)
+    bad = corrupt(build_structure(spec))
+    assert cli.run_check(check, bad, 3)["passed"] is False
+    # the cached structure is untouched by the corruption of its copy
+    intact = build_structure(spec)
+    assert all(r["passed"] for r in cli.run_checks(intact, cli.CHECK_NAMES, 3))
+
+
+def test_mutation_suite_covers_every_check():
+    assert {check for check, _, _ in MUTATIONS} == set(cli.CHECK_NAMES)

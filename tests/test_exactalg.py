@@ -236,6 +236,22 @@ def test_exact_div_roundtrip_with_negative_exponents():
         assert (a * b).exact_div(b) == a
 
 
+def mat_mul(a, b):
+    n, mid, m = len(a), len(b), len(b[0])
+    chart = a[0][0].chart
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            s = Poly.const(chart, 0)
+            for t in range(mid):
+                if not a[i][t].is_zero() and not b[t][j].is_zero():
+                    s = s + a[i][t] * b[t][j]
+            row.append(s)
+        out.append(row)
+    return out
+
+
 def naive_det(m):
     n = len(m)
     if n == 1:
@@ -252,7 +268,7 @@ def naive_det(m):
 
 
 def test_bareiss_det_and_adjugate_against_cofactors():
-    from weylfrob.exactalg import mat_adjugate, mat_det, mat_mul
+    from weylfrob.exactalg import mat_adjugate, mat_det
 
     rng = random.Random(55)
     c = Chart("ab", [VarSpec("a", Fraction(1)), VarSpec("b", Fraction(1), laurent=True)])
@@ -295,3 +311,151 @@ def test_substitute_unknown_target_variable_fails():
     other = Chart("zz", [VarSpec("z", Fraction(1))])
     with pytest.raises(KeyError):
         c.var("u").substitute({}, other)
+
+
+def cofactor_adjugate(m):
+    """Reference adjugate: adj(A)[i][j] = (-1)^(i+j) det(A without row j, column i)."""
+    n = len(m)
+    if n == 1:
+        return [[Poly.const(m[0][0].chart, 1)]]
+    adj = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            cof = naive_det(minor)
+            row.append(-cof if (i + j) % 2 else cof)
+        adj.append(row)
+    return adj
+
+
+def laurent_matrix_chart():
+    return Chart("ab", [VarSpec("a", Fraction(1)), VarSpec("b", Fraction(1), laurent=True)])
+
+
+def test_adjugate_sweep_matches_cofactor_reference():
+    from weylfrob.exactalg import NonInvertibleMatrix, mat_adjugate
+
+    rng = random.Random(2024)
+    c = laurent_matrix_chart()
+
+    def entry():
+        # sparse, like the Jacobians and metrics the package inverts
+        return random_laurent_poly(c, rng, max_terms=2) if rng.random() < 0.8 \
+            else Poly.const(c, 0)
+
+    checked = 0
+    for trial in range(30):
+        n = 1 + trial % 5
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0:
+            m[0][0] = Poly.const(c, 0)  # zero leading pivot: forces a row swap
+        if n > 1 and naive_det(m).is_zero():
+            with pytest.raises(NonInvertibleMatrix):
+                mat_adjugate(m)
+            continue
+        assert mat_adjugate(m) == cofactor_adjugate(m)
+        checked += 1
+    assert checked >= 24
+
+
+def test_adjugate_row_swap_flips_the_sign():
+    from weylfrob.exactalg import mat_adjugate
+
+    c = laurent_matrix_chart()
+    a, b = c.var("a"), c.var("b")
+    zero = Poly.const(c, 0)
+    m = [[zero, a], [b, a + b]]
+    # adj [[p, q], [r, s]] = [[s, -q], [-r, p]]
+    assert mat_adjugate(m) == [[a + b, -a], [-b, zero]]
+
+
+def test_adjugate_one_by_one_and_singular():
+    from weylfrob.exactalg import NonInvertibleMatrix, mat_adjugate
+
+    c = laurent_matrix_chart()
+    assert mat_adjugate([[Poly.const(c, 0)]]) == [[Poly.const(c, 1)]]
+    a, b = c.var("a"), c.var("b")
+    r1 = [a, b, a + 1]
+    r2 = [b ** -1, a * b, Poly.const(c, 2)]
+    r3 = [x + 3 * y for x, y in zip(r1, r2)]
+    with pytest.raises(NonInvertibleMatrix):
+        mat_adjugate([r1, r2, r3])
+
+
+def test_inverse_unit_requires_a_monomial_determinant():
+    from weylfrob.exactalg import NonInvertibleMatrix, mat_inverse_unit
+
+    c = laurent_matrix_chart()
+    a, b = c.var("a"), c.var("b")
+    one = Poly.const(c, 1)
+    with pytest.raises(NonInvertibleMatrix):
+        mat_inverse_unit([[a, one], [one, one]])  # det = a - 1
+    with pytest.raises(NonInvertibleMatrix):
+        mat_inverse_unit([[a, b], [a, b]])  # det = 0
+    m = [[one, a], [Poly.const(c, 0), 2 * b]]  # det = 2 b, a unit
+    inv = mat_inverse_unit(m)
+    assert mat_mul(m, inv) == [[one, Poly.const(c, 0)], [Poly.const(c, 0), one]]
+
+
+def nested_zeros(shape, chart):
+    if not shape:
+        return Poly.const(chart, 0)
+    return [nested_zeros(shape[1:], chart) for _ in range(shape[0])]
+
+
+def nested_get(t, idx):
+    for i in idx:
+        t = t[i]
+    return t
+
+
+def nested_set(t, idx, value):
+    for i in idx[:-1]:
+        t = t[i]
+    t[idx[-1]] = value
+
+
+def loop_contract(matrix, tensor, shape, axis):
+    """out[..i..] = sum_a matrix[i][a] tensor[..a..] by explicit index loops."""
+    from itertools import product
+
+    chart = nested_get(tensor, (0,) * len(shape)).chart
+    out_shape = list(shape)
+    out_shape[axis] = len(matrix)
+    out = nested_zeros(out_shape, chart)
+    for idx in product(*(range(d) for d in out_shape)):
+        acc = Poly.const(chart, 0)
+        for a in range(shape[axis]):
+            src = idx[:axis] + (a,) + idx[axis + 1:]
+            acc = acc + nested_get(tensor, src) * matrix[idx[axis]][a]
+        nested_set(out, idx, acc)
+    return out
+
+
+def test_contract_matches_explicit_loops():
+    from weylfrob.exactalg import contract
+
+    rng = random.Random(77)
+    c = laurent_matrix_chart()
+    n = 3
+
+    def random_tensor(shape):
+        if not shape:
+            return random_laurent_poly(c, rng, max_terms=2) if rng.random() < 0.7 \
+                else Poly.const(c, 0)
+        return [random_tensor(shape[1:]) for _ in range(shape[0])]
+
+    poly_matrix = [[random_laurent_poly(c, rng, max_terms=2) for _ in range(n)]
+                   for _ in range(4)]
+    poly_matrix[1] = [Poly.const(c, 0)] * n  # an all-zero row
+    frac_matrix = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                   for _ in range(n)]
+    frac_matrix[2] = [Fraction(0)] * n
+    for rank in (1, 2, 3):
+        shape = [n] * rank
+        tensor = random_tensor(shape)
+        for matrix in (poly_matrix, frac_matrix):
+            for axis in range(rank):
+                assert contract(matrix, tensor, axis) == \
+                    loop_contract(matrix, tensor, shape, axis)

@@ -123,7 +123,7 @@ def test_b_to_c_identification(family, l, k):
     assert struct.b_ident is not None and struct.b_ident.validated
     expected_scale = Fraction(1, 2) if k == l else Fraction(1)
     assert struct.b_ident.log_scale == expected_scale
-    assert oracle_check(spec)
+    assert oracle_check(struct)
 
 
 def test_b_potential_equals_c_potential():
@@ -136,8 +136,9 @@ def test_b_potential_equals_c_potential():
 def test_oracle_check_passes_small_c():
     for l in (1, 2, 3):
         for k in range(1, l + 1):
-            assert oracle_check(RootSystemSpec("C", l, k))
-    assert oracle_check(RootSystemSpec("C", 4, 1), max_rank=3) is False  # skipped
+            assert oracle_check(build_structure(RootSystemSpec("C", l, k)))
+    assert oracle_check(build_structure(RootSystemSpec("C", 4, 1)),
+                        max_rank=3) is False  # skipped
 
 
 def test_rank6_structure_builds_and_verifies():

@@ -9,10 +9,14 @@ from weylfrob.metrics import (build_pencil, det_eta_check, DetMismatch,
                               eta_closed_form, eta_closed_form_check,
                               first_principles_g_check,
                               first_principles_gamma_check, g_theta, gamma_theta,
-                              linearity_check, paper_literal_det_sign, theta_map,
+                              linearity_check, theta_map,
                               transform_christoffel, transform_form)
 from weylfrob.orbitspace import compute_g_direct, identity_map
 from weylfrob.rootdata import RootSystemSpec, degrees, flat_degrees
+
+
+def paper_literal_det_sign(spec: RootSystemSpec) -> int:
+    return -1 if spec.rank % 2 else 1
 
 ALL_SMALL = [(l, k) for l in range(1, 5) for k in range(1, l + 1)]
 

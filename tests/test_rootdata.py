@@ -4,9 +4,40 @@ from fractions import Fraction
 
 import pytest
 
-from weylfrob.rootdata import (InvalidSpec, RootSystemSpec, build, degrees,
-                               dual_index, flat_degrees,
-                               leading_principal_minors_positive)
+from weylfrob.rootdata import (ExtendedMetric, InvalidSpec, RootSystemSpec, build,
+                               degrees, dual_index, flat_degrees)
+
+
+def leading_principal_minors_positive(metric: ExtendedMetric, size: int) -> bool:
+    """Check positive definiteness of the V-block by Sylvester's criterion."""
+
+    def det(sub):
+        n = len(sub)
+        m = [row[:] for row in sub]
+        sign = 1
+        for p in range(n):
+            if m[p][p] == 0:
+                for r in range(p + 1, n):
+                    if m[r][p] != 0:
+                        m[p], m[r] = m[r], m[p]
+                        sign = -sign
+                        break
+                else:
+                    return Fraction(0)
+            for r in range(p + 1, n):
+                f = m[r][p] / m[p][p]
+                for c in range(p, n):
+                    m[r][c] -= f * m[p][c]
+        prod = Fraction(sign)
+        for p in range(n):
+            prod *= m[p][p]
+        return prod
+
+    for s in range(1, size + 1):
+        sub = [[metric[(i, j)] for j in range(s)] for i in range(s)]
+        if det(sub) <= 0:
+            return False
+    return True
 
 
 def test_c3_metric_block():
