@@ -14,9 +14,9 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .exactalg import Poly, contract
+from .exactalg import Poly, contract, unit_det
 from .fixtures import FIXTURES, Fixture, terms_to_poly
-from .flatcoords import _expected_pattern, lower_christoffels
+from .flatcoords import _expected_pattern
 from .frobenius import (FrobeniusStructure, build_structure, oracle_check,
                         verify_euler_unity, verify_intersection, verify_wdvv)
 from .metrics import (det_eta_check, eta_closed_form_check, linearity_check)
@@ -35,17 +35,28 @@ def run_check(name: str, struct: FrobeniusStructure, oracle_max_rank: int) -> Di
         if name == "pencil":
             if not linearity_check(struct.pencil.g, struct.pencil.gamma_g, cspec):
                 return _result(name, False, "g or Gamma not linear in y^k")
-            # gamma_eta obtained as d Gamma/d y^k must equal the classical symbols
+            # gamma_eta obtained as d Gamma/d y^k must be the Levi-Civita
+            # connection of eta: for a non-degenerate eta it is the only one
+            # that is compatible and torsion-free, so no inverse is needed
             eta = struct.pencil.eta
-            # raised[j][i][m] = eta^{is} gamma^j_{sm}, which must be -gamma_eta^{ij}_m
-            raised = contract(eta.mat, lower_christoffels(eta), 1)
+            gam = struct.pencil.gamma_eta.arr
+            unit_det(eta.mat)  # raises NonInvertibleMatrix on a degenerate eta
             dim = eta.dim
             for i in range(dim):
                 for j in range(dim):
                     for m in range(dim):
-                        if -raised[j][i][m] != struct.pencil.gamma_eta.arr[i][j][m]:
+                        if eta.mat[i][j].coord_diff(m) != gam[i][j][m] + gam[j][i][m]:
                             return _result(name, False,
                                            f"gamma^({i+1},{j+1})_{m+1} mismatch")
+            # torsion[j][m][i] = eta^{is} gamma^{jm}_s, symmetric in i <-> j
+            torsion = contract(eta.mat, gam, 2)
+            for i in range(dim):
+                for j in range(i + 1, dim):
+                    for m in range(dim):
+                        if torsion[j][m][i] != torsion[i][m][j]:
+                            return _result(name, False,
+                                           f"gamma^({i+1},{m+1}) and gamma^({j+1},{m+1}) "
+                                           "torsion mismatch")
             for stage, form in (("z", struct.flat.eta_z), ("w", struct.flat.eta_w),
                                 ("t", struct.flat.eta_t)):
                 expected = _expected_pattern(cspec, form.chart, stage)

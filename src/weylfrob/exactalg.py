@@ -19,6 +19,7 @@ one index contraction).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -238,7 +239,7 @@ class Poly:
         out: Dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(operator.add, e1, e2))
                 s = out.get(key)
                 if s is None:
                     out[key] = c1 * c2
@@ -659,14 +660,20 @@ def mat_adjugate(matrix: Matrix) -> Matrix:
     return [[-e if sign < 0 else e for e in row[n:]] for row in m]
 
 
-def mat_inverse_unit(matrix: Matrix) -> Matrix:
-    """Exact inverse of a matrix whose determinant is a unit monomial."""
+def unit_det(matrix: Matrix) -> Poly:
+    """The determinant, required to be a unit monomial (so the matrix is
+    invertible over the Laurent ring); raises NonInvertibleMatrix otherwise."""
     det = mat_det(matrix)
     if det.is_zero():
         raise NonInvertibleMatrix("determinant is zero")
     if not det.is_unit_monomial():
         raise NonInvertibleMatrix(f"determinant is not a unit monomial: {det!r}")
-    inv_det = det.unit_inverse()
+    return det
+
+
+def mat_inverse_unit(matrix: Matrix) -> Matrix:
+    """Exact inverse of a matrix whose determinant is a unit monomial."""
+    inv_det = unit_det(matrix).unit_inverse()
     adj = mat_adjugate(matrix)
     return [[entry * inv_det for entry in row] for row in adj]
 

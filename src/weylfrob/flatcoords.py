@@ -540,6 +540,8 @@ def flat_pipeline(spec: RootSystemSpec, eta_y: BilinearForm) -> FlatChartData:
     gammas = gamma_w(spec, eta_w)
     t_map, eta_t, h_polys = solve_flat_chart(spec, eta_w, gammas)
     y_to_t = z_map.compose(w_map).compose(t_map)
+    for cmap in (z_map, w_map, t_map):
+        cmap.drop_jacobians()
     return FlatChartData(spec=spec, p_list=p_list, bseries=bseries, h_polys=h_polys,
                          z_map=z_map, w_map=w_map, t_map=t_map, y_to_t=y_to_t,
                          eta_z=eta_z, eta_w=eta_w, eta_t=eta_t)

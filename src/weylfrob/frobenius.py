@@ -302,7 +302,7 @@ def integrate_potential(spec: RootSystemSpec, f3: List[List[List[Poly]]],
     poly = Poly(chart, terms)
     potential = PotentialF(chart, k, poly)
     _check_shape(spec, potential, eta_cov)
-    _check_metric_identity(spec, potential, eta_up, g_t)
+    _check_metric_identity(spec, raised_hessian(potential, eta_up), eta_up, g_t)
     return potential
 
 
@@ -385,13 +385,13 @@ def raised_hessian(potential: PotentialF, eta_up: List[List[Rational]]):
     return contract(eta_up, contract(eta_up, f2, 0), 1)
 
 
-def _check_metric_identity(spec: RootSystemSpec, potential: PotentialF,
+def _check_metric_identity(spec: RootSystemSpec, fup: List[List[Poly]],
                            eta_up: List[List[Rational]], g_t: BilinearForm) -> None:
-    """g^{ij} = L_E F^{ij} entrywise (with the tag contributing 1/k)."""
+    """g^{ij} = L_E F^{ij} entrywise (with the tag contributing 1/k), for the
+    raised Hessian ``fup`` of the potential."""
     l, k = spec.rank, spec.vertex
     dim = l + 1
     last = l
-    fup = raised_hessian(potential, eta_up)
     kpos = k - 1
     tag = eta_up[last][kpos]  # = 1; tag coefficient after raising
     for i in range(dim):
@@ -409,26 +409,68 @@ def _check_metric_identity(spec: RootSystemSpec, potential: PotentialF,
 # ---------------------------------------------------------------------------
 
 def verify_wdvv(struct: FrobeniusStructure) -> List[Tuple[Tuple[int, int, int, int], Poly]]:
-    """All WDVV residuals; empty list means the system holds identically."""
-    f3 = third_from_potential(struct.potential)
+    """The WDVV residuals that do not vanish; an empty list means the system
+    holds identically.
+
+    The residual is A_{ijpq} = B(ij;pq) - B(pj;iq), with
+    B(ab;cd) = F_{ab lam} eta^{lam mu} F_{mu cd}.  F_{abc} are third
+    derivatives of one potential, so totally symmetric, and eta^{..} must be
+    symmetric (SymmetryViolation otherwise).  Then B depends only on the
+    multiset {a, b, c, d} and on its split into two pairs, and WDVV holds
+    exactly when, for every multiset a <= b <= c <= d, its (up to three)
+    pairings ab|cd, ac|bd, ad|bc give the same B.  Each multiset's pairings
+    are computed once, compared exactly and dropped; no table of B is kept.
+    One entry ((i, j, p, q), A_{ijpq}), 1-based, is reported per pairing that
+    differs from ab|cd: (b, a, c, d) for ac|bd and (b, a, d, c) for ad|bc.
+    """
+    potential = struct.potential
     eta_up = struct.eta_up
+    f3 = third_from_potential(potential)
     dim = len(f3)
-    zero = Poly.const(struct.potential.chart, 0)
-    # h_{ij}^mu = F_{ij lam} eta^{lam mu}; eta^{..} is symmetric
-    h = contract(eta_up, f3, 2)
-    failures = []
     for i in range(dim):
-        for p in range(i + 1, dim):
-            for j in range(dim):
-                for q in range(j, dim):
-                    acc = zero
-                    for mu in range(dim):
-                        if not h[i][j][mu].is_zero() and not f3[mu][p][q].is_zero():
-                            acc = acc + h[i][j][mu] * f3[mu][p][q]
-                        if not h[p][j][mu].is_zero() and not f3[mu][i][q].is_zero():
-                            acc = acc - h[p][j][mu] * f3[mu][i][q]
-                    if not acc.is_zero():
-                        failures.append(((i + 1, j + 1, p + 1, q + 1), acc))
+        for j in range(i):
+            if eta_up[i][j] != eta_up[j][i]:
+                raise SymmetryViolation(f"eta^({i + 1},{j + 1}) != eta^({j + 1},{i + 1})")
+    zero = Poly.const(potential.chart, 0)
+    kpos, last = potential.vertex - 1, dim - 1
+    # h_{ab}^mu = eta^{mu lam} F_{ab lam} = d_a d_b (eta^{mu lam} d_lam F):
+    # raising the gradient costs one scalar product per nonzero eta entry,
+    # not one per nonzero F_{ab lam}.  The head's third derivatives (1 at the
+    # permutations of (k, k, l+1)) are constants added afterwards.
+    raised = contract(eta_up, [potential.poly.coord_diff(lam) for lam in range(dim)], 0)
+
+    def pairing(ha: Dict[int, List[Poly]], b: int, c: int, d: int) -> Poly:
+        """B(ab;cd), given the row ha[b] = h_{ab}^."""
+        acc = zero
+        for mu, hm in enumerate(ha[b]):
+            if not hm.is_zero() and not f3[mu][c][d].is_zero():
+                acc = acc + hm * f3[mu][c][d]
+        return acc
+
+    failures = []
+    for a in range(dim):
+        # a, the least index of the multiset, lies in the first pair of every
+        # pairing, so only the row h_{a.} is live
+        da = [v.coord_diff(a) for v in raised]
+        ha = {b: [v.coord_diff(b) for v in da] for b in range(a, dim)}
+        if a == kpos:
+            for b, lam in ((kpos, last), (last, kpos)):
+                ha[b] = [e + eta_up[mu][lam] for mu, e in enumerate(ha[b])]
+        for b in range(a, dim):
+            for c in range(b, dim):
+                for d in range(c, dim):
+                    first = pairing(ha, b, c, d)
+                    # ac|bd is ab|cd when b = c; ad|bc is ac|bd when a = b
+                    # or c = d (and ab|cd when a = b = c or b = c = d)
+                    splits = []
+                    if b != c:
+                        splits.append(((b, a, c, d), c, b, d))
+                    if a != b and c != d:
+                        splits.append(((b, a, d, c), d, b, c))
+                    for (i, j, p, q), y, z, w in splits:
+                        other = pairing(ha, y, z, w)
+                        if other != first:
+                            failures.append(((i + 1, j + 1, p + 1, q + 1), first - other))
     return failures
 
 
@@ -468,8 +510,8 @@ def verify_intersection(struct: FrobeniusStructure) -> None:
     l, k = spec.rank, spec.vertex
     dim = l + 1
     last = l
-    _check_metric_identity(spec, struct.potential, struct.eta_up, struct.g_t)
     fup = raised_hessian(struct.potential, struct.eta_up)
+    _check_metric_identity(spec, fup, struct.eta_up, struct.g_t)
     dt = flat_degrees(l, k)
     chart = struct.potential.chart
     for i in range(dim):
@@ -513,6 +555,7 @@ def _build_c(spec: RootSystemSpec) -> FrobeniusStructure:
     flat = flat_pipeline(spec, pencil.eta)
     g_t = transform_form(pencil.g, flat.y_to_t)
     gamma_t = transform_christoffel(pencil.gamma_g, flat.y_to_t, g_t)
+    flat.y_to_t.drop_jacobians()
     eta_up = constant_matrix(flat.eta_t.mat)
     eta_cov = constant_matrix(covariant_form(flat.eta_t))
     euler = EulerField(dtilde=tuple(flat_degrees(l, k)[:l]),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import Chart, Matrix, Poly, contract, mat_det, mat_inverse_unit
+from .exactalg import Chart, Matrix, Poly, contract, mat_det
 from .orbitspace import (CoordMap, extend_with_uv, generator_map, inject,
                          theta_chart, theta_map, y_chart, zeta_chart)
 from .rootdata import RootSystemSpec
@@ -160,7 +160,7 @@ def transform_form(form: BilinearForm, cmap: CoordMap) -> BilinearForm:
     """Contravariant 2-tensor components in the target chart of the map."""
     if form.chart != cmap.source:
         raise ValueError("form does not live on the map's source chart")
-    J = mat_inverse_unit(cmap.jacobian_pullback())
+    _, J = cmap.jacobians
     zero = Poly.const(cmap.target, 0)
     gsub = [[cmap.push(e) if not e.is_zero() else zero for e in row]
             for row in form.mat]
@@ -177,8 +177,7 @@ def transform_christoffel(gamma: ChristoffelContra, cmap: CoordMap,
     """
     if gamma.chart != cmap.source:
         raise ValueError("connection does not live on the map's source chart")
-    K = cmap.jacobian_pullback()
-    J = mat_inverse_unit(K)
+    K, J = cmap.jacobians
     n = gamma.dim
     zero = Poly.const(cmap.target, 0)
     gsub = [[[cmap.push(e) if not e.is_zero() else zero for e in row]

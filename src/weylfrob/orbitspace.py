@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (Chart, ChartMismatch, Matrix, Poly, VarSpec, contract,
-                       monomials_of_weighted_degree, rat, solve_linear)
+                       mat_inverse_unit, monomials_of_weighted_degree, rat,
+                       solve_linear)
 from .rootdata import ExtendedMetric, RootSystemSpec, build, degrees, flat_degrees
 
 
@@ -210,6 +212,18 @@ class CoordMap:
                 expr = self.pullback[coord]
                 rows.append([expr.diff(tgt.coords[i]) for i in range(tgt.dim)])
         return rows
+
+    @cached_property
+    def jacobians(self) -> Tuple[Matrix, Matrix]:
+        """(K, J): the pullback Jacobian and its exact inverse, computed on
+        first use and kept, so every transport along this map inverts K once."""
+        K = self.jacobian_pullback()
+        return K, mat_inverse_unit(K)
+
+    def drop_jacobians(self) -> None:
+        """Forget the stored Jacobians once no transport along the map is
+        left, so a map kept in a structure does not keep them."""
+        vars(self).pop("jacobians", None)
 
 
 def identity_map(chart: Chart) -> CoordMap:

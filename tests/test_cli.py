@@ -155,10 +155,18 @@ def _bump_form(form, i, j):
     return BilinearForm(form.chart, mat)
 
 
-def _bump_connection(gamma, i, j, m):
+def _bump_connection(gamma, i, j, m, by=1):
     arr = [[list(row) for row in plane] for plane in gamma.arr]
-    arr[i][j][m] = arr[i][j][m] + 1
+    arr[i][j][m] = arr[i][j][m] + by
     return ChristoffelContra(gamma.chart, arr)
+
+
+def _twist_gamma_eta(struct, i, j, m):
+    """+1 at gamma_eta^{ij}_m and -1 at gamma_eta^{ji}_m: the sum
+    gamma^{ij}_m + gamma^{ji}_m (metric compatibility) is unchanged."""
+    gamma = _bump_connection(struct.pencil.gamma_eta, i, j, m)
+    return replace(struct, pencil=replace(
+        struct.pencil, gamma_eta=_bump_connection(gamma, j, i, m, by=-1)))
 
 
 def _bump_f_coefficient(struct, monomial):
@@ -193,6 +201,8 @@ MUTATIONS = [
     ("pencil", "gamma_eta[0][0][0]",
      lambda s: replace(s, pencil=replace(
          s.pencil, gamma_eta=_bump_connection(s.pencil.gamma_eta, 0, 0, 0)))),
+    ("pencil", "gamma_eta[0][1][0] up, [1][0][0] down",
+     lambda s: _twist_gamma_eta(s, 0, 1, 0)),
     ("duality", "eta_up[0][0]", lambda s: _bump_eta_up(s, 0, 0)),
     ("oracle", "pencil.g[0][0]",
      lambda s: replace(s, pencil=replace(s.pencil, g=_bump_form(s.pencil.g, 0, 0)))),
@@ -212,3 +222,10 @@ def test_check_fails_on_corrupted_copy(check, where, corrupt):
 
 def test_mutation_suite_covers_every_check():
     assert {check for check, _, _ in MUTATIONS} == set(cli.CHECK_NAMES)
+
+
+def test_pencil_twist_is_caught_by_torsion_freeness():
+    bad = _twist_gamma_eta(build_structure(RootSystemSpec("C", 3, 1)), 0, 1, 0)
+    result = cli.run_check("pencil", bad, 3)
+    assert result["passed"] is False
+    assert "torsion" in result["detail"]

@@ -1,11 +1,12 @@
 """Potential construction, WDVV/Euler/intersection identities, B -> C."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from weylfrob.cli import compare_fixture
-from weylfrob.exactalg import Poly
+from weylfrob.exactalg import Poly, contract
 from weylfrob.fixtures import FIXTURES
 from weylfrob.frobenius import (PotentialF, build_structure, oracle_check,
                                 third_from_potential, verify_euler_unity,
@@ -13,6 +14,62 @@ from weylfrob.frobenius import (PotentialF, build_structure, oracle_check,
 from weylfrob.rootdata import RootSystemSpec
 
 ALL_SMALL = [(l, k) for l in range(1, 4) for k in range(1, l + 1)]
+ALL_RANK5 = [(l, k) for l in range(1, 6) for k in range(1, l + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Reference WDVV: one residual at a time, every product recomputed
+# ---------------------------------------------------------------------------
+
+def _wdvv_tensors(struct):
+    """F_{abc} and h_{ab}^mu = F_{ab lam} eta^{lam mu}."""
+    f3 = third_from_potential(struct.potential)
+    return f3, contract(struct.eta_up, f3, 2)
+
+
+def _wdvv_residual(struct, f3, h, i, j, p, q):
+    """A_{ijpq} = B(ij;pq) - B(pj;iq), 0-based indices."""
+    acc = Poly.const(struct.potential.chart, 0)
+    for mu in range(len(f3)):
+        if not h[i][j][mu].is_zero() and not f3[mu][p][q].is_zero():
+            acc = acc + h[i][j][mu] * f3[mu][p][q]
+        if not h[p][j][mu].is_zero() and not f3[mu][i][q].is_zero():
+            acc = acc - h[p][j][mu] * f3[mu][i][q]
+    return acc
+
+
+def reference_wdvv(struct):
+    """Every nonzero A_{ijpq} over i < p, j <= q, as (1-based indices, A)."""
+    f3, h = _wdvv_tensors(struct)
+    dim = len(f3)
+    failures = []
+    for i in range(dim):
+        for p in range(i + 1, dim):
+            for j in range(dim):
+                for q in range(j, dim):
+                    acc = _wdvv_residual(struct, f3, h, i, j, p, q)
+                    if not acc.is_zero():
+                        failures.append(((i + 1, j + 1, p + 1, q + 1), acc))
+    return failures
+
+
+def _pairing_slots(f3, h):
+    """The (multiset, pairing, mu) slots that need a product: over 4-index
+    multisets a <= b <= c <= d, their distinct splits xy|zw into two pairs
+    (x = a), and the mu with h_{xy}^mu and F_{mu zw} both nonzero."""
+    dim = len(f3)
+    total = 0
+    for a in range(dim):
+        for b in range(a, dim):
+            for c in range(b, dim):
+                for d in range(c, dim):
+                    splits = {frozenset([(a, b), (c, d)]): (a, b, c, d),
+                              frozenset([(a, c), (b, d)]): (a, c, b, d),
+                              frozenset([(a, d), (b, c)]): (a, d, b, c)}
+                    for (x, y, z, w) in splits.values():
+                        total += sum(1 for mu in range(dim) if not h[x][y][mu].is_zero()
+                                     and not f3[mu][z][w].is_zero())
+    return total
 
 
 def test_rank1_potential_closed_form():
@@ -81,10 +138,62 @@ def test_named_fixture_coefficients():
     assert coeff(s42.potential.poly, {"t3": 3, "t4": -1}) == Fraction(1, 48)
 
 
-@pytest.mark.parametrize("l,k", ALL_SMALL)
+@pytest.mark.parametrize("l,k", ALL_RANK5)
 def test_wdvv_residuals_vanish(l, k):
     struct = build_structure(RootSystemSpec("C", l, k))
     assert verify_wdvv(struct) == []
+    assert reference_wdvv(struct) == []
+
+
+# one monomial added to F breaks WDVV; the reported residuals must be exact
+WDVV_CORRUPTIONS = [((l, k), mono) for (l, k) in [(3, 1), (4, 2)]
+                    for mono in [{"t3": 8}, {"t2": 2, "t3": 2},
+                                 {"t1": 1, "t2": 1, "t3": 1}, {"t1": 3}]]
+
+
+@pytest.mark.parametrize("lk,mono", WDVV_CORRUPTIONS,
+                         ids=[f"C{l}k{k}-{'.'.join(f'{v}^{e}' for v, e in m.items())}"
+                              for (l, k), m in WDVV_CORRUPTIONS])
+def test_wdvv_corrupted_potential_reports_exact_residuals(lk, mono):
+    struct = build_structure(RootSystemSpec("C", *lk))
+    potential = struct.potential
+    bad = replace(struct, potential=replace(
+        potential, poly=potential.poly + Poly.monomial(potential.chart, mono)))
+    failures = verify_wdvv(bad)
+    assert failures and reference_wdvv(bad)
+    f3, h = _wdvv_tensors(bad)
+    for (i, j, p, q), residual in failures:
+        assert not residual.is_zero()
+        assert residual == _wdvv_residual(bad, f3, h, i - 1, j - 1, p - 1, q - 1)
+
+
+def test_wdvv_rejects_nonsymmetric_eta():
+    struct = build_structure(RootSystemSpec("C", 3, 1))
+    eta_up = [list(row) for row in struct.eta_up]
+    eta_up[0][1] += 1
+    with pytest.raises(ArithmeticError):
+        verify_wdvv(replace(struct, eta_up=eta_up))
+
+
+def test_wdvv_computes_each_pairing_once(monkeypatch):
+    """At most one Poly product per (multiset, pairing, mu) slot."""
+    struct = build_structure(RootSystemSpec("C", 5, 3))
+    bound = _pairing_slots(*_wdvv_tensors(struct))
+    calls = [0]
+    mul = Poly.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(b, Poly):
+            calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    assert verify_wdvv(struct) == []
+    assert 0 < calls[0] <= bound
+    # the per-residual reference recomputes pairings and exceeds the bound
+    calls[0] = 0
+    assert reference_wdvv(struct) == []
+    assert calls[0] > bound
 
 
 def test_wdvv_negative_control():
