@@ -277,6 +277,9 @@ def _main(argv: Optional[List[str]]) -> int:
     if args.command == "verify":
         wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
         unknown = [c for c in wanted if c not in CHECK_NAMES]
+        if not wanted:
+            print(f"no checks named in {args.checks!r}", file=sys.stderr)
+            return 2
         if unknown:
             print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
             return 2

@@ -10,6 +10,11 @@ A chart may designate one variable as the exponential of an extra logarithmic
 coordinate (E = exp of the last coordinate).  Differentiation along that
 coordinate acts as E*d/dE, which keeps the ring purely polynomial.
 
+Products and sums of products go through one kernel, ``sum_products``,
+which works on integer numerators over a common denominator and builds one
+Fraction per output term (sparse products in the manner of Monagan and
+Pearce).  ``Poly.__mul__`` is its one-pair case.
+
 The module also provides the exact linear algebra the rest of the package
 leans on: an incremental rational Gaussian eliminator, a fraction-free
 (Bareiss) determinant, and the two primitives every tensor computation goes
@@ -19,9 +24,10 @@ one index contraction).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Rational = Fraction
@@ -229,27 +235,15 @@ class Poly:
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly(self.chart, {}, normalized=True)
-            other = rat(other)
-            return Poly(self.chart, {e: c * other for e, c in self.terms.items()},
-                        normalized=True)
-        self._check_chart(other)
-        out: Dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(map(operator.add, e1, e2))
-                s = out.get(key)
-                if s is None:
-                    out[key] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return Poly(self.chart, out, normalized=True)
+        if isinstance(other, Poly):
+            return sum_products(self.chart, ((self, other),))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            return Poly(self.chart, {}, normalized=True)
+        other = rat(other)
+        return Poly(self.chart, {e: c * other for e, c in self.terms.items()},
+                    normalized=True)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -314,7 +308,7 @@ class Poly:
                 key = exps[:idx] + (e - 1,) + exps[idx + 1:]
                 s = out.get(key)
                 out[key] = c * e if s is None else s + c * e
-        return Poly(chart, {k: v for k, v in out.items() if v})
+        return Poly(chart, {k: v for k, v in out.items() if v}, normalized=True)
 
     def coord_diff(self, i: int) -> "Poly":
         """Derivative along the chart's i-th coordinate (0-based)."""
@@ -358,14 +352,17 @@ class Poly:
             cache[key] = val
             return val
 
-        total = Poly.const(target, 0)
+        # each term c * x^a * ... * z^b enters the sum as the pair
+        # (c * x^a * ..., z^b), so its last product happens in the kernel
+        one = Poly.const(target, 1)
+        pairs = []
         for exps, c in self.terms.items():
-            term = Poly.const(target, c)
-            for var, e in zip(self.chart.vars, exps):
-                if e:
-                    term = term * power_of(var.name, e)
-            total = total + term
-        return total
+            factors = [power_of(var.name, e) for var, e in zip(self.chart.vars, exps) if e]
+            last = factors.pop() if factors else one
+            for f in factors:
+                c = f * c
+            pairs.append((c, last))
+        return sum_products(target, pairs)
 
     # ---- exact division ----
 
@@ -380,7 +377,7 @@ class Poly:
             (qe, qc), = q.terms.items()
             out = {}
             for e, c in self.terms.items():
-                key = tuple(a - b for a, b in zip(e, qe))
+                key = tuple(map(sub, e, qe))
                 for x, lau in zip(key, self.chart._laurent):
                     if x < 0 and not lau:
                         raise NonExactDivision("quotient needs a negative exponent "
@@ -394,37 +391,43 @@ class Poly:
         # is sound and complete for exact division
         shift_p = tuple(-min(e[i] for e in self.terms) for i in range(n))
         shift_q = tuple(-min(e[i] for e in q.terms) for i in range(n))
-        p_terms = {tuple(a + s for a, s in zip(e, shift_p)): c for e, c in self.terms.items()}
-        q_terms = {tuple(a + s for a, s in zip(e, shift_q)): c for e, c in q.terms.items()}
-        lead_q = max(q_terms, key=_grlex_key)
-        cq = q_terms[lead_q]
-        quot: Dict[Exponents, Fraction] = {}
-        rem = dict(p_terms)
+        # self = P / dp and q = content * Q / dq with P, Q integral and Q
+        # primitive; by Gauss's lemma P / Q is integral whenever it exists,
+        # so every leading-coefficient quotient below must be exact
+        pn, dp = _numerators(self.terms)
+        qn, dq = _numerators(q.terms)
+        content = gcd(*[c for _, c in qn])
+        rem = {tuple(map(add, e, shift_p)): c for e, c in pn}
+        q_terms = [(tuple(map(add, e, shift_q)), c // content) for e, c in qn]
+        lead_q, cq = max(q_terms, key=lambda t: _grlex_key(t[0]))
+        quot: Dict[Exponents, int] = {}
         while rem:
             lead_r = max(rem, key=_grlex_key)
-            d = tuple(a - b for a, b in zip(lead_r, lead_q))
+            d = tuple(map(sub, lead_r, lead_q))
             if any(x < 0 for x in d):
                 raise NonExactDivision("division left a nonzero remainder")
-            c = rem[lead_r] / cq
-            quot[d] = quot.get(d, Fraction(0)) + c
-            for e2, c2 in q_terms.items():
-                key = tuple(a + b for a, b in zip(d, e2))
-                s = rem.get(key, Fraction(0)) - c * c2
+            c, r = divmod(rem[lead_r], cq)
+            if r:
+                raise NonExactDivision("division left a nonzero remainder")
+            # the leading term strictly falls, so each d is new
+            quot[d] = c
+            for e2, c2 in q_terms:
+                key = tuple(map(add, d, e2))
+                s = rem.get(key, 0) - c * c2
                 if s:
                     rem[key] = s
-                elif key in rem:
+                else:
                     del rem[key]
-        correction = tuple(sq - sp for sq, sp in zip(shift_q, shift_p))
+        correction = tuple(map(sub, shift_q, shift_p))
+        num, den = dq, dp * content
         out = {}
         for e, c in quot.items():
-            if not c:
-                continue
-            key = tuple(a + b for a, b in zip(e, correction))
+            key = tuple(map(add, e, correction))
             for x, lau in zip(key, self.chart._laurent):
                 if x < 0 and not lau:
                     raise NonExactDivision("quotient needs a negative exponent "
                                            "on a non-laurent variable")
-            out[key] = c
+            out[key] = Fraction(c * num, den)
         return Poly(self.chart, out, normalized=True)
 
     # ---- grading ----
@@ -469,6 +472,69 @@ class Poly:
                 parts.append(f"{c}*{mono}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+# ---------------------------------------------------------------------------
+# The product-sum kernel
+# ---------------------------------------------------------------------------
+
+def _numerators(terms: Mapping[Exponents, Fraction]) -> Tuple[list, int]:
+    """The terms as (exponents, integer numerator) over their least common
+    denominator, and that denominator."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return [(e, c.numerator) for e, c in terms.items()], 1
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
+
+
+def sum_products(chart: Chart, pairs: Iterable[tuple]) -> Poly:
+    """The exact sum of x * y over the pairs (x, y) of ``pairs``.
+
+    Each x is a Poly or a rational and each y is a Poly, all on ``chart``.
+    Every operand is taken as integer numerators over the lcm of its
+    denominators; all products are added as Python ints over one common
+    denominator D, and one Fraction(v, D) is built per nonzero output term.
+    D is the lcm of the pairs' denominators so far: when a pair raises it,
+    the running sum is rescaled, so ``pairs`` is read once.
+    """
+    acc: Dict[Exponents, int] = {}
+    get = acc.get
+    den = 1
+    for x, y in pairs:
+        if y.chart is not chart and y.chart != chart:
+            raise ChartMismatch(f"{chart.name!r} vs {y.chart.name!r}")
+        if isinstance(x, Poly):
+            if x.chart is not chart and x.chart != chart:
+                raise ChartMismatch(f"{chart.name!r} vs {x.chart.name!r}")
+            if not x.terms or not y.terms:
+                continue
+            xn, dx = _numerators(x.terms)
+        else:
+            if not x or not y.terms:
+                continue
+            xn, dx = x.numerator, x.denominator
+        yn, dy = _numerators(y.terms)
+        d = dx * dy
+        if den % d:
+            grown = lcm(den, d)
+            up = grown // den
+            for e in acc:
+                acc[e] *= up
+            den = grown
+        scale = den // d
+        if isinstance(xn, int):
+            xn *= scale
+            for e, b in yn:
+                acc[e] = get(e, 0) + xn * b
+            continue
+        if scale != 1:
+            xn = [(e, a * scale) for e, a in xn]
+        for e1, a in xn:
+            for e2, b in yn:
+                key = tuple(map(add, e1, e2))
+                acc[key] = get(key, 0) + a * b
+    return Poly(chart, {e: Fraction(v, den) for e, v in acc.items() if v},
+                normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +671,9 @@ def mat_det(matrix: Matrix) -> Poly:
                 return Poly.const(chart, 0)
         piv = m[p][p]
         for r in range(p + 1, n):
+            minus_f = -m[r][p]
             for c in range(p + 1, n):
-                num = m[r][c] * piv - m[r][p] * m[p][c]
+                num = sum_products(chart, ((piv, m[r][c]), (minus_f, m[p][c])))
                 m[r][c] = num.exact_div(prev)
             m[r][p] = Poly.const(chart, 0)
         prev = piv
@@ -649,11 +716,9 @@ def mat_adjugate(matrix: Matrix) -> Matrix:
             if r == p:
                 continue
             row = m[r]
-            f = row[p]
+            minus_f = -row[p]
             for c in range(p + 1, 2 * n):
-                num = row[c] * piv
-                if not f.is_zero() and not pivot_row[c].is_zero():
-                    num = num - f * pivot_row[c]
+                num = sum_products(chart, ((piv, row[c]), (minus_f, pivot_row[c])))
                 row[c] = num.exact_div(prev)
             row[p] = zero
         prev = piv
@@ -698,11 +763,7 @@ def _combine(row: List[tuple], parts: list):
     """The sum of c * parts[a] over the pairs (a, c) of ``row``, entry by entry."""
     first = parts[0]
     if isinstance(first, Poly):
-        acc = Poly.const(first.chart, 0)
-        for a, c in row:
-            if not parts[a].is_zero():
-                acc = acc + c * parts[a]
-        return acc
+        return sum_products(first.chart, [(c, parts[a]) for a, c in row])
     return [_combine(row, [part[idx] for part in parts]) for idx in range(len(first))]
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import Chart, Matrix, Poly, Rational, contract, solve_linear
+from .exactalg import (Chart, Matrix, Poly, Rational, contract, solve_linear,
+                       sum_products)
 from .flatcoords import FlatChartData, covariant_form, flat_pipeline
 from .metrics import (BilinearForm, ChristoffelContra, FlatPencil, build_pencil,
                       transform_christoffel, transform_form)
@@ -103,7 +104,7 @@ def lie_euler(p: Poly) -> Poly:
         w = p.term_weight(exps)
         if w:
             out[exps] = c * w
-    return Poly(p.chart, out)
+    return Poly(p.chart, out, normalized=True)
 
 
 def constant_matrix(mat: Matrix) -> List[List[Rational]]:
@@ -431,7 +432,7 @@ def verify_wdvv(struct: FrobeniusStructure) -> List[Tuple[Tuple[int, int, int, i
         for j in range(i):
             if eta_up[i][j] != eta_up[j][i]:
                 raise SymmetryViolation(f"eta^({i + 1},{j + 1}) != eta^({j + 1},{i + 1})")
-    zero = Poly.const(potential.chart, 0)
+    chart = potential.chart
     kpos, last = potential.vertex - 1, dim - 1
     # h_{ab}^mu = eta^{mu lam} F_{ab lam} = d_a d_b (eta^{mu lam} d_lam F):
     # raising the gradient costs one scalar product per nonzero eta entry,
@@ -441,11 +442,7 @@ def verify_wdvv(struct: FrobeniusStructure) -> List[Tuple[Tuple[int, int, int, i
 
     def pairing(ha: Dict[int, List[Poly]], b: int, c: int, d: int) -> Poly:
         """B(ab;cd), given the row ha[b] = h_{ab}^."""
-        acc = zero
-        for mu, hm in enumerate(ha[b]):
-            if not hm.is_zero() and not f3[mu][c][d].is_zero():
-                acc = acc + hm * f3[mu][c][d]
-        return acc
+        return sum_products(chart, [(hm, f3[mu][c][d]) for mu, hm in enumerate(ha[b])])
 
     failures = []
     for a in range(dim):

@@ -69,6 +69,15 @@ def test_verify_exit_codes(capsys):
                 "--checks", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("checks", [",", "", " , ,"])
+def test_verify_with_no_checks_named_exits_2(capsys, checks):
+    assert run(["verify", "--family", "C", "--rank", "2", "--vertex", "1",
+                "--checks", checks]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("no checks named")
+
+
 def test_invalid_invocations_exit_2(capsys):
     assert run(["verify", "--family", "C", "--rank", "3", "--vertex", "5"]) == 2
     with pytest.raises(SystemExit) as exc:

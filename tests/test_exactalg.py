@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from weylfrob.exactalg import (Chart, ChartMismatch, NonExactDivision,
                                NonUnitLaurentSubstitution, NotHomogeneous, Poly,
-                               VarSpec, monomials_of_weighted_degree, solve_linear)
+                               VarSpec, contract, monomials_of_weighted_degree,
+                               solve_linear, sum_products)
 
 
 def simple_chart():
@@ -434,8 +437,6 @@ def loop_contract(matrix, tensor, shape, axis):
 
 
 def test_contract_matches_explicit_loops():
-    from weylfrob.exactalg import contract
-
     rng = random.Random(77)
     c = laurent_matrix_chart()
     n = 3
@@ -459,3 +460,232 @@ def test_contract_matches_explicit_loops():
             for axis in range(rank):
                 assert contract(matrix, tensor, axis) == \
                     loop_contract(matrix, tensor, shape, axis)
+
+
+# ---------------------------------------------------------------------------
+# The integer product-sum kernel against term-by-term Fraction references
+# ---------------------------------------------------------------------------
+
+def reference_mul(p, q):
+    """Poly x Poly term by term in Fraction arithmetic."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(key)
+            if s is None:
+                out[key] = c1 * c2
+            else:
+                s = s + c1 * c2
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return Poly(p.chart, out, normalized=True)
+
+
+def reference_term(x, y):
+    """x * y with x a Poly or a rational, without the kernel."""
+    if isinstance(x, Poly):
+        return reference_mul(x, y)
+    x = Fraction(x)
+    return Poly(y.chart, {e: c * x for e, c in y.terms.items() if x}, normalized=True)
+
+
+def reference_sum_products(chart, pairs):
+    acc = Poly.const(chart, 0)
+    for x, y in pairs:
+        acc = acc + reference_term(x, y)
+    return acc
+
+
+def reference_combine(row, parts):
+    """The sum of c * parts[a] over (a, c) in row, accumulated one at a time."""
+    acc = Poly.const(parts[0].chart, 0)
+    for a, c in row:
+        if not parts[a].is_zero():
+            acc = acc + reference_term(c, parts[a])
+    return acc
+
+
+def reference_exact_div(p, q):
+    """Exact division by long division in Fraction arithmetic."""
+    if q.is_zero():
+        raise ZeroDivisionError("exact division by zero polynomial")
+    if p.is_zero():
+        return Poly(p.chart, {}, normalized=True)
+    laurent = [v.laurent for v in p.chart.vars]
+    if q.is_unit_monomial():
+        (qe, qc), = q.terms.items()
+        out = {}
+        for e, c in p.terms.items():
+            key = tuple(a - b for a, b in zip(e, qe))
+            if any(x < 0 and not lau for x, lau in zip(key, laurent)):
+                raise NonExactDivision("negative exponent on a non-laurent variable")
+            out[key] = c / qc
+        return Poly(p.chart, out, normalized=True)
+    n = p.chart.nvars
+    shift_p = tuple(-min(e[i] for e in p.terms) for i in range(n))
+    shift_q = tuple(-min(e[i] for e in q.terms) for i in range(n))
+    q_terms = {tuple(a + s for a, s in zip(e, shift_q)): c for e, c in q.terms.items()}
+    rem = {tuple(a + s for a, s in zip(e, shift_p)): c for e, c in p.terms.items()}
+
+    def grlex(e):
+        return (sum(e), e)
+
+    lead_q = max(q_terms, key=grlex)
+    cq = q_terms[lead_q]
+    quot = {}
+    while rem:
+        lead_r = max(rem, key=grlex)
+        d = tuple(a - b for a, b in zip(lead_r, lead_q))
+        if any(x < 0 for x in d):
+            raise NonExactDivision("division left a nonzero remainder")
+        c = rem[lead_r] / cq
+        quot[d] = quot.get(d, Fraction(0)) + c
+        for e2, c2 in q_terms.items():
+            key = tuple(a + b for a, b in zip(d, e2))
+            s = rem.get(key, Fraction(0)) - c * c2
+            if s:
+                rem[key] = s
+            elif key in rem:
+                del rem[key]
+    correction = tuple(sq - sp for sq, sp in zip(shift_q, shift_p))
+    out = {}
+    for e, c in quot.items():
+        if not c:
+            continue
+        key = tuple(a + b for a, b in zip(e, correction))
+        if any(x < 0 and not lau for x, lau in zip(key, laurent)):
+            raise NonExactDivision("negative exponent on a non-laurent variable")
+        out[key] = c
+    return Poly(p.chart, out, normalized=True)
+
+
+def reference_substitute(p, bindings, target):
+    acc = Poly.const(target, 0)
+    for exps, c in p.terms.items():
+        term = Poly.const(target, c)
+        for var, e in zip(p.chart.vars, exps):
+            base = bindings[var.name]
+            if e < 0:
+                base, e = base.unit_inverse(), -e
+            for _ in range(e):
+                term = reference_mul(term, base)
+        acc = acc + term
+    return acc
+
+
+KERNEL_CHART = Chart("kx", [VarSpec("x", Fraction(1)),
+                            VarSpec("y", Fraction(1), laurent=True),
+                            VarSpec("z", Fraction(2), laurent=True)])
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+# C8k1 carries denominators near 10^22
+tall_rationals = st.builds(Fraction, st.integers(-10 ** 22, 10 ** 22),
+                           st.integers(10 ** 21, 10 ** 22))
+rationals = small_rationals | tall_rationals
+laurent_exponents = st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(-2, 2))
+laurent_polys = st.dictionaries(laurent_exponents, rationals, max_size=5).map(
+    lambda terms: Poly(KERNEL_CHART, terms))
+factors = laurent_polys | rationals | st.integers(-3, 3)
+
+
+def is_normalized(p):
+    return all(type(c) is Fraction and c for c in p.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_polys, laurent_polys)
+def test_mul_matches_the_fraction_reference(p, q):
+    got = p * q
+    assert got == reference_mul(p, q)
+    assert is_normalized(got)
+
+
+TALL_A = Fraction(10 ** 22 + 1, 10 ** 22 - 3)
+TALL_B = Fraction(-7, 10 ** 22 + 9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(factors, laurent_polys), max_size=6))
+@example([(Poly(KERNEL_CHART, {(1, 0, 0): TALL_A, (0, -2, 0): TALL_B}),
+           Poly(KERNEL_CHART, {(0, 1, 0): TALL_B, (0, 0, 0): -TALL_A})),
+          (Fraction(1, 10 ** 22), Poly(KERNEL_CHART, {(0, 1, 0): TALL_B}))])
+def test_sum_products_matches_the_fraction_reference(pairs):
+    got = sum_products(KERNEL_CHART, pairs)
+    assert got == reference_sum_products(KERNEL_CHART, pairs)
+    assert is_normalized(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(factors, laurent_polys, laurent_polys)
+def test_sum_products_cancels_to_an_empty_term_map(x, y, z):
+    chart = KERNEL_CHART
+    assert sum_products(chart, [(x, y), (x, -y)]).terms == {}
+    assert sum_products(chart, [(y, z), (Fraction(-1), y * z)]).terms == {}
+    # a partial cancellation keeps exactly the surviving terms
+    assert sum_products(chart, [(y, z), (z, y), (-1, y * z)]) == reference_mul(y, z)
+
+
+def test_sum_products_of_empty_and_zero_operands():
+    chart = KERNEL_CHART
+    zero = Poly.const(chart, 0)
+    x = chart.var("x")
+    assert sum_products(chart, []).terms == {}
+    assert sum_products(chart, [(zero, x), (x, zero), (0, x), (Fraction(0), x)]).terms == {}
+    assert sum_products(chart, [(zero, x), (3, x)]) == 3 * x
+    with pytest.raises(ChartMismatch):
+        sum_products(chart, [(simple_chart().var("u"), x)])
+    with pytest.raises(ChartMismatch):
+        sum_products(chart, [(2, simple_chart().var("u"))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(factors, min_size=1, max_size=4), st.lists(laurent_polys, min_size=4,
+                                                            max_size=4))
+def test_contract_matches_the_accumulating_reference(row, parts):
+    matrix = [row + [0] * (len(parts) - len(row))]
+    nonzero = [(a, c) for a, c in enumerate(matrix[0])
+               if not (c.is_zero() if isinstance(c, Poly) else c == 0)]
+    assert contract(matrix, parts, 0) == [reference_combine(nonzero, parts)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(laurent_polys, laurent_polys)
+def test_exact_div_matches_the_fraction_reference(p, q):
+    assume(not q.is_zero())
+    assert (p * q).exact_div(q) == reference_exact_div(p * q, q) == p
+    try:
+        expected = reference_exact_div(p, q)
+    except NonExactDivision:
+        with pytest.raises(NonExactDivision):
+            p.exact_div(q)
+    else:
+        assert p.exact_div(q) == expected
+
+
+def test_exact_div_integer_remainder_and_negative_exponent_raise():
+    chart = KERNEL_CHART
+    x, y = chart.var("x"), chart.var("y")
+    # 2x + 1 over x + 1: the leading quotient 2 leaves the remainder -1
+    with pytest.raises(NonExactDivision):
+        (2 * x + 1).exact_div(x + 1)
+    # (y + 1) / (x y + x) = 1 / x, but x is not laurent
+    with pytest.raises(NonExactDivision):
+        (y + 1).exact_div(x * y + x)
+    assert (x * y + x).exact_div(y + 1) == x
+    assert (Fraction(3, 4) * x * y - Fraction(3, 2)).exact_div(
+        Fraction(1, 6) * x * y - Fraction(1, 3)) == Poly.const(chart, Fraction(9, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(laurent_exponents, small_rationals, max_size=4).map(
+           lambda terms: Poly(KERNEL_CHART, terms)),
+       st.dictionaries(laurent_exponents, small_rationals, max_size=3).map(
+           lambda terms: Poly(KERNEL_CHART, terms)),
+       small_rationals.filter(bool), small_rationals.filter(bool))
+def test_substitute_matches_the_fraction_reference(p, bx, cy, cz):
+    chart = KERNEL_CHART
+    bindings = {"x": bx, "y": cy * chart.var("y") ** 2, "z": cz * chart.var("z")}
+    assert p.substitute(bindings, chart) == reference_substitute(p, bindings, chart)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylfrob import exactalg, frobenius
 from weylfrob.cli import compare_fixture
 from weylfrob.exactalg import Poly, contract
 from weylfrob.fixtures import FIXTURES
@@ -176,18 +177,22 @@ def test_wdvv_rejects_nonsymmetric_eta():
 
 
 def test_wdvv_computes_each_pairing_once(monkeypatch):
-    """At most one Poly product per (multiset, pairing, mu) slot."""
+    """At most one Poly-by-Poly product per (multiset, pairing, mu) slot,
+    counted as the nonzero Poly x Poly pairs that reach the product kernel."""
     struct = build_structure(RootSystemSpec("C", 5, 3))
     bound = _pairing_slots(*_wdvv_tensors(struct))
     calls = [0]
-    mul = Poly.__mul__
+    kernel = exactalg.sum_products
 
-    def counting_mul(a, b):
-        if isinstance(b, Poly):
-            calls[0] += 1
-        return mul(a, b)
+    def counting_kernel(chart, pairs):
+        pairs = list(pairs)
+        calls[0] += sum(1 for x, y in pairs if isinstance(x, Poly)
+                        and not x.is_zero() and not y.is_zero())
+        return kernel(chart, pairs)
 
-    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    # Poly.__mul__ looks the kernel up in exactalg, verify_wdvv in frobenius
+    monkeypatch.setattr(exactalg, "sum_products", counting_kernel)
+    monkeypatch.setattr(frobenius, "sum_products", counting_kernel)
     assert verify_wdvv(struct) == []
     assert 0 < calls[0] <= bound
     # the per-residual reference recomputes pairings and exceeds the bound
