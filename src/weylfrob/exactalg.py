@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Rational = Fraction
@@ -103,7 +103,12 @@ class Chart:
         self.coords: Tuple[str, ...] = tuple(coords)
         self.nvars = len(self.vars)
         self.dim = len(self.coords)
-        self._weights = tuple(v.weight for v in self.vars)
+        # weights as integer numerators over their lcm: a term's weight is
+        # one integer dot product
+        den = lcm(1, *(v.weight.denominator for v in self.vars))
+        self._weight_den = den
+        self._weight_nums = tuple(v.weight.numerator * (den // v.weight.denominator)
+                                  for v in self.vars)
         self._laurent = tuple(v.laurent for v in self.vars)
 
     def weight(self, name: str) -> Fraction:
@@ -433,7 +438,8 @@ class Poly:
     # ---- grading ----
 
     def term_weight(self, exps: Exponents) -> Fraction:
-        return sum((w * e for w, e in zip(self.chart._weights, exps)), Fraction(0))
+        chart = self.chart
+        return Fraction(sum(map(mul, chart._weight_nums, exps)), chart._weight_den)
 
     def weighted_degree(self) -> Fraction:
         """Common weighted degree of all terms (0 for the zero polynomial)."""

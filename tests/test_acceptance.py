@@ -12,7 +12,7 @@ from weylfrob import cli
 from weylfrob.exactalg import Poly
 from weylfrob.fixtures import FIXTURES
 from weylfrob.flatcoords import b_coefficients, _f_series
-from weylfrob.frobenius import (build_structure, oracle_check, third_from_potential,
+from weylfrob.frobenius import (build_structure, oracle_check, third_derivatives,
                                 verify_euler_unity, verify_intersection, verify_wdvv)
 from weylfrob.metrics import (det_eta_check, eta_closed_form_check, eta_from_g,
                               g_theta, theta_map, transform_form)
@@ -150,7 +150,7 @@ def test_criterion_09_euler_unity_duality():
         residual = verify_euler_unity(struct)
         expected = Poly.monomial(struct.potential.chart, {f"t{k}": 2}, Fraction(1, 2 * k))
         assert residual == expected
-        f3 = third_from_potential(struct.potential)
+        f3 = third_derivatives(struct.potential)
         kpos = k - 1
         for i in range(l + 1):
             for j in range(l + 1):

@@ -9,7 +9,8 @@ import pytest
 from weylfrob import cli
 from weylfrob.exactalg import Poly
 from weylfrob.fixtures import C3K1, Fixture
-from weylfrob.frobenius import build_structure
+from weylfrob.frobenius import (build_structure, integrate_potential,
+                                third_derivatives_from_metric)
 from weylfrob.metrics import BilinearForm, ChristoffelContra
 from weylfrob.rootdata import RootSystemSpec
 from weylfrob.serialize import document_json, load_document, structure_document
@@ -187,6 +188,27 @@ def _bump_f_coefficient(struct, monomial):
     return replace(struct, potential=replace(potential, poly=potential.poly + mono))
 
 
+def _rebuild_from_metric(struct, bumps):
+    """g_t with each (i, j, monomial) added symmetrically, and F rebuilt from
+    it the way the build does: F_{abc} from g_t, then integration."""
+    chart = struct.g_t.chart
+    mat = [list(row) for row in struct.g_t.mat]
+    for i, j, mono in bumps:
+        mat[i][j] = mat[i][j] + Poly.monomial(chart, mono)
+        if i != j:
+            mat[j][i] = mat[j][i] + Poly.monomial(chart, mono)
+    g_t = BilinearForm(chart, mat)
+    spec = struct.cspec
+    f3 = third_derivatives_from_metric(spec, g_t, struct.eta_cov)
+    return replace(struct, g_t=g_t,
+                   potential=integrate_potential(spec, f3, struct.eta_cov))
+
+
+# C3k1: g^{11} += t1, g^{12} += t2^2 still integrates to a potential of the
+# right shape; only the intersection check sees that it does not match g_t
+CORRUPT_METRIC = [(0, 0, {"t1": 1}), (0, 1, {"t2": 2})]
+
+
 def _bump_eta_up(struct, i, j):
     eta_up = [list(row) for row in struct.eta_up]
     eta_up[i][j] += Fraction(1)
@@ -203,6 +225,14 @@ MUTATIONS = [
      lambda s: replace(s, g_t=_bump_form(s.g_t, 0, 0))),
     ("intersection", "Gamma_t[0][0][0]",
      lambda s: replace(s, gamma_t=_bump_connection(s.gamma_t, 0, 0, 0))),
+    ("intersection", "F rebuilt from g_t with g^{11} += t1, g^{12} += t2^2",
+     lambda s: _rebuild_from_metric(s, CORRUPT_METRIC)),
+    # dtilde_4 = 0: the whole j = 4 column of Gamma must vanish
+    ("intersection", "Gamma_t[0][3][0]",
+     lambda s: replace(s, gamma_t=_bump_connection(s.gamma_t, 0, 3, 0))),
+    # Gamma^{21}_3 against an intact Gamma^{12}_3, with dtilde_1, dtilde_2 != 0
+    ("intersection", "Gamma_t[1][0][2]",
+     lambda s: replace(s, gamma_t=_bump_connection(s.gamma_t, 1, 0, 2))),
     ("eta-form", "pencil.eta[1][1]",
      lambda s: replace(s, pencil=replace(s.pencil, eta=_bump_form(s.pencil.eta, 1, 1)))),
     ("det", "pencil.eta[0][3]",
@@ -231,6 +261,16 @@ def test_check_fails_on_corrupted_copy(check, where, corrupt):
 
 def test_mutation_suite_covers_every_check():
     assert {check for check, _, _ in MUTATIONS} == set(cli.CHECK_NAMES)
+
+
+def test_metric_corruption_is_caught_by_intersection_alone():
+    """F rebuilt from a corrupted g_t is a potential of its own: WDVV and
+    Euler hold; intersection reports the metric identity it breaks."""
+    bad = _rebuild_from_metric(build_structure(RootSystemSpec("C", 3, 1)),
+                               CORRUPT_METRIC)
+    report = {r["check"]: r for r in cli.run_checks(bad, cli.CHECK_NAMES, 3)}
+    assert [name for name, r in report.items() if not r["passed"]] == ["intersection"]
+    assert report["intersection"]["detail"] == "L_E F^{1,1} != g^{1,1}"
 
 
 def test_pencil_twist_is_caught_by_torsion_freeness():

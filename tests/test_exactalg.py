@@ -651,6 +651,21 @@ def test_contract_matches_the_accumulating_reference(row, parts):
     assert contract(matrix, parts, 0) == [reference_combine(nonzero, parts)]
 
 
+def reference_term_weight(chart, exps):
+    """A term's weight as a Fraction sum, one product per variable."""
+    return sum((v.weight * e for v, e in zip(chart.vars, exps)), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals | st.integers(-4, 4), min_size=1, max_size=5), st.data())
+def test_term_weight_matches_the_fraction_sum(weights, data):
+    chart = Chart("w", [VarSpec(f"v{i}", w, laurent=True) for i, w in enumerate(weights)])
+    exps = data.draw(st.tuples(*[st.integers(-6, 6)] * len(weights)))
+    got = chart.one().term_weight(exps)
+    assert type(got) is Fraction
+    assert got == reference_term_weight(chart, exps)
+
+
 @settings(max_examples=120, deadline=None)
 @given(laurent_polys, laurent_polys)
 def test_exact_div_matches_the_fraction_reference(p, q):

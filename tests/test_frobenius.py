@@ -1,5 +1,6 @@
 """Potential construction, WDVV/Euler/intersection identities, B -> C."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,9 +10,12 @@ from weylfrob import exactalg, frobenius
 from weylfrob.cli import compare_fixture
 from weylfrob.exactalg import Poly, contract
 from weylfrob.fixtures import FIXTURES
-from weylfrob.frobenius import (PotentialF, build_structure, oracle_check,
-                                third_from_potential, verify_euler_unity,
-                                verify_intersection, verify_wdvv)
+from weylfrob.flatcoords import flat_pipeline
+from weylfrob.frobenius import (Inconsistent, PotentialF, ShapeMismatch,
+                                build_structure, integrate_potential, oracle_check,
+                                third_derivatives, third_derivatives_from_metric,
+                                verify_euler_unity, verify_intersection, verify_wdvv)
+from weylfrob.metrics import BilinearForm, build_pencil
 from weylfrob.rootdata import RootSystemSpec
 
 ALL_SMALL = [(l, k) for l in range(1, 4) for k in range(1, l + 1)]
@@ -24,7 +28,7 @@ ALL_RANK5 = [(l, k) for l in range(1, 6) for k in range(1, l + 1)]
 
 def _wdvv_tensors(struct):
     """F_{abc} and h_{ab}^mu = F_{ab lam} eta^{lam mu}."""
-    f3 = third_from_potential(struct.potential)
+    f3 = third_derivatives(struct.potential)
     return f3, contract(struct.eta_up, f3, 2)
 
 
@@ -78,7 +82,7 @@ def test_rank1_potential_closed_form():
     tc = struct.potential.chart
     assert struct.potential.poly == Fraction(1, 2) * Poly.monomial(tc, {"E": 2})
     # third derivative along the log coordinate (the worked value)
-    f3 = third_from_potential(struct.potential)
+    f3 = third_derivatives(struct.potential)
     assert f3[1][1][1] == 4 * Poly.monomial(tc, {"E": 2})
     assert f3[0][0][1] == Poly.const(tc, 1)
 
@@ -94,7 +98,7 @@ def test_g_in_t_c3k1_entry():
 @pytest.mark.parametrize("l,k", ALL_SMALL)
 def test_unity_row_equals_eta(l, k):
     struct = build_structure(RootSystemSpec("C", l, k))
-    f3 = third_from_potential(struct.potential)
+    f3 = third_derivatives(struct.potential)
     kpos = k - 1
     tc = struct.potential.chart
     for i in range(l + 1):
@@ -105,7 +109,7 @@ def test_unity_row_equals_eta(l, k):
 @pytest.mark.parametrize("l,k", ALL_SMALL)
 def test_third_tensor_totally_symmetric(l, k):
     struct = build_structure(RootSystemSpec("C", l, k))
-    f3 = third_from_potential(struct.potential)
+    f3 = third_derivatives(struct.potential)
     n = l + 1
     for a in range(n):
         for b in range(n):
@@ -137,6 +141,74 @@ def test_named_fixture_coefficients():
     s42 = build_structure(RootSystemSpec("C", 4, 2))
     assert coeff(s42.potential.poly, {"E": 4}) == Fraction(1, 4)
     assert coeff(s42.potential.poly, {"t3": 3, "t4": -1}) == Fraction(1, 48)
+
+
+# ---------------------------------------------------------------------------
+# The single construction route: g_t -> F_{abc} -> F, with no linear solve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("l,k", ALL_RANK5)
+def test_integrate_potential_inverts_third_derivatives(l, k):
+    spec = RootSystemSpec("C", l, k)
+    struct = build_structure(spec)
+    f3 = third_derivatives(struct.potential)
+    assert integrate_potential(spec, f3, struct.eta_cov).poly == struct.potential.poly
+    # the build's F_{abc}, taken from g_t, are those of the potential
+    assert third_derivatives_from_metric(spec, struct.g_t, struct.eta_cov) == f3
+
+
+def test_build_solves_only_in_the_flat_pipeline(monkeypatch):
+    """The potential is integrated term by term: building C4k2 makes exactly
+    the linear solves of the flat-coordinate pipeline, counted wherever a
+    weylfrob module looks solve_linear up."""
+    spec = RootSystemSpec("C", 4, 2)
+    solve = exactalg.solve_linear
+    calls = [0]
+
+    def counting_solve(equations, unknowns=None):
+        calls[0] += 1
+        return solve(equations, unknowns)
+
+    for name, module in list(sys.modules.items()):
+        if name == "weylfrob" or name.startswith("weylfrob."):
+            for attr, value in list(vars(module).items()):
+                if value is solve:
+                    monkeypatch.setattr(module, attr, counting_solve)
+    monkeypatch.setattr(frobenius, "_CACHE", {})
+    build_structure(spec)
+    built = calls[0]
+    calls[0] = 0
+    flat_pipeline(spec, build_pencil(spec).eta)
+    assert built == calls[0] > 0
+
+
+def test_mixed_degree_potential_raises_shape_mismatch():
+    """g^{22} += E gives a G of mixed weighted degree.  The build must raise
+    ShapeMismatch, an ArithmeticError, so the CLI reports a failed
+    construction (exit 1) rather than an internal error (exit 3)."""
+    spec = RootSystemSpec("C", 3, 1)
+    struct = build_structure(spec)
+    mat = [list(row) for row in struct.g_t.mat]
+    mat[1][1] = mat[1][1] + Poly.variable(struct.g_t.chart, "E")
+    f3 = third_derivatives_from_metric(spec, BilinearForm(struct.g_t.chart, mat),
+                                       struct.eta_cov)
+    with pytest.raises(ShapeMismatch):
+        integrate_potential(spec, f3, struct.eta_cov)
+
+
+@pytest.mark.parametrize("triple,mono", [((2, 2, 2), {"t3": -1}),
+                                         ((0, 0, 3), {})],
+                         ids=["t3^-1 along t3", "constant along t4"])
+def test_integrate_potential_rejects_log_antiderivatives(triple, mono):
+    """A term of F_{abc} whose antiderivative along (a, b, c) needs an
+    explicit log coordinate (C3k1: t3 is Laurent, t4 is the log coordinate)."""
+    spec = RootSystemSpec("C", 3, 1)
+    struct = build_structure(spec)
+    f3 = third_derivatives(struct.potential)
+    a, b, c = triple
+    f3[a][b][c] = f3[a][b][c] + Poly.monomial(struct.potential.chart, mono)
+    with pytest.raises(Inconsistent):
+        integrate_potential(spec, f3, struct.eta_cov)
 
 
 @pytest.mark.parametrize("l,k", ALL_RANK5)
