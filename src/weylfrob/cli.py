@@ -19,7 +19,8 @@ from .fixtures import FIXTURES, Fixture, terms_to_poly
 from .flatcoords import _expected_pattern
 from .frobenius import (FrobeniusStructure, build_structure, oracle_check,
                         verify_euler_unity, verify_intersection, verify_wdvv)
-from .metrics import (det_eta_check, eta_closed_form_check, linearity_check)
+from .metrics import (det_eta_check, eta_closed_form_check, eta_from_g,
+                      linearity_check)
 from .rootdata import InvalidSpec, RootSystemSpec, dual_index, flat_degrees
 from .serialize import document_json, structure_document, structure_latex
 
@@ -33,23 +34,35 @@ def run_check(name: str, struct: FrobeniusStructure, oracle_max_rank: int) -> Di
     cspec = struct.cspec
     try:
         if name == "pencil":
-            if not linearity_check(struct.pencil.g, struct.pencil.gamma_g, cspec):
+            pencil = struct.pencil
+            if not linearity_check(pencil.g, pencil.gamma_g, cspec):
                 return _result(name, False, "g or Gamma not linear in y^k")
-            # gamma_eta obtained as d Gamma/d y^k must be the Levi-Civita
-            # connection of eta: for a non-degenerate eta it is the only one
-            # that is compatible and torsion-free, so no inverse is needed
-            eta = struct.pencil.eta
-            gam = struct.pencil.gamma_eta.arr
-            unit_det(eta.mat)  # raises NonInvertibleMatrix on a degenerate eta
-            dim = eta.dim
+            g = pencil.g.mat
+            dim = len(g)
+            d_k_g = eta_from_g(pencil.g, cspec).mat
+            for i in range(dim):
+                for j in range(dim):
+                    if pencil.eta.mat[i][j] != d_k_g[i][j]:
+                        return _result(name, False,
+                                       f"eta^({i+1},{j+1}) != d g^({i+1},{j+1})/d y^k")
+            unit_det(pencil.eta.mat)  # raises NonInvertibleMatrix on a degenerate eta
+            # Gamma must be the Levi-Civita connection of g, in the y-chart:
+            # - g = A + y^k eta with A, eta free of y^k, so det g has leading
+            #   coefficient det eta, a unit: g is non-degenerate, and compatible
+            #   plus torsion-free pins Gamma as its Levi-Civita connection (no
+            #   inverse is needed);
+            # - d/dy^k of compatibility and the (y^k)^2 coefficient of
+            #   torsion-freeness are the same two identities for (eta, d_k Gamma),
+            #   so the Levi-Civita connection of eta needs no test of its own
+            gam = pencil.gamma_g.arr
             for i in range(dim):
                 for j in range(dim):
                     for m in range(dim):
-                        if eta.mat[i][j].coord_diff(m) != gam[i][j][m] + gam[j][i][m]:
+                        if g[i][j].coord_diff(m) != gam[i][j][m] + gam[j][i][m]:
                             return _result(name, False,
                                            f"gamma^({i+1},{j+1})_{m+1} mismatch")
-            # torsion[j][m][i] = eta^{is} gamma^{jm}_s, symmetric in i <-> j
-            torsion = contract(eta.mat, gam, 2)
+            # torsion[j][m][i] = g^{is} gamma^{jm}_s, symmetric in i <-> j
+            torsion = contract(g, gam, 2)
             for i in range(dim):
                 for j in range(i + 1, dim):
                     for m in range(dim):

@@ -10,8 +10,12 @@ the potential by exact antidifferentiation of F_{abc}; the shape of F is the
 build's only guard.  The single monomial with an explicit log coordinate,
 (t^k)^2 t^{l+1} / 2, is tracked separately and never enters the polynomial
 ring.  The named checks verify the result; among them ``verify_intersection``
-holds g^{ij} = L_E F^{ij} and the connection Gamma^{ij}_m = dtilde_j
-dF^{ij}/dt^m against F entry by entry.
+holds g^{ij} = L_E F^{ij} against F entry by entry.  The connection of g is
+certified once, in the y-chart, by the ``pencil`` check: compatible with g_y
+and torsion-free, so it is the Levi-Civita connection of g.  Transported to
+the flat chart it is then dtilde_j dF^{ij}/dt^m for any F that passes
+``wdvv``, ``euler`` and ``intersection`` (Dubrovin, LNM 1620, Lecture 3), so
+the build never transports it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .exactalg import Chart, Matrix, Poly, Rational, contract, sum_products
 from .flatcoords import FlatChartData, covariant_form, flat_pipeline
-from .metrics import (BilinearForm, ChristoffelContra, FlatPencil, build_pencil,
-                      transform_christoffel, transform_form)
+from .metrics import BilinearForm, FlatPencil, build_pencil, transform_form
 from .orbitspace import (compute_g_direct, generator_exprs, oracle_chart,
                          oracle_pairing)
 from .rootdata import RootSystemSpec, build, flat_degrees
@@ -64,10 +67,6 @@ class PotentialF:
     vertex: int
     poly: Poly
 
-    def head_description(self) -> Dict[str, object]:
-        return {"monomial": {f"t{self.vertex}": 2, self.chart.log_coord: 1},
-                "coefficient": Fraction(1, 2)}
-
 
 @dataclass
 class BIdentification:
@@ -85,7 +84,6 @@ class FrobeniusStructure:
     pencil: FlatPencil
     flat: FlatChartData
     g_t: BilinearForm
-    gamma_t: ChristoffelContra
     eta_t: BilinearForm
     eta_cov: List[List[Rational]]
     eta_up: List[List[Rational]]
@@ -279,25 +277,6 @@ def raised_hessian(potential: PotentialF, eta_up: List[List[Rational]]):
     return contract(eta_up, contract(eta_up, f2, 0), 1)
 
 
-def _check_metric_identity(spec: RootSystemSpec, fup: List[List[Poly]],
-                           eta_up: List[List[Rational]], g_t: BilinearForm) -> None:
-    """g^{ij} = L_E F^{ij} entrywise (with the tag contributing 1/k), for the
-    raised Hessian ``fup`` of the potential."""
-    l, k = spec.rank, spec.vertex
-    dim = l + 1
-    last = l
-    kpos = k - 1
-    tag = eta_up[last][kpos]  # = 1; tag coefficient after raising
-    for i in range(dim):
-        for j in range(dim):
-            got = lie_euler(fup[i][j])
-            if i == last and j == last:
-                got = got + Fraction(tag * tag, k)
-            if got != g_t.mat[i][j]:
-                raise Inconsistent(
-                    f"L_E F^{{{i + 1},{j + 1}}} != g^{{{i + 1},{j + 1}}}")
-
-
 # ---------------------------------------------------------------------------
 # Verification operations
 # ---------------------------------------------------------------------------
@@ -372,11 +351,13 @@ def verify_euler_unity(struct: FrobeniusStructure) -> Poly:
     l, k = spec.rank, spec.vertex
     chart = struct.potential.chart
     dim = l + 1
-    f3 = third_derivatives(struct.potential)
+    # F_{kij} = d_k F_{ij}: the head's constant third derivatives come from
+    # its t^k block in F_{ij}, and the t^{l+1} tag at (k, k) has zero d_k
+    f2 = second_derivatives(struct.potential)
     kpos = k - 1
     for i in range(dim):
         for j in range(dim):
-            if f3[kpos][i][j] != Poly.const(chart, struct.eta_cov[i][j]):
+            if f2[i][j].coord_diff(kpos) != Poly.const(chart, struct.eta_cov[i][j]):
                 raise SymmetryViolation(
                     f"F_(k,{i + 1},{j + 1}) != eta_({i + 1},{j + 1})")
     residual = lie_euler(struct.potential.poly) - struct.potential.poly * 2
@@ -395,25 +376,25 @@ def verify_euler_unity(struct: FrobeniusStructure) -> Poly:
 
 
 def verify_intersection(struct: FrobeniusStructure) -> None:
-    """g^{ij} = L_E F^{ij} and Gamma^{ij}_m = dtilde_j dF^{ij}/dt^m, exactly."""
+    """g^{ij} = L_E F^{ij} entrywise, exactly (the tag contributing 1/k).
+
+    The connection needs no test here (see the module notes).  Nor does its
+    compatibility with g_t: once ``euler`` holds, F^{ij} has weight
+    dtilde_i + dtilde_j, and that test is the d_m derivative of this one."""
     spec = struct.cspec
-    l, k = spec.rank, spec.vertex
-    dim = l + 1
-    last = l
-    fup = raised_hessian(struct.potential, struct.eta_up)
-    _check_metric_identity(spec, fup, struct.eta_up, struct.g_t)
-    dt = flat_degrees(l, k)
-    chart = struct.potential.chart
+    dim = spec.rank + 1
+    last, kpos = spec.rank, spec.vertex - 1
+    eta_up = struct.eta_up
+    fup = raised_hessian(struct.potential, eta_up)
+    tag = eta_up[last][kpos]  # = 1; tag coefficient after raising
     for i in range(dim):
         for j in range(dim):
-            for m in range(dim):
-                c = fup[i][j].coord_diff(m)
-                if i == last and j == last and m == last:
-                    c = c + 1  # derivative of the raised tag t^{l+1}
-                expected = c * dt[j] if dt[j] else Poly.const(chart, 0)
-                if struct.gamma_t.arr[i][j][m] != expected:
-                    raise Inconsistent(
-                        f"Gamma^{{{i + 1},{j + 1}}}_{m + 1} != dtilde_j c^{{ij}}_m")
+            got = lie_euler(fup[i][j])
+            if i == last and j == last:
+                got = got + Fraction(tag * tag, spec.vertex)
+            if got != struct.g_t.mat[i][j]:
+                raise Inconsistent(
+                    f"L_E F^{{{i + 1},{j + 1}}} != g^{{{i + 1},{j + 1}}}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +409,11 @@ B_ORACLE_BOUND = 3
 def build_structure(spec: RootSystemSpec) -> FrobeniusStructure:
     """Construct (and cache) the structure for a marked spec.
 
-    The build runs pencil -> flat coordinates -> g_t and Gamma_t -> F_{abc}
-    from g_t -> F, guarded only by the shape of F; the eight named checks of
-    the CLI verify the result."""
+    The build runs pencil -> flat coordinates -> g_t -> F_{abc} from g_t ->
+    F, guarded only by the shape of F; the eight named checks of the CLI
+    verify the result.  Only the metric is transported to the flat chart:
+    the connection is certified in the y-chart (``pencil``), where the
+    pencil builds it."""
     key = (spec.family, spec.rank, spec.vertex)
     got = _CACHE.get(key)
     if got is not None:
@@ -448,7 +431,6 @@ def _build_c(spec: RootSystemSpec) -> FrobeniusStructure:
     pencil = build_pencil(spec)
     flat = flat_pipeline(spec, pencil.eta)
     g_t = transform_form(pencil.g, flat.y_to_t)
-    gamma_t = transform_christoffel(pencil.gamma_g, flat.y_to_t, g_t)
     flat.y_to_t.drop_jacobians()
     eta_up = constant_matrix(flat.eta_t.mat)
     eta_cov = constant_matrix(covariant_form(flat.eta_t))
@@ -457,7 +439,7 @@ def _build_c(spec: RootSystemSpec) -> FrobeniusStructure:
     f3 = third_derivatives_from_metric(spec, g_t, eta_cov)
     potential = integrate_potential(spec, f3, eta_cov)
     return FrobeniusStructure(spec=spec, cspec=spec, pencil=pencil, flat=flat,
-                              g_t=g_t, gamma_t=gamma_t, eta_t=flat.eta_t,
+                              g_t=g_t, eta_t=flat.eta_t,
                               eta_cov=eta_cov, eta_up=eta_up, euler=euler,
                               potential=potential)
 
@@ -480,7 +462,7 @@ def b_to_c(spec: RootSystemSpec) -> FrobeniusStructure:
         _validate_b_pullback(spec, cstruct.pencil.g, log_scale)
     return FrobeniusStructure(spec=spec, cspec=cspec, pencil=cstruct.pencil,
                               flat=cstruct.flat, g_t=cstruct.g_t,
-                              gamma_t=cstruct.gamma_t, eta_t=cstruct.eta_t,
+                              eta_t=cstruct.eta_t,
                               eta_cov=cstruct.eta_cov, eta_up=cstruct.eta_up,
                               euler=cstruct.euler, potential=cstruct.potential,
                               b_ident=BIdentification(spec, log_scale, validated))

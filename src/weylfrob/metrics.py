@@ -61,21 +61,15 @@ class ChristoffelContra:
     def dim(self) -> int:
         return len(self.arr)
 
-    def map_entries(self, fn) -> "ChristoffelContra":
-        return ChristoffelContra(self.chart,
-                                 [[[fn(e) for e in row] for row in plane]
-                                  for plane in self.arr])
-
 
 @dataclass
 class FlatPencil:
-    """The pair (g, eta) with their connection data on the y-chart."""
+    """The pair (g, eta) and the connection of g on the y-chart."""
 
     chart: Chart
     g: BilinearForm
     eta: BilinearForm
     gamma_g: ChristoffelContra
-    gamma_eta: ChristoffelContra
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +422,9 @@ def _theta_in_zeta(spec: RootSystemSpec, work: Chart) -> Dict[str, Poly]:
 # ---------------------------------------------------------------------------
 
 def build_pencil(spec: RootSystemSpec) -> FlatPencil:
-    """g, Gamma, eta and gamma_eta on the y-chart via the theta fast path."""
+    """g, its connection Gamma and eta = dg/dy^k on the y-chart via the theta
+    fast path."""
     tmap = theta_map(spec)
     g_y = transform_form(g_theta(spec), tmap)
     gamma_y = transform_christoffel(gamma_theta(spec), tmap, g_y)
-    eta = eta_from_g(g_y, spec)
-    name = f"y{spec.vertex}"
-    gamma_eta = gamma_y.map_entries(lambda p: p.diff(name))
-    return FlatPencil(g_y.chart, g_y, eta, gamma_y, gamma_eta)
+    return FlatPencil(g_y.chart, g_y, eta_from_g(g_y, spec), gamma_y)

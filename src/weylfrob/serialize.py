@@ -27,13 +27,6 @@ def poly_to_obj(p: Poly) -> List[Dict]:
     return out
 
 
-def obj_to_poly(chart: Chart, obj: List[Dict]) -> Poly:
-    total = Poly.const(chart, 0)
-    for term in obj:
-        total = total + Poly.monomial(chart, term["m"], Fraction(term["c"]))
-    return total
-
-
 def chart_to_obj(chart: Chart) -> Dict:
     return {
         "name": chart.name,

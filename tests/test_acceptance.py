@@ -19,6 +19,8 @@ from weylfrob.metrics import (det_eta_check, eta_closed_form_check, eta_from_g,
 from weylfrob.rootdata import RootSystemSpec, dual_index, flat_degrees
 from weylfrob.serialize import document_json, load_document, structure_document
 
+from test_frobenius import reference_connection_identity
+
 STRUCTURES_L5 = [(l, k) for l in range(1, 6) for k in range(1, l + 1)]
 
 
@@ -185,6 +187,7 @@ def test_criterion_11_intersection_relations_rank4():
         for k in range(1, l + 1):
             struct = build_structure(RootSystemSpec("C", l, k))
             verify_intersection(struct)
+            reference_connection_identity(struct)
     _report("criterion 11 (g = L_E F^{ij}, Gamma = dtilde c, l <= 4)", started)
 
 

@@ -171,12 +171,51 @@ def _bump_connection(gamma, i, j, m, by=1):
     return ChristoffelContra(gamma.chart, arr)
 
 
-def _twist_gamma_eta(struct, i, j, m):
-    """+1 at gamma_eta^{ij}_m and -1 at gamma_eta^{ji}_m: the sum
-    gamma^{ij}_m + gamma^{ji}_m (metric compatibility) is unchanged."""
-    gamma = _bump_connection(struct.pencil.gamma_eta, i, j, m)
+def _bump_gamma_y(struct, i, j, m):
     return replace(struct, pencil=replace(
-        struct.pencil, gamma_eta=_bump_connection(gamma, j, i, m, by=-1)))
+        struct.pencil, gamma_g=_bump_connection(struct.pencil.gamma_g, i, j, m)))
+
+
+def _twist_gamma_y(struct, i, j, m):
+    """+1 at Gamma_y^{ij}_m and -1 at Gamma_y^{ji}_m: the sum
+    Gamma^{ij}_m + Gamma^{ji}_m (metric compatibility) is unchanged."""
+    gamma = _bump_connection(struct.pencil.gamma_g, i, j, m)
+    return replace(struct, pencil=replace(
+        struct.pencil, gamma_g=_bump_connection(gamma, j, i, m, by=-1)))
+
+
+def _twist_gamma_eta(struct, i, j, m):
+    """The twist of _twist_gamma_y on the y^k-linear part of Gamma_y, which is
+    the connection gamma_eta = d_k Gamma_y of eta: +y^k at Gamma_y^{ij}_m and
+    -y^k at Gamma_y^{ji}_m.  Only the (y^k)^2 coefficient of torsion-freeness
+    (the eta identity for d_k Gamma) can see it."""
+    yk = Poly.variable(struct.pencil.gamma_g.chart, f"y{struct.cspec.vertex}")
+    gamma = _bump_connection(struct.pencil.gamma_g, i, j, m, by=yk)
+    return replace(struct, pencil=replace(
+        struct.pencil, gamma_g=_bump_connection(gamma, j, i, m, by=-yk)))
+
+
+def _bump_gamma_eta(struct, i, j, m):
+    """gamma_eta^{ij}_m += 1, i.e. Gamma_y^{ij}_m += y^k: still linear in y^k."""
+    yk = Poly.variable(struct.pencil.gamma_g.chart, f"y{struct.cspec.vertex}")
+    return replace(struct, pencil=replace(
+        struct.pencil, gamma_g=_bump_connection(struct.pencil.gamma_g, i, j, m, by=yk)))
+
+
+def _shift_gamma_y(struct, m0, s0):
+    """Gamma_y^{j m0}_{s0} += g^{j s0} for every j: g^{is} dGamma^{jm}_s =
+    g^{i s0} g^{j s0} delta_{m m0} is symmetric in i <-> j, so the shift stays
+    torsion-free and linear in y^k; only metric compatibility breaks."""
+    g = struct.pencil.g.mat
+    arr = [[list(row) for row in plane] for plane in struct.pencil.gamma_g.arr]
+    for j in range(len(arr)):
+        arr[j][m0][s0] = arr[j][m0][s0] + g[j][s0]
+    gamma = ChristoffelContra(struct.pencil.gamma_g.chart, arr)
+    return replace(struct, pencil=replace(struct.pencil, gamma_g=gamma))
+
+
+def _bump_pencil_g(struct):
+    return replace(struct, pencil=replace(struct.pencil, g=_bump_form(struct.pencil.g, 0, 0)))
 
 
 def _bump_f_coefficient(struct, monomial):
@@ -223,28 +262,26 @@ MUTATIONS = [
      lambda s: _bump_f_coefficient(s, {"t1": 1, "t2": 1, "t3": 1})),
     ("intersection", "g_t[0][0]",
      lambda s: replace(s, g_t=_bump_form(s.g_t, 0, 0))),
-    ("intersection", "Gamma_t[0][0][0]",
-     lambda s: replace(s, gamma_t=_bump_connection(s.gamma_t, 0, 0, 0))),
     ("intersection", "F rebuilt from g_t with g^{11} += t1, g^{12} += t2^2",
      lambda s: _rebuild_from_metric(s, CORRUPT_METRIC)),
-    # dtilde_4 = 0: the whole j = 4 column of Gamma must vanish
-    ("intersection", "Gamma_t[0][3][0]",
-     lambda s: replace(s, gamma_t=_bump_connection(s.gamma_t, 0, 3, 0))),
-    # Gamma^{21}_3 against an intact Gamma^{12}_3, with dtilde_1, dtilde_2 != 0
-    ("intersection", "Gamma_t[1][0][2]",
-     lambda s: replace(s, gamma_t=_bump_connection(s.gamma_t, 1, 0, 2))),
     ("eta-form", "pencil.eta[1][1]",
      lambda s: replace(s, pencil=replace(s.pencil, eta=_bump_form(s.pencil.eta, 1, 1)))),
     ("det", "pencil.eta[0][3]",
      lambda s: replace(s, pencil=replace(s.pencil, eta=_bump_form(s.pencil.eta, 0, 3)))),
-    ("pencil", "gamma_eta[0][0][0]",
-     lambda s: replace(s, pencil=replace(
-         s.pencil, gamma_eta=_bump_connection(s.pencil.gamma_eta, 0, 0, 0)))),
+    ("pencil", "gamma_g[0][0][0]", lambda s: _bump_gamma_y(s, 0, 0, 0)),
+    # the log-coordinate column j = 4
+    ("pencil", "gamma_g[0][3][0]", lambda s: _bump_gamma_y(s, 0, 3, 0)),
+    # Gamma^{21}_3 against an intact Gamma^{12}_3
+    ("pencil", "gamma_g[1][0][2]", lambda s: _bump_gamma_y(s, 1, 0, 2)),
+    ("pencil", "gamma_g[0][1][0] up, [1][0][0] down",
+     lambda s: _twist_gamma_y(s, 0, 1, 0)),
+    ("pencil", "gamma_g[j][0][0] += g[j][0]", lambda s: _shift_gamma_y(s, 0, 0)),
+    # gamma_eta = d_k Gamma_y, the connection of eta, corrupted through Gamma_y
+    ("pencil", "gamma_eta[0][0][0]", lambda s: _bump_gamma_eta(s, 0, 0, 0)),
     ("pencil", "gamma_eta[0][1][0] up, [1][0][0] down",
      lambda s: _twist_gamma_eta(s, 0, 1, 0)),
     ("duality", "eta_up[0][0]", lambda s: _bump_eta_up(s, 0, 0)),
-    ("oracle", "pencil.g[0][0]",
-     lambda s: replace(s, pencil=replace(s.pencil, g=_bump_form(s.pencil.g, 0, 0)))),
+    ("oracle", "pencil.g[0][0]", _bump_pencil_g),
 ]
 
 
@@ -274,7 +311,40 @@ def test_metric_corruption_is_caught_by_intersection_alone():
 
 
 def test_pencil_twist_is_caught_by_torsion_freeness():
-    bad = _twist_gamma_eta(build_structure(RootSystemSpec("C", 3, 1)), 0, 1, 0)
+    bad = _twist_gamma_y(build_structure(RootSystemSpec("C", 3, 1)), 0, 1, 0)
     result = cli.run_check("pencil", bad, 3)
     assert result["passed"] is False
     assert "torsion" in result["detail"]
+
+
+def test_pencil_torsion_free_shift_is_caught_by_compatibility():
+    bad = _shift_gamma_y(build_structure(RootSystemSpec("C", 3, 1)), 0, 0)
+    result = cli.run_check("pencil", bad, 3)
+    assert result["passed"] is False
+    assert result["detail"].endswith("_1 mismatch")
+
+
+def test_pencil_catches_metric_corruption_above_oracle_bound():
+    """C4k2 is above the oracle bound: pencil.g[0][0] += 1 keeps g linear in
+    y^k and eta = d_k g, and only the Levi-Civita test of Gamma_y sees it."""
+    spec = RootSystemSpec("C", 4, 2)
+    bad = _bump_pencil_g(build_structure(spec))
+    report = {r["check"]: r for r in cli.run_checks(bad, cli.CHECK_NAMES, 3)}
+    assert [name for name, r in report.items() if not r["passed"]] == ["pencil"]
+    assert "torsion" in report["pencil"]["detail"]
+    assert all(r["passed"] for r in cli.run_checks(build_structure(spec),
+                                                   cli.CHECK_NAMES, 3))
+
+
+def test_pencil_catches_eta_not_derived_from_g():
+    """eta replaced by 2 eta: its determinant is still a unit and the
+    Levi-Civita test reads g, so within pencil only the comparison with
+    d g/d y^k sees it."""
+    struct = build_structure(RootSystemSpec("C", 3, 1))
+    eta = struct.pencil.eta
+    bad = replace(struct, pencil=replace(
+        struct.pencil, eta=BilinearForm(eta.chart, [[e * 2 for e in row]
+                                                    for row in eta.mat])))
+    result = cli.run_check("pencil", bad, 3)
+    assert result["passed"] is False
+    assert result["detail"].startswith("eta^(")

