@@ -2,7 +2,7 @@
 spaces of type B/C, with full symbolic verification.
 
 Everything is computed over the rationals: sparse Laurent polynomials on
-weighted charts, exact linear solves, fraction-free determinants.  The main
+weighted charts, exact linear solves, unit-pivot determinants.  The main
 entry point is :func:`weylfrob.frobenius.build_structure`; the CLI lives in
 :mod:`weylfrob.cli`.
 """

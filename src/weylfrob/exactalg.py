@@ -16,10 +16,13 @@ Fraction per output term (sparse products in the manner of Monagan and
 Pearce).  ``Poly.__mul__`` is its one-pair case.
 
 The module also provides the exact linear algebra the rest of the package
-leans on: an incremental rational Gaussian eliminator, a fraction-free
-(Bareiss) determinant, and the two primitives every tensor computation goes
-through: ``mat_inverse_unit`` (the one exact inverse) and ``contract`` (the
-one index contraction).
+leans on: an incremental rational Gaussian eliminator, the determinant and
+adjugate of Poly matrices, and the two primitives every tensor computation
+goes through: ``mat_inverse_unit`` (the one exact inverse) and ``contract``
+(the one index contraction).  Determinants and adjugates eliminate on unit
+pivots (single terms in the chart's Laurent variables) of least Markowitz
+cost, so each division is a monomial shift; fraction-free (Bareiss)
+elimination is the fallback for a submatrix with no unit entry left.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class NonExactDivision(ArithmeticError):
 
 
 class NonUnitLaurentSubstitution(ValueError):
-    """A negatively-exponentiated variable was bound to a non-monomial."""
+    """A negatively-exponentiated variable was bound to a non-unit."""
 
 
 class NotHomogeneous(ValueError):
@@ -193,7 +196,12 @@ class Poly:
         return not self.terms
 
     def is_unit_monomial(self) -> bool:
-        return len(self.terms) == 1
+        """A unit of the chart's ring: one term whose nonzero exponents all
+        sit on Laurent variables."""
+        if len(self.terms) != 1:
+            return False
+        (exps,) = self.terms
+        return all(lau or not e for e, lau in zip(exps, self.chart._laurent))
 
     def constant_value(self) -> Fraction:
         """The coefficient of the empty monomial (the value if constant)."""
@@ -286,12 +294,12 @@ class Poly:
         return hash((self.chart.name, frozenset(self.terms.items())))
 
     def unit_inverse(self) -> "Poly":
-        """Inverse of a single-term polynomial (raises if not a unit)."""
-        if len(self.terms) != 1:
-            raise NonExactDivision("inverse of a non-monomial requested")
+        """Inverse of a unit of the chart's ring (raises NonExactDivision
+        otherwise): a monomial shift."""
+        if not self.is_unit_monomial():
+            raise NonExactDivision(f"inverse of a non-unit requested: {self!r}")
         (exps, coeff), = self.terms.items()
-        inv = tuple(-e for e in exps)
-        return Poly(self.chart, {inv: 1 / coeff})
+        return Poly(self.chart, {tuple(-e for e in exps): 1 / coeff}, normalized=True)
 
     # ---- calculus ----
 
@@ -352,7 +360,7 @@ class Poly:
                 if not base.is_unit_monomial():
                     raise NonUnitLaurentSubstitution(
                         f"variable {name!r} occurs with negative exponent but is bound "
-                        f"to a {len(base.terms)}-term polynomial")
+                        f"to {base!r}, not a unit")
                 val = base.unit_inverse() ** (-e)
             cache[key] = val
             return val
@@ -378,7 +386,7 @@ class Poly:
             raise ZeroDivisionError("exact division by zero polynomial")
         if self.is_zero():
             return Poly(self.chart, {}, normalized=True)
-        if q.is_unit_monomial():
+        if len(q.terms) == 1:
             (qe, qc), = q.terms.items()
             out = {}
             for e, c in self.terms.items():
@@ -440,19 +448,6 @@ class Poly:
     def term_weight(self, exps: Exponents) -> Fraction:
         chart = self.chart
         return Fraction(sum(map(mul, chart._weight_nums, exps)), chart._weight_den)
-
-    def weighted_degree(self) -> Fraction:
-        """Common weighted degree of all terms (0 for the zero polynomial)."""
-        if not self.terms:
-            return Fraction(0)
-        degs = {self.term_weight(e) for e in self.terms}
-        if len(degs) > 1:
-            offenders = [(self.exponents_as_dict(e), self.term_weight(e))
-                         for e in self.terms]
-            raise NotHomogeneous(
-                f"mixed weighted degrees {sorted(degs)} in chart {self.chart.name!r}",
-                offenders)
-        return degs.pop()
 
     # ---- display ----
 
@@ -657,15 +652,160 @@ def solve_linear(equations: Iterable[Tuple[Mapping[str, Fraction], Fraction]],
 Matrix = List[List[Poly]]
 
 
+def _unit_pivot(m: Matrix, rows: List[int], cols: List[int]) -> Optional[Tuple[int, int]]:
+    """The unit entry m[r][c] (r in ``rows``, c in ``cols``) of least Markowitz
+    cost (r_nz - 1)(c_nz - 1), with r_nz and c_nz counted on the submatrix
+    rows x cols; ties go to the first in row-major order.  None when the
+    submatrix holds no unit."""
+    row_nz = {r: sum(1 for c in cols if m[r][c].terms) for r in rows}
+    col_nz = {c: sum(1 for r in rows if m[r][c].terms) for c in cols}
+    best, best_cost = None, 0
+    for r in rows:
+        for c in cols:
+            if m[r][c].is_unit_monomial():
+                cost = (row_nz[r] - 1) * (col_nz[c] - 1)
+                if best is None or cost < best_cost:
+                    best, best_cost = (r, c), cost
+    return best
+
+
+def _unit_step(m: Matrix, r: int, c: int, rows: Iterable[int]) -> Poly:
+    """Divide row r by its unit m[r][c] (a monomial shift) and clear column c
+    from ``rows`` by a - a_col * a_row; returns the pivot."""
+    pivot_row = m[r]
+    piv = pivot_row[c]
+    chart = piv.chart
+    inv = piv.unit_inverse()
+    zero = Poly.const(chart, 0)
+    live = [(j, e * inv) for j, e in enumerate(pivot_row) if j != c and e.terms]
+    for i in rows:
+        row = m[i]
+        minus_f = -row[c]
+        if not minus_f.terms:
+            continue
+        for j, b in live:
+            row[j] = sum_products(chart, ((1, row[j]), (minus_f, b)))
+        row[c] = zero
+    for j, b in live:
+        pivot_row[j] = b
+    pivot_row[c] = Poly.const(chart, 1)
+    return piv
+
+
+def _perm_sign(src: Sequence[int], dst: Sequence[int]) -> int:
+    """The sign of the permutation taking src[i] to dst[i]."""
+    perm = dict(zip(src, dst))
+    sign = 1
+    for start in src:
+        # walk each cycle once, from its first element; a cycle of
+        # length L contributes (-1)^(L-1)
+        x = perm.pop(start, None)
+        while x is not None and x != start:
+            sign = -sign
+            x = perm.pop(x)
+    return sign
+
+
+def _unit_elimination(m: Matrix, n: int, jordan: bool):
+    """Eliminate on unit pivots of the leading n x n block of m while one is
+    left; returns (sign * product of the pivots, the pivots (r, c) in order,
+    the rows left, the columns left).
+
+    Each pivot column is cleared from every other row (Gauss-Jordan) when
+    ``jordan`` is set, else from the rows left only, which then hold the
+    Schur complement on the columns left.  A pivot row has no entry in the
+    earlier pivot columns, so it carries only columns still live.  The sign
+    is that of the permutation taking the pivot rows, then the rows left, to
+    the pivot columns, then the columns left."""
+    rows, cols = list(range(n)), list(range(n))
+    pivots: List[Tuple[int, int]] = []
+    product = Poly.const(m[0][0].chart, 1)
+    while rows:
+        found = _unit_pivot(m, rows, cols)
+        if found is None:
+            break
+        r, c = found
+        rows.remove(r)
+        cols.remove(c)
+        pivots.append(found)
+        clear = [i for i in range(n) if i != r] if jordan else rows
+        product = product * _unit_step(m, r, c, clear)
+    if _perm_sign([r for r, _ in pivots] + rows, [c for _, c in pivots] + cols) < 0:
+        product = -product
+    return product, pivots, rows, cols
+
+
 def mat_det(matrix: Matrix) -> Poly:
-    """Determinant by fraction-free Bareiss elimination (exact divisions)."""
+    """Determinant by unit-pivot elimination.
+
+    Each pivot is a unit of the chart's ring (a monomial shift to divide
+    by), picked by least Markowitz cost on the remaining submatrix, and the
+    rows not yet pivoted are cleared with no other division.  det = sign *
+    (product of the pivots) * det(S), with the sign of the pivot permutation
+    and S the Schur complement left when no unit remains; det(S) is taken by
+    fraction-free Bareiss elimination (S is empty on the package's matrices).
+    """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
-    chart = matrix[0][0].chart
     m = [row[:] for row in matrix]
+    det, _, rows, cols = _unit_elimination(m, n, jordan=False)
+    if rows:
+        det = det * _bareiss_det([[m[r][c] for c in cols] for r in rows])
+    return det
+
+
+def mat_adjugate(matrix: Matrix) -> Matrix:
+    """Adjugate by unit-pivot Gauss-Jordan elimination on [A | I].
+
+    Pivots are units chosen as in ``mat_det``; each step divides the pivot
+    row by its pivot and clears the pivot column from every other row.  After
+    n pivots (r, c) the row r of the right half is row c of A^-1, and
+    adj(A) = det(A) * A^-1 with det(A) = sign * (product of the pivots).  When
+    no unit pivot remains (the determinant may still be a unit, e.g.
+    [[1+x, x], [2+x, 1+x]] with x not Laurent) the adjugate is taken by the
+    fraction-free sweep over the whole matrix instead.  A singular matrix of
+    size n >= 2 raises NonInvertibleMatrix; the 1x1 adjugate is [[1]].
+    """
+    n = len(matrix)
+    chart = matrix[0][0].chart
+    if n == 1:
+        return [[Poly.const(chart, 1)]]
+    zero = Poly.const(chart, 0)
+    one = Poly.const(chart, 1)
+    m = [list(row) + [one if c == r else zero for c in range(n)]
+         for r, row in enumerate(matrix)]
+    det, pivots, rows, _ = _unit_elimination(m, n, jordan=True)
+    if rows:
+        return _bareiss_adjugate(matrix)
+    adj: Matrix = [None] * n
+    for r, c in pivots:
+        adj[c] = [e * det for e in m[r][n:]]
+    return adj
+
+
+def _fraction_free_step(m: Matrix, p: int, prev: Poly, rows: Iterable[int],
+                        width: int) -> None:
+    """One Bareiss step on the pivot m[p][p]: every row r of ``rows`` becomes
+    (pivot * a - a_col * a_row) / prev on the columns p+1..width-1, an exact
+    division because each entry is a minor (Bareiss, Math. Comp. 22, 1968)."""
+    chart = prev.chart
+    pivot_row = m[p]
+    piv = pivot_row[p]
+    for r in rows:
+        row = m[r]
+        minus_f = -row[p]
+        for c in range(p + 1, width):
+            num = sum_products(chart, ((piv, row[c]), (minus_f, pivot_row[c])))
+            row[c] = num.exact_div(prev)
+        row[p] = Poly.const(chart, 0)
+
+
+def _bareiss_det(m: Matrix) -> Poly:
+    """Determinant by natural-order fraction-free elimination (mutates m)."""
+    n = len(m)
+    prev = Poly.const(m[0][0].chart, 1)
     sign = 1
-    prev = Poly.const(chart, 1)
     for p in range(n - 1):
         if m[p][p].is_zero():
             for r in range(p + 1, n):
@@ -674,33 +814,21 @@ def mat_det(matrix: Matrix) -> Poly:
                     sign = -sign
                     break
             else:
-                return Poly.const(chart, 0)
-        piv = m[p][p]
-        for r in range(p + 1, n):
-            minus_f = -m[r][p]
-            for c in range(p + 1, n):
-                num = sum_products(chart, ((piv, m[r][c]), (minus_f, m[p][c])))
-                m[r][c] = num.exact_div(prev)
-            m[r][p] = Poly.const(chart, 0)
-        prev = piv
+                return Poly.const(prev.chart, 0)
+        _fraction_free_step(m, p, prev, range(p + 1, n), n)
+        prev = m[p][p]
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
 
 
-def mat_adjugate(matrix: Matrix) -> Matrix:
-    """Adjugate by one fraction-free Gauss-Jordan sweep on [A | I].
+def _bareiss_adjugate(matrix: Matrix) -> Matrix:
+    """Adjugate by one fraction-free Gauss-Jordan sweep on [A | I], for n >= 2.
 
-    Each step replaces every entry off the pivot row by
-    (pivot * a - a_col * a_row) / previous pivot, an exact division because
-    every entry is a minor of [A | I] (Bareiss, Math. Comp. 22, 1968).  The
-    sweep ends at [d I | T] with d = sign * det(A), so adj(A) = sign * T,
-    where sign counts the row swaps.  A singular matrix of size n >= 2 raises
-    NonInvertibleMatrix; the 1x1 adjugate is [[1]].
-    """
+    The sweep ends at [d I | T] with d = sign * det(A), so adj(A) = sign * T,
+    where sign counts the row swaps; a singular matrix raises
+    NonInvertibleMatrix."""
     n = len(matrix)
     chart = matrix[0][0].chart
-    if n == 1:
-        return [[Poly.const(chart, 1)]]
     zero = Poly.const(chart, 0)
     one = Poly.const(chart, 1)
     m = [list(row) + [one if c == r else zero for c in range(n)]
@@ -716,34 +844,24 @@ def mat_adjugate(matrix: Matrix) -> Matrix:
         if r != p:
             m[p], m[r] = m[r], m[p]
             sign = -sign
-        pivot_row = m[p]
-        piv = pivot_row[p]
-        for r in range(n):
-            if r == p:
-                continue
-            row = m[r]
-            minus_f = -row[p]
-            for c in range(p + 1, 2 * n):
-                num = sum_products(chart, ((piv, row[c]), (minus_f, pivot_row[c])))
-                row[c] = num.exact_div(prev)
-            row[p] = zero
-        prev = piv
+        _fraction_free_step(m, p, prev, [r for r in range(n) if r != p], 2 * n)
+        prev = m[p][p]
     return [[-e if sign < 0 else e for e in row[n:]] for row in m]
 
 
 def unit_det(matrix: Matrix) -> Poly:
-    """The determinant, required to be a unit monomial (so the matrix is
-    invertible over the Laurent ring); raises NonInvertibleMatrix otherwise."""
+    """The determinant, required to be a unit of the chart's ring (so the
+    matrix is invertible over it); raises NonInvertibleMatrix otherwise."""
     det = mat_det(matrix)
     if det.is_zero():
         raise NonInvertibleMatrix("determinant is zero")
     if not det.is_unit_monomial():
-        raise NonInvertibleMatrix(f"determinant is not a unit monomial: {det!r}")
+        raise NonInvertibleMatrix(f"determinant is not a unit: {det!r}")
     return det
 
 
 def mat_inverse_unit(matrix: Matrix) -> Matrix:
-    """Exact inverse of a matrix whose determinant is a unit monomial."""
+    """Exact inverse of a matrix whose determinant is a unit of its chart's ring."""
     inv_det = unit_det(matrix).unit_inverse()
     adj = mat_adjugate(matrix)
     return [[entry * inv_det for entry in row] for row in adj]

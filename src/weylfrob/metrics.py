@@ -6,8 +6,7 @@ functions
     (k-l) P(u) P(v) + (u^2+4u)/(u-v) P'(u) P(v) - (v^2+4v)/(u-v) P(u) P'(v)
 
 (and the corresponding one-form identity with (u-v)^2 denominators for the
-contravariant connection), performing all divisions exactly; both are checked
-against a first-principles computation in the (zeta, E) chart.  Contravariant
+contravariant connection), performing all divisions exactly.  Contravariant
 tensors are transported between charts through exact inverse Jacobians.
 """
 
@@ -18,8 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .exactalg import Chart, Matrix, Poly, contract, mat_det
-from .orbitspace import (CoordMap, extend_with_uv, generator_map, inject,
-                         theta_chart, theta_map, y_chart, zeta_chart)
+from .orbitspace import CoordMap, extend_with_uv, theta_chart, theta_map, y_chart
 from .rootdata import RootSystemSpec
 
 
@@ -299,122 +297,6 @@ def linearity_check(g_y: BilinearForm, gamma_y: ChristoffelContra,
                 if not entry.diff(name).diff(name).is_zero():
                     return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# First-principles checks in the (zeta, E) chart
-# ---------------------------------------------------------------------------
-
-def _zeta_products(spec: RootSystemSpec, work: Chart, var: str):
-    """P(u), the deleted products P_a(u), and doubly-deleted P_{ab}(u)."""
-    l, k = spec.rank, spec.vertex
-    u = Poly.variable(work, var)
-    zs = [Poly.variable(work, f"zeta{j}") for j in range(1, l + 1)]
-    Ek = Poly.variable(work, "E") ** k
-    factors = [u + z for z in zs]
-
-    def product(skip):
-        out = Ek
-        for idx, f in enumerate(factors):
-            if idx not in skip:
-                out = out * f
-        return out
-
-    P = product(())
-    P_a = [product((a,)) for a in range(l)]
-    P_ab = [[product((a, b)) if a != b else None for b in range(l)] for a in range(l)]
-    return P, P_a, P_ab
-
-
-def first_principles_g_check(spec: RootSystemSpec) -> None:
-    """g_theta equals (dP(u), dP(v)) computed from the mu-chart derivatives."""
-    l, k = spec.rank, spec.vertex
-    work = extend_with_uv(zeta_chart(spec))
-    Pu, Pau, _ = _zeta_products(spec, work, "u")
-    Pv, Pav, _ = _zeta_products(spec, work, "v")
-    zs = [Poly.variable(work, f"zeta{j}") for j in range(1, l + 1)]
-    rhs = k * Pu * Pv
-    for a in range(l):
-        rhs = rhs - (zs[a] ** 2 - 4 * zs[a]) * Pau[a] * Pav[a]
-    g_th = g_theta(spec)
-    theta_subs = _theta_in_zeta(spec, work)
-    u = Poly.variable(work, "u")
-    v = Poly.variable(work, "v")
-    lhs = Poly.const(work, 0)
-    for i in range(l + 1):
-        for j in range(l + 1):
-            e = g_th.mat[i][j]
-            if not e.is_zero():
-                lhs = lhs + e.substitute(theta_subs, work) * u ** (l - i) * v ** (l - j)
-    if lhs != rhs:
-        raise ArithmeticError(f"g_theta fails the first-principles identity for {spec.label()}")
-
-
-def first_principles_gamma_check(spec: RootSystemSpec) -> None:
-    """gamma_theta equals the mu-chart one-form expansion, component by component."""
-    l, k = spec.rank, spec.vertex
-    work = extend_with_uv(zeta_chart(spec))
-    Pu, Pau, _ = _zeta_products(spec, work, "u")
-    Pv, Pav, Pabv = _zeta_products(spec, work, "v")
-    zs = [Poly.variable(work, f"zeta{j}") for j in range(1, l + 1)]
-    Ek = Poly.variable(work, "E") ** k
-    gam = gamma_theta(spec)
-    theta_subs = _theta_in_zeta(spec, work)
-    u = Poly.variable(work, "u")
-    v = Poly.variable(work, "v")
-
-    gens = []
-    for m in range(l + 1):
-        acc = Poly.const(work, 0)
-        for i in range(l + 1):
-            for j in range(l + 1):
-                e = gam.arr[i][j][m]
-                if not e.is_zero():
-                    acc = acc + e.substitute(theta_subs, work) * u ** (l - i) * v ** (l - j)
-        gens.append(acc)
-
-    # dmu_c components, divided through by the odd factor s_c
-    for c in range(l):
-        lhs = Poly.const(work, 0)
-        others = [zs[b] for b in range(l) if b != c]
-        for m in range(1, l + 1):
-            dtheta = Ek * _esym_or_one(others, m - 1, work)
-            lhs = lhs + gens[m] * dtheta
-        rhs = k * Pu * Pav[c] - (zs[c] - 2) * Pau[c] * Pav[c]
-        for a in range(l):
-            if a != c:
-                rhs = rhs - (zs[a] ** 2 - 4 * zs[a]) * Pau[a] * Pabv[a][c]
-        if lhs != rhs:
-            raise ArithmeticError(
-                f"gamma_theta fails the dmu_{c + 1} identity for {spec.label()}")
-
-    # dmu_{l+1} component
-    lhs = Poly.const(work, 0)
-    for m in range(l + 1):
-        theta_m = Ek * _esym_or_one(zs, m, work)
-        lhs = lhs + gens[m] * (k * theta_m)
-    rhs = k * k * Pu * Pv
-    for a in range(l):
-        rhs = rhs - k * (zs[a] ** 2 - 4 * zs[a]) * Pau[a] * Pav[a]
-    if lhs != rhs:
-        raise ArithmeticError(f"gamma_theta fails the dmu_(l+1) identity for {spec.label()}")
-
-
-def _esym_or_one(values, j: int, chart: Chart) -> Poly:
-    from .orbitspace import elementary_symmetric
-
-    if j == 0:
-        return Poly.const(chart, 1)
-    if not values:
-        return Poly.const(chart, 0)
-    return elementary_symmetric(values, j)
-
-
-def _theta_in_zeta(spec: RootSystemSpec, work: Chart) -> Dict[str, Poly]:
-    gen = generator_map(spec)
-    tmap = theta_map(spec)
-    return {f"th{j}": inject(gen.pull(tmap.pullback[f"th{j}"]), work)
-            for j in range(spec.rank + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,6 @@ class ReexpressionFailed(ArithmeticError):
     """An invariant could not be rewritten in the generator chart."""
 
 
-class ExpansionIdentityError(ArithmeticError):
-    """P(u) failed its defining product expansion."""
-
-
 # ---------------------------------------------------------------------------
 # Chart builders
 # ---------------------------------------------------------------------------
@@ -118,11 +114,6 @@ def extend_with_uv(chart: Chart, tag: str = "uv") -> Chart:
     varspecs = list(chart.vars) + [VarSpec("u", Fraction(0)), VarSpec("v", Fraction(0))]
     return Chart(f"{chart.name}_{tag}", varspecs, log_coord=chart.log_coord,
                  exp_var=chart.exp_var)
-
-
-def inject(p: Poly, target: Chart) -> Poly:
-    """Re-home a polynomial into a chart containing all its variables by name."""
-    return p.substitute({}, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +217,6 @@ class CoordMap:
         vars(self).pop("jacobians", None)
 
 
-def identity_map(chart: Chart) -> CoordMap:
-    ident = {v.name: Poly.variable(chart, v.name) for v in chart.vars}
-    return CoordMap(chart, chart, pullback=dict(ident), forward=dict(ident))
-
-
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
@@ -282,44 +268,6 @@ def theta_map(spec: RootSystemSpec) -> CoordMap:
         yj = Poly.variable(yc, f"y{j}")
         pullback[f"th{j}"] = yj * E ** (k - j) if j < k else yj
     return CoordMap(tc, yc, pullback=pullback, forward=None)
-
-
-@dataclass
-class GenPolyP:
-    """Coefficients theta^0..theta^l of P(u) = sum u^{l-j} theta^j.
-
-    Construction verifies the product expansion P(u) = E^k prod(u + zeta_j)
-    symbolically in the auxiliary (zeta, E) chart.
-    """
-
-    spec: RootSystemSpec
-    chart: Chart
-    thetas: List[Poly]
-
-
-def assemble_P(spec: RootSystemSpec) -> GenPolyP:
-    if spec.family != "C":
-        raise ValueError("the theta/P machinery is the C_l fast path")
-    l, k = spec.rank, spec.vertex
-    tc = theta_chart(spec)
-    thetas = [Poly.variable(tc, f"th{j}") for j in range(l + 1)]
-
-    # verification chart: (zeta, E, u, v)
-    zc_uv = extend_with_uv(zeta_chart(spec))
-    gen = generator_map(spec)
-    tmap = theta_map(spec)
-    theta_in_zeta = {f"th{j}": inject(gen.pull(tmap.pullback[f"th{j}"]), zc_uv)
-                     for j in range(l + 1)}
-    u = Poly.variable(zc_uv, "u")
-    lhs = Poly.const(zc_uv, 0)
-    for j in range(l + 1):
-        lhs = lhs + u ** (l - j) * theta_in_zeta[f"th{j}"]
-    rhs = Poly.variable(zc_uv, "E") ** k
-    for j in range(1, l + 1):
-        rhs = rhs * (u + Poly.variable(zc_uv, f"zeta{j}"))
-    if lhs != rhs:
-        raise ExpansionIdentityError(f"P(u) expansion identity fails for {spec.label()}")
-    return GenPolyP(spec, tc, thetas)
 
 
 # ---------------------------------------------------------------------------

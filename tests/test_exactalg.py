@@ -1,5 +1,6 @@
 """Ring, calculus, and linear-solve tests for the exact-arithmetic substrate."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -119,6 +120,20 @@ def test_diff_formal_and_log_coordinate():
     assert (y.var("E") ** 2).diff("y2") == 2 * y.var("E") ** 2
 
 
+def weighted_degree(p):
+    """Common weighted degree of all terms of p (0 for the zero polynomial);
+    raises NotHomogeneous on mixed degrees."""
+    if not p.terms:
+        return Fraction(0)
+    degs = {p.term_weight(e) for e in p.terms}
+    if len(degs) > 1:
+        offenders = [(p.exponents_as_dict(e), p.term_weight(e)) for e in p.terms]
+        raise NotHomogeneous(
+            f"mixed weighted degrees {sorted(degs)} in chart {p.chart.name!r}",
+            offenders)
+    return degs.pop()
+
+
 def test_weighted_degree_cases():
     t = Chart("t", [VarSpec("t2", Fraction(3, 4)), VarSpec("t3", Fraction(1, 4)),
                     VarSpec("E", Fraction(1), laurent=True)],
@@ -126,10 +141,10 @@ def test_weighted_degree_cases():
     g11 = 2 * Poly.monomial(t, {"t2": 1, "t3": 1, "E": 1}) \
         + Fraction(1, 3) * Poly.monomial(t, {"t3": 4, "E": 1}) \
         + 4 * Poly.monomial(t, {"E": 2})
-    assert g11.weighted_degree() == 2
-    assert Poly.const(t, 5).weighted_degree() == 0
+    assert weighted_degree(g11) == 2
+    assert weighted_degree(Poly.const(t, 5)) == 0
     with pytest.raises(NotHomogeneous):
-        (t.var("t2") + t.var("t3")).weighted_degree()
+        weighted_degree(t.var("t2") + t.var("t3"))
 
 
 def test_solve_linear_unique_and_spot_value():
@@ -208,7 +223,7 @@ def test_weighted_degree_multiplicative():
     c = Chart("g", [VarSpec("a", Fraction(2)), VarSpec("b", Fraction(3))])
     p = Poly.monomial(c, {"a": 3}) + Poly.monomial(c, {"b": 2})
     q = Poly.monomial(c, {"a": 1, "b": 2}) * 5
-    assert (p * q).weighted_degree() == p.weighted_degree() + q.weighted_degree()
+    assert weighted_degree(p * q) == weighted_degree(p) + weighted_degree(q)
 
 
 def test_monomial_enumeration_is_exact():
@@ -515,7 +530,7 @@ def reference_exact_div(p, q):
     if p.is_zero():
         return Poly(p.chart, {}, normalized=True)
     laurent = [v.laurent for v in p.chart.vars]
-    if q.is_unit_monomial():
+    if len(q.terms) == 1:
         (qe, qc), = q.terms.items()
         out = {}
         for e, c in p.terms.items():
@@ -704,3 +719,201 @@ def test_substitute_matches_the_fraction_reference(p, bx, cy, cz):
     chart = KERNEL_CHART
     bindings = {"x": bx, "y": cy * chart.var("y") ** 2, "z": cz * chart.var("z")}
     assert p.substitute(bindings, chart) == reference_substitute(p, bindings, chart)
+
+
+# ---------------------------------------------------------------------------
+# Unit-pivot elimination against the natural-order Bareiss references
+# ---------------------------------------------------------------------------
+
+def reference_bareiss_det(matrix):
+    """Determinant by natural-order fraction-free (Bareiss) elimination."""
+    n = len(matrix)
+    chart = matrix[0][0].chart
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = Poly.const(chart, 1)
+    for p in range(n - 1):
+        if m[p][p].is_zero():
+            for r in range(p + 1, n):
+                if not m[r][p].is_zero():
+                    m[p], m[r] = m[r], m[p]
+                    sign = -sign
+                    break
+            else:
+                return Poly.const(chart, 0)
+        piv = m[p][p]
+        for r in range(p + 1, n):
+            f = m[r][p]
+            for c in range(p + 1, n):
+                m[r][c] = (piv * m[r][c] - f * m[p][c]).exact_div(prev)
+            m[r][p] = Poly.const(chart, 0)
+        prev = piv
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def reference_bareiss_adjugate(matrix):
+    """Adjugate by the natural-order fraction-free Gauss-Jordan sweep on
+    [A | I]: it ends at [d I | T] with d = sign * det(A), adj(A) = sign * T."""
+    from weylfrob.exactalg import NonInvertibleMatrix
+
+    n = len(matrix)
+    chart = matrix[0][0].chart
+    if n == 1:
+        return [[Poly.const(chart, 1)]]
+    zero, one = Poly.const(chart, 0), Poly.const(chart, 1)
+    m = [list(row) + [one if c == r else zero for c in range(n)]
+         for r, row in enumerate(matrix)]
+    sign = 1
+    prev = one
+    for p in range(n):
+        for r in range(p, n):
+            if not m[r][p].is_zero():
+                break
+        else:
+            raise NonInvertibleMatrix("matrix is singular")
+        if r != p:
+            m[p], m[r] = m[r], m[p]
+            sign = -sign
+        piv = m[p][p]
+        for r in range(n):
+            if r == p:
+                continue
+            f = m[r][p]
+            for c in range(p + 1, 2 * n):
+                m[r][c] = (piv * m[r][c] - f * m[p][c]).exact_div(prev)
+            m[r][p] = zero
+        prev = piv
+    return [[-e if sign < 0 else e for e in row[n:]] for row in m]
+
+
+def identity(chart, n):
+    return [[Poly.const(chart, 1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def permutation_sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def check_against_references(m, det):
+    from weylfrob.exactalg import mat_adjugate, mat_det, mat_inverse_unit
+
+    chart = m[0][0].chart
+    n = len(m)
+    assert mat_det(m) == det == reference_bareiss_det(m)
+    adj = mat_adjugate(m)
+    assert adj == reference_bareiss_adjugate(m)
+    inv = mat_inverse_unit(m)
+    assert inv == [[e * det.unit_inverse() for e in row] for row in adj]
+    assert mat_mul(m, inv) == identity(chart, n) == mat_mul(inv, m)
+
+
+UNIMODULAR_CHART = Chart("xb", [VarSpec("x", Fraction(1)),
+                                VarSpec("b", Fraction(1), laurent=True)])
+unit_exponents = st.tuples(st.just(0), st.integers(-2, 2))
+any_exponents = st.tuples(st.integers(0, 2), st.integers(-2, 2))
+units = st.builds(lambda e, c: Poly(UNIMODULAR_CHART, {e: c}), unit_exponents,
+                  small_rationals.filter(bool))
+# elementary-matrix entries: one monomial or two terms, units or not
+shears = st.dictionaries(any_exponents, small_rationals.filter(bool),
+                         min_size=1, max_size=2).map(lambda t: Poly(UNIMODULAR_CHART, t))
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """(A, det A): a row permutation of a unit diagonal times elementary
+    shears I + s E_ij, so det A = sign * (product of the diagonal)."""
+    n = draw(st.integers(1, 4))
+    chart = UNIMODULAR_CHART
+    diag = [draw(units) for _ in range(n)]
+    m = [[diag[i] if i == j else Poly.const(chart, 0) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        if n == 1:
+            break
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        s = draw(shears)
+        shear = identity(chart, n)
+        shear[i][j] = s
+        m = mat_mul(shear, m) if draw(st.booleans()) else mat_mul(m, shear)
+    perm = draw(st.permutations(range(n)))
+    m = [m[p] for p in perm]
+    det = Poly.const(chart, permutation_sign(perm))
+    for d in diag:
+        det = det * d
+    return m, det
+
+
+@settings(max_examples=120, deadline=None)
+@given(unimodular_matrices())
+def test_unit_pivots_match_the_bareiss_references_on_unimodular_matrices(case):
+    m, det = case
+    check_against_references(m, det)
+
+
+@pytest.mark.parametrize("perm", [(1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1),
+                                  (1, 0, 3, 2), (1, 2, 3, 0), (3, 1, 2, 0)])
+def test_unit_pivot_permutation_sign(perm):
+    # a permutation pattern of units: the pivots are (i, perm[i]), so the
+    # determinant's sign is that of the pivot order, odd or even
+    c = UNIMODULAR_CHART
+    n = len(perm)
+    b = c.var("b")
+    m = [[Poly.const(c, 0)] * n for _ in range(n)]
+    det = Poly.const(c, permutation_sign(perm))
+    for i, j in enumerate(perm):
+        m[i][j] = (i + 2) * b ** (i - 1)
+        det = det * m[i][j]
+    assert naive_det(m) == det
+    check_against_references(m, det)
+
+
+def test_non_laurent_single_term_is_not_a_unit():
+    from weylfrob.exactalg import NonInvertibleMatrix, mat_inverse_unit, unit_det
+
+    c = UNIMODULAR_CHART
+    x, b = c.var("x"), c.var("b")
+    assert not x.is_unit_monomial() and not (x * b).is_unit_monomial()
+    assert (3 * b ** -2).is_unit_monomial() and c.const(5).is_unit_monomial()
+    with pytest.raises(NonInvertibleMatrix):
+        mat_inverse_unit([[x]])
+    with pytest.raises(NonInvertibleMatrix):
+        unit_det([[x * b, Poly.const(c, 0)], [x, b]])
+    with pytest.raises(NonExactDivision):
+        x.unit_inverse()
+
+
+def test_unit_determinant_without_unit_entries_takes_the_fallback(monkeypatch):
+    from weylfrob import exactalg
+    from weylfrob.exactalg import mat_adjugate, mat_det
+
+    calls = {"fraction_free": 0}
+    step = exactalg._fraction_free_step
+
+    def counted(*args):
+        calls["fraction_free"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(exactalg, "_fraction_free_step", counted)
+    c = UNIMODULAR_CHART
+    x, b = c.var("x"), c.var("b")
+    one = Poly.const(c, 1)
+    # det = (1+x)^2 - x(2+x) = 1, and x, the one single-term entry, is no unit
+    m = [[1 + x, x], [2 + x, 1 + x]]
+    check_against_references(m, one)
+    assert calls["fraction_free"] > 0
+    # one unit pivot (2b) first leaves the Schur complement
+    # [[1+x, x], [2+x, 1+x]], on which mat_det continues with Bareiss
+    big = [[2 * b, b, Poly.const(c, 0)],
+           [x * b, 1 + x + Fraction(1, 2) * x * b, x],
+           [Poly.const(c, 0), 2 + x, 1 + x]]
+    for perm in itertools.permutations(range(3)):
+        rows = [big[p] for p in perm]
+        calls["fraction_free"] = 0
+        assert mat_det(rows) == naive_det(rows) == permutation_sign(perm) * 2 * b
+        assert calls["fraction_free"] > 0
+        assert mat_adjugate(rows) == cofactor_adjugate(rows)

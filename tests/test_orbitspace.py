@@ -1,14 +1,65 @@
 """Generators, the generating polynomial P, and the first-principles oracle."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import List
 
 import pytest
 
-from weylfrob.exactalg import Poly
-from weylfrob.orbitspace import (assemble_P, compute_g_direct, elementary_symmetric,
-                                 exp_granularity, generator_map, theta_chart,
-                                 theta_map, y_chart, zeta_chart)
+from weylfrob.exactalg import Chart, Poly
+from weylfrob.orbitspace import (compute_g_direct, elementary_symmetric,
+                                 exp_granularity, extend_with_uv, generator_map,
+                                 theta_chart, theta_map, y_chart, zeta_chart)
 from weylfrob.rootdata import RootSystemSpec, degrees
+
+from test_exactalg import weighted_degree
+
+
+def inject(p: Poly, target: Chart) -> Poly:
+    """Re-home a polynomial into a chart containing all its variables by name."""
+    return p.substitute({}, target=target)
+
+
+class ExpansionIdentityError(ArithmeticError):
+    """P(u) failed its defining product expansion."""
+
+
+@dataclass
+class GenPolyP:
+    """Coefficients theta^0..theta^l of P(u) = sum u^{l-j} theta^j.
+
+    Construction verifies the product expansion P(u) = E^k prod(u + zeta_j)
+    symbolically in the auxiliary (zeta, E) chart.
+    """
+
+    spec: RootSystemSpec
+    chart: Chart
+    thetas: List[Poly]
+
+
+def assemble_P(spec: RootSystemSpec) -> GenPolyP:
+    if spec.family != "C":
+        raise ValueError("the theta/P machinery is the C_l fast path")
+    l, k = spec.rank, spec.vertex
+    tc = theta_chart(spec)
+    thetas = [Poly.variable(tc, f"th{j}") for j in range(l + 1)]
+
+    # verification chart: (zeta, E, u, v)
+    zc_uv = extend_with_uv(zeta_chart(spec))
+    gen = generator_map(spec)
+    tmap = theta_map(spec)
+    theta_in_zeta = {f"th{j}": inject(gen.pull(tmap.pullback[f"th{j}"]), zc_uv)
+                     for j in range(l + 1)}
+    u = Poly.variable(zc_uv, "u")
+    lhs = Poly.const(zc_uv, 0)
+    for j in range(l + 1):
+        lhs = lhs + u ** (l - j) * theta_in_zeta[f"th{j}"]
+    rhs = Poly.variable(zc_uv, "E") ** k
+    for j in range(1, l + 1):
+        rhs = rhs * (u + Poly.variable(zc_uv, f"zeta{j}"))
+    if lhs != rhs:
+        raise ExpansionIdentityError(f"P(u) expansion identity fails for {spec.label()}")
+    return GenPolyP(spec, tc, thetas)
 
 
 def test_elementary_symmetric_rank3():
@@ -41,7 +92,7 @@ def test_generators_c3k1_match_worked_example():
     # every generator is weighted homogeneous of degree d_j
     d = degrees(spec)
     for j in (1, 2, 3):
-        assert gen.forward[f"y{j}"].weighted_degree() == d[j - 1]
+        assert weighted_degree(gen.forward[f"y{j}"]) == d[j - 1]
 
 
 @pytest.mark.parametrize("l,k", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2)])
@@ -89,7 +140,7 @@ def test_direct_metric_structure(family, l, k):
     for i in range(l + 1):
         for j in range(l + 1):
             if not g.mat[i][j].is_zero():
-                assert g.mat[i][j].weighted_degree() == d[i] + d[j]
+                assert weighted_degree(g.mat[i][j]) == d[i] + d[j]
 
 
 def test_exp_granularity_quarter_step_for_b_half_twist():
