@@ -2,8 +2,9 @@
 export JSON/LaTeX, and compare against the embedded worked examples.
 
 Exit codes: 0 success, 1 verification or comparison failure (or a failed
-construction step), 2 invalid invocation, 3 internal error (an exception
-that is not an arithmetic or value error, reported on stderr).
+construction step), 2 invalid invocation (an unwritable --out path
+included), 3 internal error (an exception that is not an arithmetic or
+value error, reported on stderr).
 """
 
 from __future__ import annotations
@@ -281,8 +282,12 @@ def _main(argv: Optional[List[str]]) -> int:
         else:
             text = structure_latex(struct)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+                return 2
         else:
             sys.stdout.write(text)
         return 0

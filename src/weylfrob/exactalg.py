@@ -852,7 +852,10 @@ def _bareiss_adjugate(matrix: Matrix) -> Matrix:
 def unit_det(matrix: Matrix) -> Poly:
     """The determinant, required to be a unit of the chart's ring (so the
     matrix is invertible over it); raises NonInvertibleMatrix otherwise."""
-    det = mat_det(matrix)
+    return _require_unit(mat_det(matrix))
+
+
+def _require_unit(det: Poly) -> Poly:
     if det.is_zero():
         raise NonInvertibleMatrix("determinant is zero")
     if not det.is_unit_monomial():
@@ -861,9 +864,13 @@ def unit_det(matrix: Matrix) -> Poly:
 
 
 def mat_inverse_unit(matrix: Matrix) -> Matrix:
-    """Exact inverse of a matrix whose determinant is a unit of its chart's ring."""
-    inv_det = unit_det(matrix).unit_inverse()
+    """Exact inverse of a matrix whose determinant is a unit of its chart's ring.
+
+    det(A) is read off the adjugate as row 0 of A times column 0 of adj(A);
+    a determinant that is no unit raises NonInvertibleMatrix."""
     adj = mat_adjugate(matrix)
+    det = sum_products(matrix[0][0].chart, zip(matrix[0], [row[0] for row in adj]))
+    inv_det = _require_unit(det).unit_inverse()
     return [[entry * inv_det for entry in row] for row in adj]
 
 

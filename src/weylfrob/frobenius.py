@@ -139,17 +139,17 @@ def third_derivatives_from_metric(spec: RootSystemSpec, g_t: BilinearForm,
                 out[exps] = c / w
             fup[i][j] = Poly(chart, out)
             fup[j][i] = fup[i][j]
-    f2 = contract(eta_cov, contract(eta_cov, fup, 0), 1)
-    # the tag t^{l+1} at F^{l+1,l+1} lowers to (kpos, kpos); its m-derivative
-    # contributes 1 exactly at (kpos, kpos, last)
-    f3 = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            for m in range(dim):
-                val = f2[a][b].coord_diff(m)
-                if a == kpos and b == kpos and m == last:
-                    val = val + 1
-                f3[a][b][m] = val
+    # the tag t^{l+1} at F^{l+1,l+1} lowers to (kpos, kpos)
+    return _tagged_derivatives(contract(eta_cov, contract(eta_cov, fup, 0), 1), kpos)
+
+
+def _tagged_derivatives(f2: List[List[Poly]], kpos: int) -> List[List[List[Poly]]]:
+    """F_{abc} = d_c F_{ab}, plus the derivative 1 of the t^{l+1} tag that
+    F_{kk} carries (kpos = k - 1) at (k, k, l+1)."""
+    dim = len(f2)
+    f3 = [[[f2[a][b].coord_diff(c) for c in range(dim)] for b in range(dim)]
+          for a in range(dim)]
+    f3[kpos][kpos][dim - 1] = f3[kpos][kpos][dim - 1] + 1
     return f3
 
 
@@ -249,22 +249,9 @@ def second_derivatives(potential: PotentialF) -> List[List[Poly]]:
 
 def third_derivatives(potential: PotentialF) -> List[List[List[Poly]]]:
     """F_{abc} of the potential, head included."""
-    chart = potential.chart
-    dim = chart.dim
-    kpos = potential.vertex - 1
-    last = dim - 1
-    f2 = second_derivatives(potential)
-    f3 = [[[None] * dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                val = f2[a][b].coord_diff(c)
-                # f2 already holds the t^k block of the head; only the
-                # unrepresentable t^{l+1} tag at (k,k) needs its derivative added
-                if a == kpos and b == kpos and c == last:
-                    val = val + 1
-                f3[a][b][c] = val
-    return f3
+    # f2 already holds the t^k block of the head; only the unrepresentable
+    # t^{l+1} tag at (k,k) needs its derivative added
+    return _tagged_derivatives(second_derivatives(potential), potential.vertex - 1)
 
 
 def raised_hessian(potential: PotentialF, eta_up: List[List[Rational]]):

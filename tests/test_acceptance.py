@@ -11,7 +11,7 @@ from fractions import Fraction
 from weylfrob import cli
 from weylfrob.exactalg import Poly
 from weylfrob.fixtures import FIXTURES
-from weylfrob.flatcoords import b_coefficients, _f_series
+from weylfrob.flatcoords import b_coefficients
 from weylfrob.frobenius import (build_structure, oracle_check, third_derivatives,
                                 verify_euler_unity, verify_intersection, verify_wdvv)
 from weylfrob.metrics import (det_eta_check, eta_closed_form_check, eta_from_g,
@@ -19,6 +19,7 @@ from weylfrob.metrics import (det_eta_check, eta_closed_form_check, eta_from_g,
 from weylfrob.rootdata import RootSystemSpec, dual_index, flat_degrees
 from weylfrob.serialize import document_json, load_document, structure_document
 
+from test_flatcoords import reference_b_recursion
 from test_frobenius import reference_connection_identity
 
 STRUCTURES_L5 = [(l, k) for l in range(1, 6) for k in range(1, l + 1)]
@@ -169,16 +170,21 @@ def test_criterion_09_euler_unity_duality():
 
 
 def test_criterion_10_b_coefficients():
+    # the build reads B off the closed-form series; the shear recursion,
+    # solved independently, must give the same constants at every size up
+    # to 12 (n = l - k = 9 is the deepest block at rank 10)
     started = time.monotonic()
     bs = b_coefficients(8)
     assert bs[(1, 2)] == Fraction(1, 6)
     assert bs[(2, 3)] == Fraction(1, 4)
     assert bs[(1, 3)] == Fraction(1, 120)
-    for i in range(1, 9):
-        series = _f_series(i, 8 - i)
-        for alpha in range(0, 8 - i + 1):
-            assert bs[(i, i + alpha)] == series[alpha]
-    _report("criterion 10 (B-series recursion == series)", started)
+    for n in range(1, 13):
+        bs = b_coefficients(n)
+        reference = reference_b_recursion(n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert bs[(i, j)] == reference[(i, j)], (n, i, j)
+    _report("criterion 10 (B-series == recursion)", started)
 
 
 def test_criterion_11_intersection_relations_rank4():

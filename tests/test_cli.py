@@ -142,6 +142,16 @@ def test_document_contains_all_maps_and_charts(tmp_path):
     assert "pullback" in doc["maps"]["w_to_t"] and "forward" in doc["maps"]["w_to_t"]
 
 
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    # a missing directory is an invalid invocation, not a program fault
+    out = tmp_path / "missing" / "x.json"
+    assert run(["construct", "--family", "C", "--rank", "2", "--vertex", "1",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["construct", "--family", "C", "--rank", "2", "--vertex", "1"],
     ["verify", "--family", "C", "--rank", "2", "--vertex", "1"],

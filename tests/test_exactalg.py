@@ -414,6 +414,35 @@ def test_inverse_unit_requires_a_monomial_determinant():
     m = [[one, a], [Poly.const(c, 0), 2 * b]]  # det = 2 b, a unit
     inv = mat_inverse_unit(m)
     assert mat_mul(m, inv) == [[one, Poly.const(c, 0)], [Poly.const(c, 0), one]]
+    with pytest.raises(NonInvertibleMatrix):
+        mat_inverse_unit([[Poly.const(c, 0)]])
+
+
+def test_inverse_unit_eliminates_once(monkeypatch):
+    # det(A) is read off the adjugate, so one inverse is one unit-pivot
+    # elimination and takes no separate determinant
+    from weylfrob import exactalg
+
+    calls = {"elimination": 0, "det": 0}
+    elimination, det = exactalg._unit_elimination, exactalg.mat_det
+
+    def counting_elimination(*args, **kwargs):
+        calls["elimination"] += 1
+        return elimination(*args, **kwargs)
+
+    def counting_det(*args):
+        calls["det"] += 1
+        return det(*args)
+
+    monkeypatch.setattr(exactalg, "_unit_elimination", counting_elimination)
+    monkeypatch.setattr(exactalg, "mat_det", counting_det)
+    c = laurent_matrix_chart()
+    a, b = c.var("a"), c.var("b")
+    zero, one = Poly.const(c, 0), Poly.const(c, 1)
+    m = [[a, one, zero], [3 * b, zero, one], [one, zero, zero]]  # det = 1
+    inv = exactalg.mat_inverse_unit(m)
+    assert mat_mul(m, inv) == identity(c, 3) == mat_mul(inv, m)
+    assert calls == {"elimination": 1, "det": 0}
 
 
 def nested_zeros(shape, chart):
@@ -881,8 +910,12 @@ def test_non_laurent_single_term_is_not_a_unit():
     assert (3 * b ** -2).is_unit_monomial() and c.const(5).is_unit_monomial()
     with pytest.raises(NonInvertibleMatrix):
         mat_inverse_unit([[x]])
-    with pytest.raises(NonInvertibleMatrix):
-        unit_det([[x * b, Poly.const(c, 0)], [x, b]])
+    for singular_or_not_unit in ([[x * b, Poly.const(c, 0)], [x, b]],
+                                 [[x, b], [x * x, x * b]]):
+        with pytest.raises(NonInvertibleMatrix):
+            unit_det(singular_or_not_unit)
+        with pytest.raises(NonInvertibleMatrix):
+            mat_inverse_unit(singular_or_not_unit)
     with pytest.raises(NonExactDivision):
         x.unit_inverse()
 

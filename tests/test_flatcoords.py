@@ -1,13 +1,16 @@
 """The z/w/t normalization stages and the B-series."""
 
 from fractions import Fraction
+from typing import Dict, Optional, Tuple
 
 import pytest
 
-from weylfrob.exactalg import Poly, mat_det
-from weylfrob.flatcoords import (b_coefficients, build_w_chart, build_z_chart,
-                                 flat_pipeline, gamma_w, lower_christoffels,
-                                 solve_p_block)
+from weylfrob import exactalg, flatcoords, frobenius, orbitspace
+from weylfrob.exactalg import Poly, mat_det, solve_linear
+from weylfrob.flatcoords import (BSeries, BlockFormMismatch, b_coefficients,
+                                 build_w_chart, build_z_chart, flat_pipeline,
+                                 gamma_w, lower_christoffels, solve_p_block)
+from weylfrob.frobenius import build_structure
 from weylfrob.metrics import build_pencil
 from weylfrob.rootdata import RootSystemSpec, flat_degrees
 
@@ -16,8 +19,79 @@ from test_exactalg import weighted_degree
 ALL_SMALL = [(l, k) for l in range(1, 5) for k in range(1, l + 1)]
 
 
+def reference_b_recursion(n: int) -> BSeries:
+    """B^i_j from the shear recursion, the oracle for ``b_coefficients``.
+
+    The recursion 4(i+j-1) B^{i+j-1}_m + (i+j) B^{i+j}_m =
+    4m sum_{a+b=m+1} B^i_a B^j_b is solved offset by offset (offset = column
+    minus row); at each offset every instance is linear in the new unknowns.
+    """
+    table: Dict[Tuple[int, int], Fraction] = {}
+
+    def value(a: int, b: int) -> Optional[Fraction]:
+        if a > b:
+            return Fraction(0)
+        if a == b:
+            return Fraction(1)
+        return table.get((a, b))
+
+    for o in range(1, n):
+        unknowns = [f"B{s}_{s + o}" for s in range(1, n - o + 1)]
+
+        def ref(a: int, b: int):
+            """(unknown-name, None) or (None, known value) for B^a_b."""
+            v = value(a, b)
+            if v is not None:
+                return None, v
+            if b - a == o:
+                return f"B{a}_{b}", None
+            raise AssertionError(f"B^{a}_{b} demanded before its offset")
+
+        eqs = []
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                m = i + j + o - 1
+                if m > n:
+                    continue
+                coeffs: Dict[str, Fraction] = {}
+                rhs = Fraction(0)
+
+                def add(a: int, b: int, c: Fraction):
+                    nonlocal rhs
+                    name, v = ref(a, b)
+                    if name is None:
+                        rhs -= c * v
+                    else:
+                        coeffs[name] = coeffs.get(name, Fraction(0)) + c
+
+                add(i + j - 1, m, Fraction(4 * (i + j - 1)))
+                add(i + j, m, Fraction(i + j))
+                for alpha in range(i, m + 1):
+                    beta = m + 1 - alpha
+                    if beta < j:
+                        continue
+                    va = value(i, alpha)
+                    vb = value(j, beta)
+                    if va is not None and vb is not None:
+                        rhs += 4 * m * va * vb
+                    elif va is not None:
+                        name, _ = ref(j, beta)
+                        coeffs[name] = coeffs.get(name, Fraction(0)) - 4 * m * va
+                    elif vb is not None:
+                        name, _ = ref(i, alpha)
+                        coeffs[name] = coeffs.get(name, Fraction(0)) - 4 * m * vb
+                    else:
+                        raise AssertionError("two unknown factors in one recursion term")
+                eqs.append((coeffs, rhs))
+        result = solve_linear(eqs, unknowns)
+        assert result.kind == "unique", f"B-series offset {o} solve is {result.kind}"
+        for s in range(1, n - o + 1):
+            table[(s, s + o)] = result.solution[f"B{s}_{s + o}"]
+    return BSeries(n, table)
+
+
 def test_b_series_spot_values():
-    bs = b_coefficients(8)  # recursion vs series agreement built in, order 8
+    bs = b_coefficients(8)  # read off the series; criterion 10 runs the recursion
     assert bs[(1, 2)] == Fraction(1, 6)
     assert bs[(2, 3)] == Fraction(1, 4)
     assert bs[(1, 3)] == Fraction(1, 120)
@@ -222,3 +296,53 @@ def test_corrupted_eta_is_rejected():
     bad = BilinearForm(pen.eta.chart, mat)
     with pytest.raises((AnsatzInsufficient, BlockFormMismatch, ArithmeticError)):
         flat_pipeline(spec, bad)
+
+
+@pytest.mark.parametrize("l,k", [(4, 1), (6, 1), (7, 3)])
+def test_every_perturbed_b_constant_breaks_the_z_pattern(l, k):
+    # the series is the one route to B in the build, so the eta_z block
+    # pattern is what stands guard over it: 1/7 added to any single constant
+    # must be rejected
+    spec = RootSystemSpec("C", l, k)
+    pen = build_pencil(spec)
+    p_list = solve_p_block(spec, pen.eta)
+    good = b_coefficients(l - k)
+    assert good.table
+    for key in good.table:
+        table = dict(good.table)
+        table[key] += Fraction(1, 7)
+        with pytest.raises(BlockFormMismatch):
+            build_z_chart(spec, pen.eta, p_list=p_list,
+                          bseries=BSeries(good.n, table))
+
+
+@pytest.mark.parametrize("l,k", [(4, 2), (7, 1)])
+def test_b_constants_take_no_linear_solve(monkeypatch, l, k):
+    # every solve_linear of a build from an empty cache comes from
+    # flat_candidate_solve (the p- and h-blocks), one per call: none is left
+    # for B
+    calls = {"solve": 0, "candidate": 0, "solve_in_candidate": 0}
+    depth = [0]
+    solve = exactalg.solve_linear
+    candidate_solve = flatcoords.flat_candidate_solve
+
+    def counting_solve(*args, **kwargs):
+        calls["solve"] += 1
+        calls["solve_in_candidate"] += depth[0] > 0
+        return solve(*args, **kwargs)
+
+    def counting_candidate_solve(*args, **kwargs):
+        calls["candidate"] += 1
+        depth[0] += 1
+        try:
+            return candidate_solve(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    for module in (exactalg, flatcoords, orbitspace):
+        monkeypatch.setattr(module, "solve_linear", counting_solve)
+    monkeypatch.setattr(flatcoords, "flat_candidate_solve", counting_candidate_solve)
+    monkeypatch.setattr(frobenius, "_CACHE", {})
+    build_structure(RootSystemSpec("C", l, k))
+    assert calls["candidate"] > 0
+    assert calls["solve"] == calls["solve_in_candidate"] == calls["candidate"]
