@@ -8,8 +8,8 @@ entry point is :func:`weylfrob.frobenius.build_structure`; the CLI lives in
 """
 
 from .exactalg import (Chart, ChartMismatch, LinearSolveResult, NonExactDivision,
-                       NonUnitLaurentSubstitution, NotHomogeneous, Poly, Rational,
-                       VarSpec, solve_linear)
+                       NonUnitLaurentSubstitution, Poly, Rational, VarSpec,
+                       solve_linear)
 from .frobenius import (EulerField, FrobeniusStructure, PotentialF, build_structure,
                         oracle_check, verify_euler_unity, verify_intersection,
                         verify_wdvv)
@@ -19,7 +19,7 @@ from .rootdata import (DegreeData, ExtendedMetric, InvalidSpec, RootSystemSpec,
 
 __all__ = [
     "Chart", "ChartMismatch", "LinearSolveResult", "NonExactDivision",
-    "NonUnitLaurentSubstitution", "NotHomogeneous", "Poly", "Rational", "VarSpec",
+    "NonUnitLaurentSubstitution", "Poly", "Rational", "VarSpec",
     "solve_linear", "DegreeData", "ExtendedMetric", "InvalidSpec",
     "RootSystemSpec", "build", "dual_index", "BilinearForm", "ChristoffelContra",
     "FlatPencil", "build_pencil", "EulerField", "FrobeniusStructure", "PotentialF",

@@ -18,8 +18,9 @@ from typing import Dict, List, Optional
 from .exactalg import Poly, contract, unit_det
 from .fixtures import FIXTURES, Fixture, terms_to_poly
 from .flatcoords import _expected_pattern
-from .frobenius import (FrobeniusStructure, build_structure, oracle_check,
-                        verify_euler_unity, verify_intersection, verify_wdvv)
+from .frobenius import (ORACLE_MAX_RANK, FrobeniusStructure, build_structure,
+                        oracle_check, verify_euler_unity, verify_intersection,
+                        verify_wdvv)
 from .metrics import (det_eta_check, eta_closed_form_check, eta_from_g,
                       linearity_check)
 from .rootdata import InvalidSpec, RootSystemSpec, dual_index, flat_degrees
@@ -229,13 +230,13 @@ def _main(argv: Optional[List[str]]) -> int:
     _add_spec_args(p_con)
     p_con.add_argument("--out", default=None, help="output path (default: stdout)")
     p_con.add_argument("--format", default="json", choices=["json", "latex"])
-    p_con.add_argument("--oracle-max-rank", type=int, default=3)
+    p_con.add_argument("--oracle-max-rank", type=int, default=ORACLE_MAX_RANK)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
     _add_spec_args(p_ver)
     p_ver.add_argument("--checks", default=",".join(CHECK_NAMES),
                        help="comma-separated subset of " + ",".join(CHECK_NAMES))
-    p_ver.add_argument("--oracle-max-rank", type=int, default=3)
+    p_ver.add_argument("--oracle-max-rank", type=int, default=ORACLE_MAX_RANK)
 
     p_cmp = sub.add_parser("compare", help="diff against an embedded worked example")
     p_cmp.add_argument("--fixture", required=True, choices=sorted(FIXTURES))

@@ -49,14 +49,6 @@ class NonUnitLaurentSubstitution(ValueError):
     """A negatively-exponentiated variable was bound to a non-unit."""
 
 
-class NotHomogeneous(ValueError):
-    """A polynomial expected to be weighted-homogeneous is not."""
-
-    def __init__(self, message: str, offenders: Optional[list] = None):
-        super().__init__(message)
-        self.offenders = offenders or []
-
-
 class NonInvertibleMatrix(ArithmeticError):
     """A matrix expected to have a unit (monomial) determinant does not."""
 
@@ -119,9 +111,6 @@ class Chart:
 
     def var(self, name: str) -> "Poly":
         return Poly.variable(self, name)
-
-    def zero(self) -> "Poly":
-        return Poly(self, {})
 
     def one(self) -> "Poly":
         return Poly.const(self, 1)

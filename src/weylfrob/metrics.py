@@ -40,10 +40,6 @@ class BilinearForm:
     def dim(self) -> int:
         return len(self.mat)
 
-    def is_symmetric(self) -> bool:
-        n = self.dim
-        return all(self.mat[i][j] == self.mat[j][i] for i in range(n) for j in range(i))
-
     def map_entries(self, fn) -> "BilinearForm":
         return BilinearForm(self.chart, [[fn(e) for e in row] for row in self.mat])
 

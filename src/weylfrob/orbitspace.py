@@ -11,6 +11,9 @@ Variable conventions (0-based positions vs 1-based paper indices):
 * the oracle chart carries half-step Laurent variables ``d1..dl`` (for
   exp(i*pi*x_a)) and the quarter variable ``r`` (for exp(i*pi*x_{l+1}/2)),
   which makes every generator of both families an honest Laurent polynomial.
+  The oracle computes the pairings of the generators there from the
+  definition, and a y-chart form is compared with them after expansion
+  through the generators (``compute_g_direct``); nothing is solved for.
 """
 
 from __future__ import annotations
@@ -21,13 +24,8 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (Chart, ChartMismatch, Matrix, Poly, VarSpec, contract,
-                       mat_inverse_unit, monomials_of_weighted_degree, rat,
-                       solve_linear)
+                       mat_inverse_unit, rat)
 from .rootdata import ExtendedMetric, RootSystemSpec, build, degrees, flat_degrees
-
-
-class ReexpressionFailed(ArithmeticError):
-    """An invariant could not be rewritten in the generator chart."""
 
 
 # ---------------------------------------------------------------------------
@@ -362,81 +360,25 @@ def oracle_pairing(metric: ExtendedMetric, funcs: Sequence[Poly],
     return g
 
 
-def reexpress(entry: Poly, target_chart: Chart, target_degree: Fraction,
-              var_exprs: Dict[str, Poly]) -> Poly:
-    """Rewrite an oracle-chart invariant as a polynomial over the target chart.
+def compute_g_direct(spec: RootSystemSpec,
+                     log_scale: Fraction) -> Tuple[Matrix, Dict[str, Poly]]:
+    """The intersection form from the definition, in the oracle chart.
 
-    Enumerates the finite monomial basis of the given weighted degree,
-    expands each candidate through ``var_exprs`` and solves the exact linear
-    system for the coefficients.
+    Returns ``(pairings, bindings)``: the pairings of the generators (and the
+    log coordinate, scaled by ``log_scale``) under the extended metric,
+    differentiated in the half-step Laurent chart; and the bindings that
+    expand a y-chart function there, y^j -> the j-th generator (for B_l,
+    y^l -> the square of the last B generator) and E -> r^(4 log_scale).
+    The generators and E are algebraically independent, so expanding through
+    the bindings is injective: a y-chart form equals the intersection form
+    exactly when its expansion equals the pairings entry by entry.
+    Independent of the generating-function fast path.
     """
-    names = [v.name for v in target_chart.vars]
-    candidates = monomials_of_weighted_degree(target_chart, names, target_degree)
-    if not candidates and not entry.is_zero():
-        raise ReexpressionFailed(f"no candidate monomials of degree {target_degree}")
-    expansions = []
-    cache: Dict[Tuple[str, int], Poly] = {}
-    ochart = entry.chart
-
-    def var_power(name: str, e: int) -> Poly:
-        key = (name, e)
-        if key not in cache:
-            cache[key] = var_exprs[name] ** e
-        return cache[key]
-
-    for mono in candidates:
-        x = Poly.const(ochart, 1)
-        for name, e in mono.items():
-            x = x * var_power(name, e)
-        expansions.append(x)
-    unknowns = [f"c{q}" for q in range(len(candidates))]
-    equations: Dict[Tuple[int, ...], Dict[str, Fraction]] = {}
-    for q, x in enumerate(expansions):
-        for exps, coeff in x.terms.items():
-            equations.setdefault(exps, {})[unknowns[q]] = \
-                equations.get(exps, {}).get(unknowns[q], Fraction(0)) + coeff
-    eqs = []
-    keys = set(equations) | set(entry.terms)
-    for exps in keys:
-        eqs.append((equations.get(exps, {}), entry.terms.get(exps, Fraction(0))))
-    result = solve_linear(eqs, unknowns)
-    if result.kind != "unique":
-        raise ReexpressionFailed(
-            f"re-expression solve is {result.kind} (generator bug?)")
-    out = Poly.const(target_chart, 0)
-    for q, mono in enumerate(candidates):
-        c = result.solution[unknowns[q]]
-        if c:
-            out = out + Poly.monomial(target_chart, mono, c)
-    return out
-
-
-def compute_g_direct(spec: RootSystemSpec, max_rank: int = 4):
-    """The intersection form on the y-chart, from the definition.
-
-    Differentiates the generators in the half-step Laurent chart, contracts
-    with the extended metric, and re-expresses the invariant result in the
-    y-chart by an exact linear solve.  Independent of the generating-function
-    fast path.
-    """
-    from .metrics import BilinearForm  # local import to avoid a cycle
-
-    if spec.rank > max_rank:
-        raise ValueError(f"oracle bound exceeded: rank {spec.rank} > {max_rank}")
-    metric, data = build(spec)
+    metric, _ = build(spec)
     ochart = oracle_chart(spec)
     funcs = generator_exprs(spec, ochart)
-    ghat = oracle_pairing(metric, funcs, Fraction(1))
-    yc = y_chart(spec)
-    var_exprs = {f"y{j}": funcs[j - 1] for j in range(1, spec.rank + 1)}
-    var_exprs["E"] = Poly.variable(ochart, "r") ** int(4 * exp_granularity(spec))
-    wts = list(data.d) + [Fraction(0)]
-    size = spec.rank + 1
-    mat = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            target = wts[i] + wts[j]
-            entry = reexpress(ghat[i][j], yc, target, var_exprs)
-            mat[i][j] = entry
-            mat[j][i] = entry
-    return BilinearForm(yc, mat)
+    if spec.family == "B":
+        funcs[-1] = funcs[-1] * funcs[-1]
+    bindings = {f"y{j}": f for j, f in enumerate(funcs, 1)}
+    bindings["E"] = Poly.variable(ochart, "r") ** int(4 * log_scale)
+    return oracle_pairing(metric, funcs, log_scale), bindings

@@ -228,6 +228,19 @@ def _bump_pencil_g(struct):
     return replace(struct, pencil=replace(struct.pencil, g=_bump_form(struct.pencil.g, 0, 0)))
 
 
+def _laurent_pencil_g(struct):
+    """pencil.g[0][0] += y3^-1: still in the y-chart ring (y3 is its Laurent
+    variable) but no polynomial in the generators."""
+    g = struct.pencil.g
+    mat = [list(row) for row in g.mat]
+    mat[0][0] = mat[0][0] + Poly.monomial(g.chart, {"y3": -1})
+    return replace(struct, pencil=replace(struct.pencil, g=BilinearForm(g.chart, mat)))
+
+
+def _set_log_scale(struct, log_scale):
+    return replace(struct, b_ident=replace(struct.b_ident, log_scale=log_scale))
+
+
 def _bump_f_coefficient(struct, monomial):
     """Add 1 to the coefficient of one monomial that F already contains."""
     potential = struct.potential
@@ -292,6 +305,7 @@ MUTATIONS = [
      lambda s: _twist_gamma_eta(s, 0, 1, 0)),
     ("duality", "eta_up[0][0]", lambda s: _bump_eta_up(s, 0, 0)),
     ("oracle", "pencil.g[0][0]", _bump_pencil_g),
+    ("oracle", "pencil.g[0][0] += y3^-1", _laurent_pencil_g),
 ]
 
 
@@ -304,6 +318,22 @@ def test_check_fails_on_corrupted_copy(check, where, corrupt):
     # the cached structure is untouched by the corruption of its copy
     intact = build_structure(spec)
     assert all(r["passed"] for r in cli.run_checks(intact, cli.CHECK_NAMES, 3))
+
+
+@pytest.mark.parametrize("k,log_scale", [(3, Fraction(1)), (2, Fraction(1, 2))],
+                         ids=["B3k3", "B3k2"])
+def test_oracle_fails_on_a_wrong_b_log_scale(k, log_scale):
+    # the recorded scales are 1/2 at k = l and 1 below it
+    struct = build_structure(RootSystemSpec("B", 3, k))
+    assert struct.b_ident.log_scale != log_scale
+    assert cli.run_check("oracle", struct, 3)["passed"] is True
+    assert cli.run_check("oracle", _set_log_scale(struct, log_scale), 3)["passed"] is False
+
+
+def test_oracle_names_the_entry_with_a_laurent_term():
+    bad = _laurent_pencil_g(build_structure(RootSystemSpec("C", 3, 1)))
+    assert cli.run_check("oracle", bad, 3)["detail"] == (
+        "C3k1: g[1][1] differs from the first-principles pairing")
 
 
 def test_mutation_suite_covers_every_check():

@@ -9,9 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weylfrob.exactalg import (Chart, ChartMismatch, NonExactDivision,
-                               NonUnitLaurentSubstitution, NotHomogeneous, Poly,
-                               VarSpec, contract, monomials_of_weighted_degree,
-                               solve_linear, sum_products)
+                               NonUnitLaurentSubstitution, Poly, VarSpec, contract,
+                               monomials_of_weighted_degree, solve_linear,
+                               sum_products)
 
 
 def simple_chart():
@@ -118,6 +118,14 @@ def test_diff_formal_and_log_coordinate():
     assert q.diff("y1") == 2 * y.var("y1")
     # d/dy2 of E^2 is 2 E^2 (chain rule through E = e^{y2})
     assert (y.var("E") ** 2).diff("y2") == 2 * y.var("E") ** 2
+
+
+class NotHomogeneous(ValueError):
+    """A polynomial expected to be weighted-homogeneous is not."""
+
+    def __init__(self, message, offenders=None):
+        super().__init__(message)
+        self.offenders = offenders or []
 
 
 def weighted_degree(p):

@@ -5,7 +5,7 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
-from weylfrob import exactalg, flatcoords, frobenius, orbitspace
+from weylfrob import exactalg, flatcoords, frobenius
 from weylfrob.exactalg import Poly, mat_det, solve_linear
 from weylfrob.flatcoords import (BSeries, BlockFormMismatch, b_coefficients,
                                  build_w_chart, build_z_chart, flat_pipeline,
@@ -339,7 +339,7 @@ def test_b_constants_take_no_linear_solve(monkeypatch, l, k):
         finally:
             depth[0] -= 1
 
-    for module in (exactalg, flatcoords, orbitspace):
+    for module in (exactalg, flatcoords):
         monkeypatch.setattr(module, "solve_linear", counting_solve)
     monkeypatch.setattr(flatcoords, "flat_candidate_solve", counting_candidate_solve)
     monkeypatch.setattr(frobenius, "_CACHE", {})

@@ -191,11 +191,8 @@ def test_integrate_potential_inverts_third_derivatives(l, k):
     assert third_derivatives_from_metric(spec, struct.g_t, struct.eta_cov) == f3
 
 
-def test_build_solves_only_in_the_flat_pipeline(monkeypatch):
-    """The potential is integrated term by term: building C4k2 makes exactly
-    the linear solves of the flat-coordinate pipeline, counted wherever a
-    weylfrob module looks solve_linear up."""
-    spec = RootSystemSpec("C", 4, 2)
+def _count_solves(monkeypatch):
+    """Count solve_linear calls wherever a weylfrob module looks it up."""
     solve = exactalg.solve_linear
     calls = [0]
 
@@ -208,12 +205,31 @@ def test_build_solves_only_in_the_flat_pipeline(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is solve:
                     monkeypatch.setattr(module, attr, counting_solve)
+    return calls
+
+
+def test_build_solves_only_in_the_flat_pipeline(monkeypatch):
+    """The potential is integrated term by term: building C4k2 makes exactly
+    the linear solves of the flat-coordinate pipeline, counted wherever a
+    weylfrob module looks solve_linear up."""
+    spec = RootSystemSpec("C", 4, 2)
+    calls = _count_solves(monkeypatch)
     monkeypatch.setattr(frobenius, "_CACHE", {})
     build_structure(spec)
     built = calls[0]
     calls[0] = 0
     flat_pipeline(spec, build_pencil(spec).eta)
     assert built == calls[0] > 0
+
+
+def test_oracle_check_takes_no_linear_solve(monkeypatch):
+    """The oracle expands g in the oracle chart and compares: no solve on any
+    spec it reaches, in either family."""
+    structs = [build_structure(RootSystemSpec(family, l, k))
+               for family in ("C", "B") for l, k in ALL_SMALL]
+    calls = _count_solves(monkeypatch)
+    assert all(oracle_check(struct) for struct in structs)
+    assert calls[0] == 0
 
 
 def test_build_transports_only_the_metric_to_the_flat_chart(monkeypatch):
@@ -419,6 +435,8 @@ def test_oracle_check_passes_small_c():
             assert oracle_check(build_structure(RootSystemSpec("C", l, k)))
     assert oracle_check(build_structure(RootSystemSpec("C", 4, 1)),
                         max_rank=3) is False  # skipped
+    # the default bound is the build's B guard bound
+    assert oracle_check(build_structure(RootSystemSpec("C", 4, 1))) is False
 
 
 def test_rank6_structure_builds_and_verifies():

@@ -2,15 +2,17 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import Dict, List, Tuple
 
 import pytest
 
-from weylfrob.exactalg import Chart, Poly
+from weylfrob.exactalg import Chart, Poly, monomials_of_weighted_degree, solve_linear
+from weylfrob.metrics import BilinearForm
 from weylfrob.orbitspace import (compute_g_direct, elementary_symmetric,
-                                 exp_granularity, extend_with_uv, generator_map,
+                                 exp_granularity, extend_with_uv, generator_exprs,
+                                 generator_map, oracle_chart, oracle_pairing,
                                  theta_chart, theta_map, y_chart, zeta_chart)
-from weylfrob.rootdata import RootSystemSpec, degrees
+from weylfrob.rootdata import RootSystemSpec, build, degrees
 
 from test_exactalg import weighted_degree
 
@@ -60,6 +62,73 @@ def assemble_P(spec: RootSystemSpec) -> GenPolyP:
     if lhs != rhs:
         raise ExpansionIdentityError(f"P(u) expansion identity fails for {spec.label()}")
     return GenPolyP(spec, tc, thetas)
+
+
+class ReexpressionFailed(ArithmeticError):
+    """An invariant could not be rewritten in the generator chart."""
+
+
+def reexpress(entry: Poly, target_chart: Chart, target_degree: Fraction,
+              var_exprs: Dict[str, Poly]) -> Poly:
+    """Rewrite an oracle-chart invariant as a polynomial over the target chart.
+
+    Enumerates the finite monomial basis of the given weighted degree,
+    expands each candidate through ``var_exprs`` and solves the exact linear
+    system for the coefficients; anything but a unique solution raises.
+    """
+    names = [v.name for v in target_chart.vars]
+    candidates = monomials_of_weighted_degree(target_chart, names, target_degree)
+    if not candidates and not entry.is_zero():
+        raise ReexpressionFailed(f"no candidate monomials of degree {target_degree}")
+    cache: Dict[Tuple[str, int], Poly] = {}
+
+    def var_power(name: str, e: int) -> Poly:
+        if (name, e) not in cache:
+            cache[(name, e)] = var_exprs[name] ** e
+        return cache[(name, e)]
+
+    unknowns = [f"c{q}" for q in range(len(candidates))]
+    equations: Dict[Tuple[int, ...], Dict[str, Fraction]] = {}
+    for q, mono in enumerate(candidates):
+        x = Poly.const(entry.chart, 1)
+        for name, e in mono.items():
+            x = x * var_power(name, e)
+        for exps, coeff in x.terms.items():
+            row = equations.setdefault(exps, {})
+            row[unknowns[q]] = row.get(unknowns[q], Fraction(0)) + coeff
+    eqs = [(equations.get(exps, {}), entry.terms.get(exps, Fraction(0)))
+           for exps in set(equations) | set(entry.terms)]
+    result = solve_linear(eqs, unknowns)
+    if result.kind != "unique":
+        raise ReexpressionFailed(f"re-expression solve is {result.kind}")
+    out = Poly.const(target_chart, 0)
+    for q, mono in enumerate(candidates):
+        c = result.solution[unknowns[q]]
+        if c:
+            out = out + Poly.monomial(target_chart, mono, c)
+    return out
+
+
+def reference_g_direct(spec: RootSystemSpec) -> BilinearForm:
+    """The intersection form on the spec's own y-chart, from the definition:
+    the generators' pairings in the oracle chart, each re-expressed in the
+    y-chart by an exact linear solve over the monomials of its weighted
+    degree (E = r^(4 * exp_granularity)).  The test oracle of
+    ``compute_g_direct``, which only expands and compares."""
+    metric, data = build(spec)
+    ochart = oracle_chart(spec)
+    funcs = generator_exprs(spec, ochart)
+    ghat = oracle_pairing(metric, funcs, Fraction(1))
+    yc = y_chart(spec)
+    var_exprs = {f"y{j}": funcs[j - 1] for j in range(1, spec.rank + 1)}
+    var_exprs["E"] = Poly.variable(ochart, "r") ** int(4 * exp_granularity(spec))
+    wts = list(data.d) + [Fraction(0)]
+    size = spec.rank + 1
+    mat = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            mat[i][j] = reexpress(ghat[i][j], yc, wts[i] + wts[j], var_exprs)
+    return BilinearForm(yc, mat)
 
 
 def test_elementary_symmetric_rank3():
@@ -117,21 +186,27 @@ def test_theta_chart_weights_all_equal_k():
 
 def test_direct_metric_rank1():
     spec = RootSystemSpec("C", 1, 1)
-    g = compute_g_direct(spec)
+    g = reference_g_direct(spec)
     yc = g.chart
     assert g.mat[0][0] == 4 * Poly.monomial(yc, {"y1": 1, "E": 1})
     assert g.mat[0][1] == yc.var("y1")
     assert g.mat[1][1] == Poly.const(yc, 1)
 
 
-@pytest.mark.parametrize("family,l,k", [("C", 2, 1), ("C", 2, 2), ("C", 3, 2),
-                                        ("B", 2, 2), ("B", 3, 1)])
+SMALL_B = [("B", l, k) for l in (1, 2, 3) for k in range(1, l + 1)]
+SMALL_C = [("C", l, k) for l in (1, 2, 3) for k in range(1, l + 1)]
+
+
+@pytest.mark.parametrize("family,l,k", [("C", 2, 1), ("C", 2, 2), ("C", 3, 2)] + SMALL_B)
 def test_direct_metric_structure(family, l, k):
+    # the pairings re-express uniquely on the spec's own y-chart (for B_l
+    # with k = l, the chart with E = e^{y^{l+1}/4}); the reference raises
+    # otherwise
     spec = RootSystemSpec(family, l, k)
-    g = compute_g_direct(spec)
+    g = reference_g_direct(spec)
     d = list(degrees(spec)) + [Fraction(0)]
     dk = d[k - 1]
-    assert g.is_symmetric()
+    assert all(g.mat[i][j] == g.mat[j][i] for i in range(l + 1) for j in range(i))
     # corner and last column from the definition
     assert g.mat[l][l] == Poly.const(g.chart, 1 / dk)
     for m in range(1, l + 1):
@@ -143,16 +218,24 @@ def test_direct_metric_structure(family, l, k):
                 assert weighted_degree(g.mat[i][j]) == d[i] + d[j]
 
 
+@pytest.mark.parametrize("family,l,k", SMALL_C)
+def test_reference_expands_to_the_pairings(family, l, k):
+    # the y-chart form re-expressed by the reference, expanded back through
+    # the bindings, gives the pairings entry by entry
+    spec = RootSystemSpec(family, l, k)
+    pairings, bindings = compute_g_direct(spec, Fraction(1))
+    ochart = pairings[0][0].chart
+    ref = reference_g_direct(spec)
+    for i in range(l + 1):
+        for j in range(l + 1):
+            assert ref.mat[i][j].substitute(bindings, ochart) == pairings[i][j]
+
+
 def test_exp_granularity_quarter_step_for_b_half_twist():
     assert exp_granularity(RootSystemSpec("B", 3, 3)) == Fraction(1, 4)
     assert exp_granularity(RootSystemSpec("B", 3, 2)) == 1
     assert exp_granularity(RootSystemSpec("C", 3, 3)) == 1
     assert y_chart(RootSystemSpec("B", 2, 2)).weight("E") == Fraction(1, 4)
-
-
-def test_oracle_bound_enforced():
-    with pytest.raises(ValueError):
-        compute_g_direct(RootSystemSpec("C", 5, 1), max_rank=4)
 
 
 def test_theta_machinery_is_c_only():
