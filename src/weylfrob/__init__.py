@@ -7,9 +7,9 @@ entry point is :func:`weylfrob.frobenius.build_structure`; the CLI lives in
 :mod:`weylfrob.cli`.
 """
 
-from .exactalg import (Chart, ChartMismatch, LinearSolveResult, NonExactDivision,
-                       NonUnitLaurentSubstitution, Poly, Rational, VarSpec,
-                       solve_linear)
+from .exactalg import (Chart, ChartMismatch, ExponentOverflow, LinearSolveResult,
+                       NonExactDivision, NonUnitLaurentSubstitution, Poly, Rational,
+                       VarSpec, solve_linear)
 from .frobenius import (EulerField, FrobeniusStructure, PotentialF, build_structure,
                         oracle_check, verify_euler_unity, verify_intersection,
                         verify_wdvv)
@@ -18,7 +18,7 @@ from .rootdata import (DegreeData, ExtendedMetric, InvalidSpec, RootSystemSpec,
                        build, dual_index)
 
 __all__ = [
-    "Chart", "ChartMismatch", "LinearSolveResult", "NonExactDivision",
+    "Chart", "ChartMismatch", "ExponentOverflow", "LinearSolveResult", "NonExactDivision",
     "NonUnitLaurentSubstitution", "Poly", "Rational", "VarSpec",
     "solve_linear", "DegreeData", "ExtendedMetric", "InvalidSpec",
     "RootSystemSpec", "build", "dual_index", "BilinearForm", "ChristoffelContra",

@@ -1,25 +1,37 @@
 """Exact sparse Laurent-polynomial arithmetic over the rationals.
 
 A polynomial lives on a Chart: an ordered list of named, weighted variables,
-some of which may be Laurent (negative exponents permitted).  Terms are stored
-as a dict mapping exponent tuples (one int per chart variable) to Fraction
-coefficients; zero coefficients are never stored, so equality of term maps is
-equality of polynomials.
+some of which may be Laurent (negative exponents permitted).
+
+A Poly stores one representation: its terms as integer numerators over one
+minimal positive denominator (the gcd of the denominator and all numerators
+is 1), in a dict keyed by packed exponents.  A key packs the exponent vector
+into one int of ``FIELD_BITS``-bit fields, each biased by 2^(FIELD_BITS-1):
+the total degree in the top field, then variable 0, ..., the last variable
+in the bottom one.  Integer order of keys is therefore graded-lex order, a
+monomial product is a key sum minus the bias, and equal polynomials have
+equal term dicts and denominators.  Every exponent and total degree must lie
+strictly between -2^(FIELD_BITS-1) and 2^(FIELD_BITS-1); each Poly keeps an
+upper bound of its largest |exponent| (total degree included), and an
+operation whose result could leave that range raises ExponentOverflow before
+a field can wrap.  Fractions are built only at the boundary: ``terms`` is a
+read-only mapping (exponent tuple -> Fraction) built on demand, for
+serialization, display and tests.
 
 A chart may designate one variable as the exponential of an extra logarithmic
 coordinate (E = exp of the last coordinate).  Differentiation along that
 coordinate acts as E*d/dE, which keeps the ring purely polynomial.
 
 Products and sums of products go through one kernel, ``sum_products``,
-which works on integer numerators over a common denominator and builds one
-Fraction per output term (sparse products in the manner of Monagan and
+which adds the products of integer numerators over one common denominator
+(sparse products with packed exponents in the manner of Monagan and
 Pearce).  ``Poly.__mul__`` is its one-pair case.
 
 The module also provides the exact linear algebra the rest of the package
 leans on: an incremental rational Gaussian eliminator, the determinant and
 adjugate of Poly matrices, and the two primitives every tensor computation
 goes through: ``mat_inverse_unit`` (the one exact inverse) and ``contract``
-(the one index contraction).  Determinants and adjugates eliminate on unit
+(the one index contraction).  Determinants and inverses eliminate on unit
 pivots (single terms in the chart's Laurent variables) of least Markowitz
 cost, so each division is a monomial shift; fraction-free (Bareiss)
 elimination is the fallback for a submatrix with no unit entry left.
@@ -29,12 +41,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, mul, sub
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Rational = Fraction
 Exponents = Tuple[int, ...]
+
+FIELD_BITS = 16
+_HALF = 1 << (FIELD_BITS - 1)  # the bias of a field; |exponent| < _HALF
+_MASK = (1 << FIELD_BITS) - 1
 
 
 class ChartMismatch(ValueError):
@@ -53,11 +71,23 @@ class NonInvertibleMatrix(ArithmeticError):
     """A matrix expected to have a unit (monomial) determinant does not."""
 
 
+class ExponentOverflow(OverflowError):
+    """An exponent or total degree would leave its packed field."""
+
+
 def rat(value) -> Fraction:
     """Coerce ints, strings like '1/48', or Fractions to Fraction."""
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def _parts(value) -> Tuple[int, int]:
+    """(numerator, denominator) of an int, a Fraction or anything rat takes."""
+    if isinstance(value, int):
+        return value, 1
+    value = rat(value)
+    return value.numerator, value.denominator
 
 
 @dataclass(frozen=True)
@@ -96,7 +126,7 @@ class Chart:
         if log_coord is not None:
             coords.append(log_coord)
         self.coords: Tuple[str, ...] = tuple(coords)
-        self.nvars = len(self.vars)
+        n = self.nvars = len(self.vars)
         self.dim = len(self.coords)
         # weights as integer numerators over their lcm: a term's weight is
         # one integer dot product
@@ -104,7 +134,18 @@ class Chart:
         self._weight_den = den
         self._weight_nums = tuple(v.weight.numerator * (den // v.weight.denominator)
                                   for v in self.vars)
-        self._laurent = tuple(v.laurent for v in self.vars)
+        # the packed layout: variable i in the field FIELD_BITS * (n-1-i)
+        # bits up, the total degree above them all
+        self._shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self._deg_shift = FIELD_BITS * n
+        self._bias = sum(_HALF << s for s in self._shifts + (self._deg_shift,))
+        # the key step that raises variable i (and the degree) by one
+        self._units = tuple((1 << s) + (1 << self._deg_shift) for s in self._shifts)
+        fixed = [s for s, v in zip(self._shifts, self.vars) if not v.laurent]
+        # a key's non-Laurent fields, and their top bits: set exactly when
+        # the exponent is >= 0, all-bias exactly when it is 0
+        self._fixed_mask = sum(_MASK << s for s in fixed)
+        self._fixed_half = sum(_HALF << s for s in fixed)
 
     def weight(self, name: str) -> Fraction:
         return self.vars[self.index[name]].weight
@@ -117,6 +158,31 @@ class Chart:
 
     def const(self, c) -> "Poly":
         return Poly.const(self, c)
+
+    def pack(self, exps: Sequence[int]) -> int:
+        """The packed key of an exponent vector; ExponentOverflow when an
+        exponent or the total degree is out of range."""
+        if len(exps) != self.nvars:
+            raise ValueError(f"{len(exps)} exponents for the {self.nvars} variables "
+                             f"of chart {self.name!r}")
+        deg = sum(exps)
+        if not all(-_HALF < e < _HALF for e in exps) or not -_HALF < deg < _HALF:
+            raise ExponentOverflow(f"exponents {tuple(exps)} exceed the packed field "
+                                   f"bound +-{_HALF - 1}")
+        return self._bias + (deg << self._deg_shift) + sum(map(int.__lshift__, exps,
+                                                               self._shifts))
+
+    def _along(self, coord: str) -> Tuple[int, int]:
+        """(shift of the field, key step) of d/d coord: the exponent it
+        reads, and what a term's key loses (E*d/dE keeps the key)."""
+        if coord == self.log_coord:
+            return self._shifts[self.index[self.exp_var]], 0
+        i = self.index[coord]
+        return self._shifts[i], self._units[i]
+
+    def unpack(self, key: int) -> Exponents:
+        """The exponent vector of a packed key."""
+        return tuple(((key >> s) & _MASK) - _HALF for s in self._shifts)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -132,41 +198,51 @@ class Chart:
         return f"Chart({self.name!r}, {[v.name for v in self.vars]})"
 
 
-def _grlex_key(exps: Exponents) -> tuple:
-    return (sum(exps), exps)
-
-
 class Poly:
-    """Sparse multivariate Laurent polynomial with exact rational coefficients."""
+    """Sparse multivariate Laurent polynomial with exact rational coefficients.
 
-    __slots__ = ("chart", "terms")
+    Immutable: the term dict ``_nums`` (packed key -> integer numerator)
+    and the denominator ``_den`` are never changed after construction, so
+    Polys may be shared.  ``_bound`` bounds the largest |exponent| and
+    |total degree| of the terms from above (it is made exact on demand)."""
 
-    def __init__(self, chart: Chart, terms: Mapping[Exponents, Fraction],
-                 normalized: bool = False):
-        self.chart = chart
-        if normalized:
-            self.terms: Dict[Exponents, Fraction] = dict(terms)
-        else:
-            clean: Dict[Exponents, Fraction] = {}
-            laurent = chart._laurent
-            for exps, coeff in terms.items():
-                if not coeff:
-                    continue
-                for e, lau in zip(exps, laurent):
-                    if e < 0 and not lau:
-                        raise ValueError(
-                            f"negative exponent on non-laurent variable in chart {chart.name!r}: {exps}")
-                clean[exps] = rat(coeff)
-            self.terms = clean
+    __slots__ = ("chart", "_nums", "_den", "_bound")
+
+    def __init__(self, chart: Chart, terms: Mapping[Exponents, Fraction]):
+        parts = [(chart.pack(exps), _parts(c)) for exps, c in terms.items()]
+        den = lcm(1, *[d for _, (n, d) in parts if n])
+        # reduced fractions over the lcm of their denominators: minimal
+        nums = {k: n * (den // d) for k, (n, d) in parts if n}
+        fixed = chart._fixed_half
+        for k in nums:
+            if k & fixed != fixed:
+                raise ValueError(f"negative exponent on non-laurent variable in chart "
+                                 f"{chart.name!r}: {chart.unpack(k)}")
+        self.chart, self._nums, self._den = chart, nums, den
+        self._bound = _exact_bound(self)
+
+    @classmethod
+    def _raw(cls, chart: Chart, nums: Dict[int, int], den: int, bound: int) -> "Poly":
+        """A Poly from canonical parts: no zero numerator, gcd(den, nums) = 1."""
+        p = object.__new__(cls)
+        p.chart, p._nums, p._den, p._bound = chart, nums, den, bound
+        return p
+
+    @staticmethod
+    def from_packed(chart: Chart, nums: Mapping[int, int], den: int) -> "Poly":
+        """The Poly sum nums[k] / den * x^k over packed keys k of ``chart``."""
+        p = _canon(chart, dict(nums), den, 0)
+        p._bound = _exact_bound(p)
+        return p
 
     # ---- constructors ----
 
     @staticmethod
     def const(chart: Chart, c) -> "Poly":
-        c = rat(c)
-        if c == 0:
-            return Poly(chart, {}, normalized=True)
-        return Poly(chart, {(0,) * chart.nvars: c}, normalized=True)
+        n, d = _parts(c)
+        if not n:
+            return Poly._raw(chart, {}, 1, 0)
+        return Poly._raw(chart, {chart._bias: n}, d, 0)
 
     @staticmethod
     def variable(chart: Chart, name: str, power: int = 1) -> "Poly":
@@ -177,33 +253,59 @@ class Poly:
         e = [0] * chart.nvars
         for nm, p in exps.items():
             e[chart.index[nm]] += p
-        return Poly(chart, {tuple(e): rat(coeff)})
+        return Poly(chart, {tuple(e): coeff})
 
     # ---- basic structure ----
 
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """The terms as a read-only mapping exponent tuple -> Fraction,
+        built on demand."""
+        unpack, den = self.chart.unpack, self._den
+        return MappingProxyType({unpack(k): Fraction(v, den) for k, v in self._nums.items()})
+
+    @property
+    def packed(self) -> Mapping[int, int]:
+        """The stored terms: a read-only mapping packed key -> numerator."""
+        return MappingProxyType(self._nums)
+
+    @property
+    def den(self) -> int:
+        """The common denominator of the stored numerators."""
+        return self._den
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def is_unit_monomial(self) -> bool:
         """A unit of the chart's ring: one term whose nonzero exponents all
         sit on Laurent variables."""
-        if len(self.terms) != 1:
+        if len(self._nums) != 1:
             return False
-        (exps,) = self.terms
-        return all(lau or not e for e, lau in zip(exps, self.chart._laurent))
+        chart = self.chart
+        for key in self._nums:
+            return key & chart._fixed_mask == chart._fixed_half
 
     def constant_value(self) -> Fraction:
         """The coefficient of the empty monomial (the value if constant)."""
-        if not self.terms:
+        if not self._nums:
             return Fraction(0)
-        zero = (0,) * self.chart.nvars
-        if set(self.terms) != {zero}:
+        v = self._nums.get(self.chart._bias)
+        if v is None or len(self._nums) != 1:
             raise ValueError("polynomial is not constant")
-        return self.terms[zero]
+        return Fraction(v, self._den)
 
     def sorted_terms(self) -> List[Tuple[Exponents, Fraction]]:
         """Terms in descending graded-lex order (canonical serialization order)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        unpack, den = self.chart.unpack, self._den
+        return [(unpack(k), Fraction(v, den))
+                for k, v in sorted(self._nums.items(), reverse=True)]
+
+    def exponent_range(self) -> Tuple[Exponents, Exponents]:
+        """The least and the largest exponent of each variable over the
+        terms (two empty tuples for the zero polynomial)."""
+        cols = list(zip(*map(self.chart.unpack, self._nums)))
+        return tuple(map(min, cols)), tuple(map(max, cols))
 
     def exponents_as_dict(self, exps: Exponents) -> Dict[str, int]:
         return {v.name: e for v, e in zip(self.chart.vars, exps) if e != 0}
@@ -215,37 +317,21 @@ class Poly:
     # ---- ring operations ----
 
     def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
-        self._check_chart(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps)
-            if s is None:
-                out[exps] = c
-            else:
-                s = s + c
-                if s:
-                    out[exps] = s
-                else:
-                    del out[exps]
-        return Poly(self.chart, out, normalized=True)
+        return sum_products(self.chart, ((1, self), (1, self._coerce(other))))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.chart, {e: -c for e, c in self.terms.items()}, normalized=True)
+        return Poly._raw(self.chart, {k: -v for k, v in self._nums.items()},
+                         self._den, self._bound)
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        return sum_products(self.chart, ((1, self), (-1, self._coerce(other))))
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
             return sum_products(self.chart, ((self, other),))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if not other:
-            return Poly(self.chart, {}, normalized=True)
-        other = rat(other)
-        return Poly(self.chart, {e: c * other for e, c in self.terms.items()},
-                    normalized=True)
+        return _scale(self, other.numerator, other.denominator)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -275,46 +361,59 @@ class Poly:
         return Poly.const(self.chart, other)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.chart, other)
-        return isinstance(other, Poly) and self.chart == other.chart and self.terms == other.terms
+        if isinstance(other, Poly):
+            return (self._den == other._den and self._nums == other._nums
+                    and self.chart == other.chart)
+        return isinstance(other, (int, Fraction)) and self == Poly.const(self.chart, other)
 
     def __hash__(self):
-        return hash((self.chart.name, frozenset(self.terms.items())))
+        return hash((self.chart.name, self._den, frozenset(self._nums.items())))
 
     def unit_inverse(self) -> "Poly":
         """Inverse of a unit of the chart's ring (raises NonExactDivision
         otherwise): a monomial shift."""
         if not self.is_unit_monomial():
             raise NonExactDivision(f"inverse of a non-unit requested: {self!r}")
-        (exps, coeff), = self.terms.items()
-        return Poly(self.chart, {tuple(-e for e in exps): 1 / coeff}, normalized=True)
+        (key, v), = self._nums.items()
+        # every field e + B becomes -e + B; c = v / den becomes den / v
+        num, den = (self._den, v) if v > 0 else (-self._den, -v)
+        return Poly._raw(self.chart, {2 * self.chart._bias - key: num}, den, self._bound)
 
     # ---- calculus ----
 
     def diff(self, name: str) -> "Poly":
         """Formal partial derivative; the chart's log coordinate maps to E*d/dE."""
         chart = self.chart
-        if name == chart.log_coord:
-            idx = chart.index[chart.exp_var]
-            out = {}
-            for exps, c in self.terms.items():
-                if exps[idx]:
-                    out[exps] = c * exps[idx]
-            return Poly(chart, out, normalized=True)
-        idx = chart.index[name]
+        s, step = chart._along(name)
         out = {}
-        for exps, c in self.terms.items():
-            e = exps[idx]
+        for k, v in self._nums.items():
+            e = ((k >> s) & _MASK) - _HALF
             if e:
-                key = exps[:idx] + (e - 1,) + exps[idx + 1:]
-                s = out.get(key)
-                out[key] = c * e if s is None else s + c * e
-        return Poly(chart, {k: v for k, v in out.items() if v}, normalized=True)
+                out[k - step] = v * e
+        return _canon(chart, out, self._den, _bound_of(1 if step else 0, self))
 
     def coord_diff(self, i: int) -> "Poly":
         """Derivative along the chart's i-th coordinate (0-based)."""
         return self.diff(self.chart.coords[i])
+
+    def coord_integral(self, i: int) -> "Poly":
+        """The antiderivative along the chart's i-th coordinate that
+        ``coord_diff(i)`` maps back to self term by term (no constant
+        term); NonExactDivision when a term would need a logarithm."""
+        chart = self.chart
+        name = chart.coords[i]
+        s, step = chart._along(name)
+        bound = _bound_of(1 if step else 0, self)
+        raw = []
+        for k, v in self._nums.items():
+            k += step
+            e = ((k >> s) & _MASK) - _HALF
+            if not e:
+                raise NonExactDivision(f"the antiderivative along {name} needs a logarithm")
+            raw.append((k, v, e))
+        scale = lcm(1, *[e for _, _, e in raw])
+        return _canon(chart, {k: v * (scale // e) for k, v, e in raw},
+                      self._den * scale, bound)
 
     # ---- substitution ----
 
@@ -354,83 +453,82 @@ class Poly:
             cache[key] = val
             return val
 
-        # each term c * x^a * ... * z^b enters the sum as the pair
-        # (c * x^a * ..., z^b), so its last product happens in the kernel
+        # each term v x^a * ... * z^b enters the sum as the pair
+        # (v * x^a * ..., z^b), so its last product happens in the kernel;
+        # the common denominator divides once at the end
         one = Poly.const(target, 1)
+        names = [var.name for var in self.chart.vars]
+        unpack = self.chart.unpack
         pairs = []
-        for exps, c in self.terms.items():
-            factors = [power_of(var.name, e) for var, e in zip(self.chart.vars, exps) if e]
+        for key, c in self._nums.items():
+            factors = [power_of(nm, e) for nm, e in zip(names, unpack(key)) if e]
             last = factors.pop() if factors else one
             for f in factors:
                 c = f * c
             pairs.append((c, last))
-        return sum_products(target, pairs)
+        return _scale(sum_products(target, pairs), 1, self._den)
 
     # ---- exact division ----
 
     def exact_div(self, q: "Poly") -> "Poly":
         """Return r with r*q == self exactly, else raise NonExactDivision."""
         self._check_chart(q)
-        if q.is_zero():
+        if not q._nums:
             raise ZeroDivisionError("exact division by zero polynomial")
-        if self.is_zero():
-            return Poly(self.chart, {}, normalized=True)
-        if len(q.terms) == 1:
-            (qe, qc), = q.terms.items()
-            out = {}
-            for e, c in self.terms.items():
-                key = tuple(map(sub, e, qe))
-                for x, lau in zip(key, self.chart._laurent):
-                    if x < 0 and not lau:
-                        raise NonExactDivision("quotient needs a negative exponent "
-                                               "on a non-laurent variable")
-                out[key] = c / qc
-            return Poly(self.chart, out, normalized=True)
-        n = self.chart.nvars
+        chart = self.chart
+        if not self._nums:
+            return Poly._raw(chart, {}, 1, 0)
         # remove the full monomial content of both operands: the quotient of
         # the content-free parts is then an honest polynomial (minimal degrees
         # are additive under multiplication), so the leading-term test below
-        # is sound and complete for exact division
-        shift_p = tuple(-min(e[i] for e in self.terms) for i in range(n))
-        shift_q = tuple(-min(e[i] for e in q.terms) for i in range(n))
+        # is sound and complete for exact division.  Its keys stay in range:
+        # every field lies between 0 and the dividend's largest degree.
+        lo_p, lo_q = self.exponent_range()[0], q.exponent_range()[0]
+        unpack, pack = chart.unpack, chart.pack
+        rem = {pack(tuple(map(sub, unpack(k), lo_p))): v for k, v in self._nums.items()}
         # self = P / dp and q = content * Q / dq with P, Q integral and Q
         # primitive; by Gauss's lemma P / Q is integral whenever it exists,
         # so every leading-coefficient quotient below must be exact
-        pn, dp = _numerators(self.terms)
-        qn, dq = _numerators(q.terms)
-        content = gcd(*[c for _, c in qn])
-        rem = {tuple(map(add, e, shift_p)): c for e, c in pn}
-        q_terms = [(tuple(map(add, e, shift_q)), c // content) for e, c in qn]
-        lead_q, cq = max(q_terms, key=lambda t: _grlex_key(t[0]))
-        quot: Dict[Exponents, int] = {}
+        content = gcd(*q._nums.values())
+        q_terms = [(pack(tuple(map(sub, unpack(k), lo_q))) - chart._bias, v // content)
+                   for k, v in q._nums.items()]
+        lead_q, cq = max(q_terms)
+        bias = chart._bias
+        heap = [-k for k in rem]
+        heapify(heap)
+        quot: Dict[int, int] = {}
         while rem:
-            lead_r = max(rem, key=_grlex_key)
-            d = tuple(map(sub, lead_r, lead_q))
-            if any(x < 0 for x in d):
+            lead_r = -heappop(heap)
+            c = rem.get(lead_r)
+            if c is None:
+                continue  # cancelled, or a repeat of a key already divided
+            # d = lead_r / lead_q in the packed form; every field of both
+            # lies in [0, B), so no field borrows and d's fields are >= 0
+            # exactly when their top bits are set
+            d = lead_r - lead_q
+            if d & bias != bias:
                 raise NonExactDivision("division left a nonzero remainder")
-            c, r = divmod(rem[lead_r], cq)
+            c, r = divmod(c, cq)
             if r:
                 raise NonExactDivision("division left a nonzero remainder")
             # the leading term strictly falls, so each d is new
             quot[d] = c
             for e2, c2 in q_terms:
-                key = tuple(map(add, d, e2))
-                s = rem.get(key, 0) - c * c2
+                key = d + e2
+                s = rem.pop(key, 0) - c * c2
                 if s:
                     rem[key] = s
-                else:
-                    del rem[key]
-        correction = tuple(map(sub, shift_q, shift_p))
-        num, den = dq, dp * content
+                    heappush(heap, -key)
+        correction = tuple(map(sub, lo_p, lo_q))
+        fixed = chart._fixed_half
         out = {}
-        for e, c in quot.items():
-            key = tuple(map(add, e, correction))
-            for x, lau in zip(key, self.chart._laurent):
-                if x < 0 and not lau:
-                    raise NonExactDivision("quotient needs a negative exponent "
-                                           "on a non-laurent variable")
-            out[key] = Fraction(c * num, den)
-        return Poly(self.chart, out, normalized=True)
+        for k, c in quot.items():
+            key = pack(tuple(map(add, unpack(k), correction)))
+            if key & fixed != fixed:
+                raise NonExactDivision("quotient needs a negative exponent "
+                                       "on a non-laurent variable")
+            out[key] = c * q._den
+        return Poly.from_packed(chart, out, self._den * content)
 
     # ---- grading ----
 
@@ -438,10 +536,32 @@ class Poly:
         chart = self.chart
         return Fraction(sum(map(mul, chart._weight_nums, exps)), chart._weight_den)
 
+    def graded(self, power: int = 1) -> Tuple["Poly", "Poly"]:
+        """(the sum of w^power c x^e over the terms c x^e of nonzero weight
+        w, for power = 1 or -1; the terms of weight 0)."""
+        chart = self.chart
+        wnums, wden, unpack = chart._weight_nums, chart._weight_den, chart.unpack
+        raw, flat = [], {}
+        for k, v in self._nums.items():
+            w = sum(map(mul, wnums, unpack(k)))
+            if w:
+                raw.append((k, v, w))
+            else:
+                flat[k] = v
+        # w = wn / wden: c w = v wn / (den wden) and c / w = v wden / (den wn)
+        if power == 1:
+            scaled = _canon(chart, {k: v * w for k, v, w in raw},
+                            self._den * wden, self._bound)
+        else:
+            scale = lcm(1, *[w for _, _, w in raw])
+            scaled = _canon(chart, {k: v * wden * (scale // w) for k, v, w in raw},
+                            self._den * scale, self._bound)
+        return scaled, _canon(chart, flat, self._den, self._bound)
+
     # ---- display ----
 
     def __repr__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():
@@ -465,46 +585,98 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# The product-sum kernel
+# Canonical form, exponent bounds, and the product-sum kernel
 # ---------------------------------------------------------------------------
 
-def _numerators(terms: Mapping[Exponents, Fraction]) -> Tuple[list, int]:
-    """The terms as (exponents, integer numerator) over their least common
-    denominator, and that denominator."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    if den == 1:
-        return [(e, c.numerator) for e, c in terms.items()], 1
-    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
+def _canon(chart: Chart, acc: Dict[int, int], den: int, bound: int) -> Poly:
+    """The Poly of the numerators ``acc`` over ``den`` > 0: zeros dropped,
+    then one gcd pass to the minimal denominator D / gcd(D, all v)."""
+    nums = {k: v for k, v in acc.items() if v}
+    if not nums:
+        return Poly._raw(chart, nums, 1, 0)
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+    return Poly._raw(chart, nums, den, bound)
+
+
+def _exact_bound(p: Poly) -> int:
+    """The largest |exponent| and |total degree| over the terms of p."""
+    if not p._nums:
+        return 0
+    lo, hi = p.exponent_range()
+    deg_shift = p.chart._deg_shift
+    degs = [(k >> deg_shift) - _HALF for k in (min(p._nums), max(p._nums))]
+    return max(map(abs, lo + hi + tuple(degs)))
+
+
+def _bound_of(extra: int, *ps: Poly) -> int:
+    """extra plus the sum of the exponent bounds of ps: the bound of a
+    result whose exponents are sums of theirs (plus at most ``extra``).
+    When it reaches the field bound the operands' bounds are made exact
+    first; ExponentOverflow if it still does."""
+    bound = extra + sum(p._bound for p in ps)
+    if bound < _HALF:
+        return bound
+    for p in ps:
+        p._bound = _exact_bound(p)
+    bound = extra + sum(p._bound for p in ps)
+    if bound < _HALF:
+        return bound
+    raise ExponentOverflow(f"a result exponent could reach {bound}, beyond the packed "
+                           f"field bound +-{_HALF - 1}")
+
+
+def _scale(p: Poly, n: int, d: int) -> Poly:
+    """p * n / d for integers n and d > 0."""
+    if not n or not p._nums:
+        return Poly._raw(p.chart, {}, 1, 0)
+    if n == d:
+        return p
+    return _canon(p.chart, {k: v * n for k, v in p._nums.items()}, p._den * d, p._bound)
 
 
 def sum_products(chart: Chart, pairs: Iterable[tuple]) -> Poly:
     """The exact sum of x * y over the pairs (x, y) of ``pairs``.
 
-    Each x is a Poly or a rational and each y is a Poly, all on ``chart``.
-    Every operand is taken as integer numerators over the lcm of its
-    denominators; all products are added as Python ints over one common
-    denominator D, and one Fraction(v, D) is built per nonzero output term.
-    D is the lcm of the pairs' denominators so far: when a pair raises it,
-    the running sum is rescaled, so ``pairs`` is read once.
+    Each x is a Poly or a rational (int or Fraction) and each y is a Poly,
+    all on ``chart``.  All products of stored numerators are added as Python
+    ints over one common denominator D, keyed by the sum of the packed keys
+    less the bias, and the result is brought to canonical form once.  D is
+    the lcm of the pairs' denominators so far: when a pair raises it, the
+    running sum is rescaled, so ``pairs`` is read once.  Each pair checks
+    once that its exponent bounds stay inside the packed fields.
     """
-    acc: Dict[Exponents, int] = {}
+    acc: Dict[int, int] = {}
     get = acc.get
     den = 1
+    bound = 0
+    bias = chart._bias
     for x, y in pairs:
         if y.chart is not chart and y.chart != chart:
             raise ChartMismatch(f"{chart.name!r} vs {y.chart.name!r}")
+        ynums = y._nums
         if isinstance(x, Poly):
             if x.chart is not chart and x.chart != chart:
                 raise ChartMismatch(f"{chart.name!r} vs {x.chart.name!r}")
-            if not x.terms or not y.terms:
+            xnums = x._nums
+            if not xnums or not ynums:
                 continue
-            xn, dx = _numerators(x.terms)
+            dx = x._den
+            b = x._bound + y._bound
+            if b >= _HALF:
+                b = _bound_of(0, x, y)
         else:
-            if not x or not y.terms:
+            if not x or not ynums:
                 continue
+            xnums = None
             xn, dx = x.numerator, x.denominator
-        yn, dy = _numerators(y.terms)
-        d = dx * dy
+            b = y._bound
+        if b > bound:
+            bound = b
+        d = dx * y._den
         if den % d:
             grown = lcm(den, d)
             up = grown // den
@@ -512,19 +684,18 @@ def sum_products(chart: Chart, pairs: Iterable[tuple]) -> Poly:
                 acc[e] *= up
             den = grown
         scale = den // d
-        if isinstance(xn, int):
+        if xnums is None:
             xn *= scale
-            for e, b in yn:
-                acc[e] = get(e, 0) + xn * b
+            for k, v in ynums.items():
+                acc[k] = get(k, 0) + xn * v
             continue
-        if scale != 1:
-            xn = [(e, a * scale) for e, a in xn]
-        for e1, a in xn:
-            for e2, b in yn:
-                key = tuple(map(add, e1, e2))
-                acc[key] = get(key, 0) + a * b
-    return Poly(chart, {e: Fraction(v, den) for e, v in acc.items() if v},
-                normalized=True)
+        for k1, a in xnums.items():
+            a *= scale
+            k1 -= bias
+            for k2, v in ynums.items():
+                key = k1 + k2
+                acc[key] = get(key, 0) + a * v
+    return _canon(chart, acc, den, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +817,8 @@ def _unit_pivot(m: Matrix, rows: List[int], cols: List[int]) -> Optional[Tuple[i
     cost (r_nz - 1)(c_nz - 1), with r_nz and c_nz counted on the submatrix
     rows x cols; ties go to the first in row-major order.  None when the
     submatrix holds no unit."""
-    row_nz = {r: sum(1 for c in cols if m[r][c].terms) for r in rows}
-    col_nz = {c: sum(1 for r in rows if m[r][c].terms) for c in cols}
+    row_nz = {r: sum(1 for c in cols if m[r][c]._nums) for r in rows}
+    col_nz = {c: sum(1 for r in rows if m[r][c]._nums) for c in cols}
     best, best_cost = None, 0
     for r in rows:
         for c in cols:
@@ -666,11 +837,11 @@ def _unit_step(m: Matrix, r: int, c: int, rows: Iterable[int]) -> Poly:
     chart = piv.chart
     inv = piv.unit_inverse()
     zero = Poly.const(chart, 0)
-    live = [(j, e * inv) for j, e in enumerate(pivot_row) if j != c and e.terms]
+    live = [(j, e * inv) for j, e in enumerate(pivot_row) if j != c and e._nums]
     for i in rows:
         row = m[i]
         minus_f = -row[c]
-        if not minus_f.terms:
+        if not minus_f._nums:
             continue
         for j, b in live:
             row[j] = sum_products(chart, ((1, row[j]), (minus_f, b)))
@@ -744,21 +915,25 @@ def mat_det(matrix: Matrix) -> Poly:
     return det
 
 
-def mat_adjugate(matrix: Matrix) -> Matrix:
+def mat_adjugate(matrix: Matrix, inverse: bool = False):
     """Adjugate by unit-pivot Gauss-Jordan elimination on [A | I].
 
     Pivots are units chosen as in ``mat_det``; each step divides the pivot
     row by its pivot and clears the pivot column from every other row.  After
     n pivots (r, c) the row r of the right half is row c of A^-1, and
-    adj(A) = det(A) * A^-1 with det(A) = sign * (product of the pivots).  When
-    no unit pivot remains (the determinant may still be a unit, e.g.
-    [[1+x, x], [2+x, 1+x]] with x not Laurent) the adjugate is taken by the
-    fraction-free sweep over the whole matrix instead.  A singular matrix of
-    size n >= 2 raises NonInvertibleMatrix; the 1x1 adjugate is [[1]].
+    adj(A) = det(A) * A^-1 with det(A) = sign * (product of the pivots).
+    With ``inverse`` set it returns (det(A), A^-1) instead, the right half
+    as it stands, and requires det(A) to be a unit.  When no unit pivot
+    remains (the determinant may still be a unit, e.g. [[1+x, x], [2+x, 1+x]]
+    with x not Laurent) the adjugate is taken by the fraction-free sweep over
+    the whole matrix instead, and det(A) read off it as row 0 of A times
+    column 0 of adj(A).  A singular matrix of size n >= 2 raises
+    NonInvertibleMatrix, and so does a determinant that is no unit when
+    ``inverse`` is set; the 1x1 adjugate is [[1]].
     """
     n = len(matrix)
     chart = matrix[0][0].chart
-    if n == 1:
+    if n == 1 and not inverse:
         return [[Poly.const(chart, 1)]]
     zero = Poly.const(chart, 0)
     one = Poly.const(chart, 1)
@@ -766,11 +941,18 @@ def mat_adjugate(matrix: Matrix) -> Matrix:
          for r, row in enumerate(matrix)]
     det, pivots, rows, _ = _unit_elimination(m, n, jordan=True)
     if rows:
-        return _bareiss_adjugate(matrix)
-    adj: Matrix = [None] * n
+        adj = _bareiss_adjugate(matrix)
+        if not inverse:
+            return adj
+        det = _require_unit(sum_products(chart, zip(matrix[0], [row[0] for row in adj])))
+        inv_det = det.unit_inverse()
+        return det, [[e * inv_det for e in row] for row in adj]
+    right: Matrix = [None] * n
     for r, c in pivots:
-        adj[c] = [e * det for e in m[r][n:]]
-    return adj
+        right[c] = m[r][n:]
+    if inverse:
+        return _require_unit(det), right
+    return [[e * det for e in row] for row in right]
 
 
 def _fraction_free_step(m: Matrix, p: int, prev: Poly, rows: Iterable[int],
@@ -811,7 +993,7 @@ def _bareiss_det(m: Matrix) -> Poly:
 
 
 def _bareiss_adjugate(matrix: Matrix) -> Matrix:
-    """Adjugate by one fraction-free Gauss-Jordan sweep on [A | I], for n >= 2.
+    """Adjugate by one fraction-free Gauss-Jordan sweep on [A | I] (for n = 1, [[1]]).
 
     The sweep ends at [d I | T] with d = sign * det(A), so adj(A) = sign * T,
     where sign counts the row swaps; a singular matrix raises
@@ -853,14 +1035,10 @@ def _require_unit(det: Poly) -> Poly:
 
 
 def mat_inverse_unit(matrix: Matrix) -> Matrix:
-    """Exact inverse of a matrix whose determinant is a unit of its chart's ring.
-
-    det(A) is read off the adjugate as row 0 of A times column 0 of adj(A);
-    a determinant that is no unit raises NonInvertibleMatrix."""
-    adj = mat_adjugate(matrix)
-    det = sum_products(matrix[0][0].chart, zip(matrix[0], [row[0] for row in adj]))
-    inv_det = _require_unit(det).unit_inverse()
-    return [[entry * inv_det for entry in row] for row in adj]
+    """Exact inverse of a matrix whose determinant is a unit of its chart's
+    ring, read off the elimination of ``mat_adjugate``; a determinant that is
+    no unit raises NonInvertibleMatrix."""
+    return mat_adjugate(matrix, inverse=True)[1]
 
 
 def contract(matrix: Sequence[Sequence], tensor: list, axis: int) -> list:

@@ -104,16 +104,17 @@ def flat_candidate_solve(gammas: List[List[List[Poly]]], base: Poly,
     unknowns = [f"c{q}" for q in range(len(candidates))]
     eqs = []
     for key in base_res:
-        support = set(base_res[key].terms)
+        base_r = base_res[key]
+        support = set(base_r.packed)
         for res in cand_res:
-            support.update(res[key].terms)
-        for exps in support:
+            support.update(res[key].packed)
+        for mono in support:
             coeffs = {}
             for q, res in enumerate(cand_res):
-                c = res[key].terms.get(exps)
+                c = res[key].packed.get(mono)
                 if c:
-                    coeffs[unknowns[q]] = c
-            rhs = -base_res[key].terms.get(exps, Fraction(0))
+                    coeffs[unknowns[q]] = Fraction(c, res[key].den)
+            rhs = Fraction(-base_r.packed.get(mono, 0), base_r.den)
             eqs.append((coeffs, rhs))
     result = solve_linear(eqs, unknowns)
     if result.kind == "inconsistent":
@@ -388,13 +389,12 @@ def gamma_w(spec: RootSystemSpec, eta_w: BilinearForm) -> List[List[List[Poly]]]
 
 
 def _check_support(p: Poly, allowed: set, what: str) -> None:
-    for exps in p.terms:
-        for v, e in zip(p.chart.vars, exps):
-            if e and v.name not in allowed:
-                raise PropertyViolation(f"{what}: stray variable {v.name} in {p!r}")
-        for v, e in zip(p.chart.vars, exps):
-            if e < 0:
-                raise PropertyViolation(f"{what}: negative exponent in {p!r}")
+    lo, hi = p.exponent_range()
+    for v, a, b in zip(p.chart.vars, lo, hi):
+        if (a or b) and v.name not in allowed:
+            raise PropertyViolation(f"{what}: stray variable {v.name} in {p!r}")
+    if any(a < 0 for a in lo):
+        raise PropertyViolation(f"{what}: negative exponent in {p!r}")
 
 
 def solve_flat_chart(spec: RootSystemSpec, eta_w: BilinearForm,

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import (Chart, Matrix, NonUnitLaurentSubstitution, Poly, Rational,
-                       contract, sum_products)
+from .exactalg import (Chart, Matrix, NonExactDivision, NonUnitLaurentSubstitution,
+                       Poly, Rational, contract, sum_products)
 from .flatcoords import FlatChartData, covariant_form, flat_pipeline
 from .metrics import BilinearForm, FlatPencil, build_pencil, transform_form
 from .orbitspace import compute_g_direct
@@ -98,12 +99,7 @@ class FrobeniusStructure:
 
 def lie_euler(p: Poly) -> Poly:
     """L_E on ring elements of the flat chart: the weight derivation."""
-    out = {}
-    for exps, c in p.terms.items():
-        w = p.term_weight(exps)
-        if w:
-            out[exps] = c * w
-    return Poly(p.chart, out, normalized=True)
+    return p.graded()[0]
 
 
 def constant_matrix(mat: Matrix) -> List[List[Rational]]:
@@ -126,18 +122,15 @@ def third_derivatives_from_metric(spec: RootSystemSpec, g_t: BilinearForm,
     fup = [[zero] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            out = {}
-            for exps, c in g_t.mat[i][j].terms.items():
-                w = g_t.mat[i][j].term_weight(exps)
-                if w == 0:
-                    if (i, j) != (last, last):
-                        raise Inconsistent(
-                            f"g^{{{i + 1},{j + 1}}} has a degree-0 term off the corner")
-                    if c != Fraction(1, k):
-                        raise Inconsistent("corner constant of g is not 1/k")
-                    continue  # becomes the explicit t^{l+1} tag
-                out[exps] = c / w
-            fup[i][j] = Poly(chart, out)
+            # the weight-0 part, the corner constant 1/k, becomes the
+            # explicit t^{l+1} tag
+            fup[i][j], flat = g_t.mat[i][j].graded(-1)
+            if not flat.is_zero():
+                if (i, j) != (last, last):
+                    raise Inconsistent(
+                        f"g^{{{i + 1},{j + 1}}} has a degree-0 term off the corner")
+                if flat != Fraction(1, k):
+                    raise Inconsistent("corner constant of g is not 1/k")
             fup[j][i] = fup[i][j]
     # the tag t^{l+1} at F^{l+1,l+1} lowers to (kpos, kpos)
     return _tagged_derivatives(contract(eta_cov, contract(eta_cov, fup, 0), 1), kpos)
@@ -157,11 +150,11 @@ def integrate_potential(spec: RootSystemSpec, f3: List[List[List[Poly]]],
                         eta_cov: List[List[Rational]]) -> PotentialF:
     """Antidifferentiate the third-derivative tensor into the potential.
 
-    With the head's constant third derivative removed, each term c x^e of
+    With the head's constant third derivative removed, each term of
     F_{abc} (a <= b <= c) is the derivative along (a, b, c) of exactly one
-    monomial: e raised by one per direction along t^1..t^l (along t^{l+1},
-    E d/dE keeps the exponent).  Its coefficient is c over the exponent
-    factor of that derivative.  Quadratic-and-lower integration constants
+    monomial, its antiderivative along c, b and a in turn (along t^{l+1},
+    E d/dE keeps the exponent).  A monomial reached from several (a, b, c)
+    takes the value of the last.  Quadratic-and-lower integration constants
     are zero.  Whether the result matches the metric and the connection is
     for the named checks to say; the shape of F is the build's one guard.
     """
@@ -170,29 +163,25 @@ def integrate_potential(spec: RootSystemSpec, f3: List[List[List[Poly]]],
     last = l
     kpos = k - 1
     chart = f3[0][0][0].chart
-    e_idx = chart.index["E"]
-    terms: Dict[tuple, Fraction] = {}
+    pieces = []
     for a in range(dim):
         for b in range(a, dim):
             for c in range(b, dim):
                 t = f3[a][b][c]
                 if (a, b, c) == (kpos, kpos, last):
                     t = t - 1
-                for exps, coeff in t.terms.items():
-                    new = list(exps)
-                    factor = 1
-                    for pos in (a, b, c):
-                        if pos == last:
-                            factor *= exps[e_idx]
-                        else:
-                            new[pos] += 1
-                            factor *= new[pos]
-                    if not factor:
-                        raise Inconsistent(
-                            f"F_({a + 1},{b + 1},{c + 1}) has a term whose "
-                            "antiderivative needs an explicit log coordinate")
-                    terms[tuple(new)] = coeff / factor
-    potential = PotentialF(chart, k, Poly(chart, terms, normalized=True))
+                try:
+                    pieces.append(t.coord_integral(c).coord_integral(b).coord_integral(a))
+                except NonExactDivision:
+                    raise Inconsistent(
+                        f"F_({a + 1},{b + 1},{c + 1}) has a term whose "
+                        "antiderivative needs an explicit log coordinate") from None
+    den = lcm(1, *[p.den for p in pieces])
+    terms: Dict[int, int] = {}
+    for p in pieces:
+        scale = den // p.den
+        terms.update((key, v * scale) for key, v in p.packed.items())
+    potential = PotentialF(chart, k, Poly.from_packed(chart, terms, den))
     _check_shape(spec, potential, eta_cov)
     return potential
 

@@ -82,18 +82,17 @@ def _extract_uv(gen: Poly, l: int, theta: Chart) -> Dict[Tuple[int, int], Poly]:
     """Split a generating function by u^{l-i} v^{l-j} into theta-chart entries."""
     iu = gen.chart.index["u"]
     iv = gen.chart.index["v"]
-    buckets: Dict[Tuple[int, int], Dict[tuple, Fraction]] = {}
-    for exps, c in gen.terms.items():
+    unpack, pack = gen.chart.unpack, theta.pack
+    buckets: Dict[Tuple[int, int], Dict[int, int]] = {}
+    for key, c in gen.packed.items():
+        exps = unpack(key)
         i = l - exps[iu]
         j = l - exps[iv]
         if not (0 <= i <= l and 0 <= j <= l):
             raise ArithmeticError("generating function has stray u/v powers")
         rest = tuple(e for p, e in enumerate(exps) if p not in (iu, iv))
-        buckets.setdefault((i, j), {})[rest] = c
-    out = {}
-    for key, terms in buckets.items():
-        out[key] = Poly(theta, terms)
-    return out
+        buckets.setdefault((i, j), {})[pack(rest)] = c
+    return {key: Poly.from_packed(theta, nums, gen.den) for key, nums in buckets.items()}
 
 
 def g_theta(spec: RootSystemSpec) -> BilinearForm:

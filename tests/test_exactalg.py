@@ -3,15 +3,17 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weylfrob.exactalg import (Chart, ChartMismatch, NonExactDivision,
-                               NonUnitLaurentSubstitution, Poly, VarSpec, contract,
-                               monomials_of_weighted_degree, solve_linear,
-                               sum_products)
+from weylfrob.exactalg import (FIELD_BITS, Chart, ChartMismatch, ExponentOverflow,
+                               NonExactDivision, NonUnitLaurentSubstitution, Poly,
+                               VarSpec, contract, monomials_of_weighted_degree,
+                               solve_linear, sum_products)
 
 
 def simple_chart():
@@ -533,7 +535,7 @@ def reference_mul(p, q):
                     out[key] = s
                 else:
                     del out[key]
-    return Poly(p.chart, out, normalized=True)
+    return Poly(p.chart, out)
 
 
 def reference_term(x, y):
@@ -541,14 +543,83 @@ def reference_term(x, y):
     if isinstance(x, Poly):
         return reference_mul(x, y)
     x = Fraction(x)
-    return Poly(y.chart, {e: c * x for e, c in y.terms.items() if x}, normalized=True)
+    return Poly(y.chart, {e: c * x for e, c in y.terms.items() if x})
 
 
-def reference_sum_products(chart, pairs):
+def accumulated_products(chart, pairs):
     acc = Poly.const(chart, 0)
     for x, y in pairs:
         acc = acc + reference_term(x, y)
     return acc
+
+
+def reference_numerators(terms):
+    """The terms as (exponents, integer numerator) over their least common
+    denominator, and that denominator."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
+
+
+def reference_sum_products(chart, pairs):
+    """The tuple-keyed kernel: integer numerators over a common denominator,
+    exponent tuples added per term pair, one Fraction per output term."""
+    acc = {}
+    den = 1
+    for x, y in pairs:
+        if y.chart != chart or (isinstance(x, Poly) and x.chart != chart):
+            raise ChartMismatch("operand on another chart")
+        if isinstance(x, Poly):
+            if not x.terms or not y.terms:
+                continue
+            xn, dx = reference_numerators(x.terms)
+        else:
+            if not x or not y.terms:
+                continue
+            x = Fraction(x)
+            xn, dx = x.numerator, x.denominator
+        yn, dy = reference_numerators(y.terms)
+        d = dx * dy
+        if den % d:
+            grown = lcm(den, d)
+            for e in acc:
+                acc[e] *= grown // den
+            den = grown
+        scale = den // d
+        if isinstance(xn, int):
+            for e, b in yn:
+                acc[e] = acc.get(e, 0) + xn * scale * b
+            continue
+        for e1, a in xn:
+            for e2, b in yn:
+                key = tuple(map(add, e1, e2))
+                acc[key] = acc.get(key, 0) + a * scale * b
+    return Poly(chart, {e: Fraction(v, den) for e, v in acc.items() if v})
+
+
+def reference_add(p, q, sign=1):
+    """p + sign * q term by term in Fraction arithmetic."""
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        s = out.get(e, Fraction(0)) + sign * c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return Poly(p.chart, out)
+
+
+def reference_diff(p, name):
+    """The formal derivative on exponent tuples; E d/dE along the log coordinate."""
+    chart = p.chart
+    log = name == chart.log_coord
+    idx = chart.index[chart.exp_var if log else name]
+    out = {}
+    for exps, c in p.terms.items():
+        e = exps[idx]
+        if e:
+            key = exps if log else exps[:idx] + (e - 1,) + exps[idx + 1:]
+            out[key] = out.get(key, 0) + c * e
+    return Poly(chart, out)
 
 
 def reference_combine(row, parts):
@@ -565,7 +636,7 @@ def reference_exact_div(p, q):
     if q.is_zero():
         raise ZeroDivisionError("exact division by zero polynomial")
     if p.is_zero():
-        return Poly(p.chart, {}, normalized=True)
+        return Poly(p.chart, {})
     laurent = [v.laurent for v in p.chart.vars]
     if len(q.terms) == 1:
         (qe, qc), = q.terms.items()
@@ -575,7 +646,7 @@ def reference_exact_div(p, q):
             if any(x < 0 and not lau for x, lau in zip(key, laurent)):
                 raise NonExactDivision("negative exponent on a non-laurent variable")
             out[key] = c / qc
-        return Poly(p.chart, out, normalized=True)
+        return Poly(p.chart, out)
     n = p.chart.nvars
     shift_p = tuple(-min(e[i] for e in p.terms) for i in range(n))
     shift_q = tuple(-min(e[i] for e in q.terms) for i in range(n))
@@ -611,7 +682,7 @@ def reference_exact_div(p, q):
         if any(x < 0 and not lau for x, lau in zip(key, laurent)):
             raise NonExactDivision("negative exponent on a non-laurent variable")
         out[key] = c
-    return Poly(p.chart, out, normalized=True)
+    return Poly(p.chart, out)
 
 
 def reference_substitute(p, bindings, target):
@@ -666,7 +737,8 @@ TALL_B = Fraction(-7, 10 ** 22 + 9)
           (Fraction(1, 10 ** 22), Poly(KERNEL_CHART, {(0, 1, 0): TALL_B}))])
 def test_sum_products_matches_the_fraction_reference(pairs):
     got = sum_products(KERNEL_CHART, pairs)
-    assert got == reference_sum_products(KERNEL_CHART, pairs)
+    assert got == reference_sum_products(KERNEL_CHART, pairs) == \
+        accumulated_products(KERNEL_CHART, pairs)
     assert is_normalized(got)
 
 
@@ -756,6 +828,156 @@ def test_substitute_matches_the_fraction_reference(p, bx, cy, cz):
     chart = KERNEL_CHART
     bindings = {"x": bx, "y": cy * chart.var("y") ** 2, "z": cz * chart.var("z")}
     assert p.substitute(bindings, chart) == reference_substitute(p, bindings, chart)
+
+
+# ---------------------------------------------------------------------------
+# The packed representation: one canonical form, read-only terms, the field
+# bound
+# ---------------------------------------------------------------------------
+
+HALF = 1 << (FIELD_BITS - 1)
+LOG_CHART = Chart("kl", [VarSpec("x", Fraction(1)),
+                         VarSpec("E", Fraction(1, 2), laurent=True)],
+                  log_coord="s", exp_var="E")
+log_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-3, 3)), rationals,
+                            max_size=5).map(lambda terms: Poly(LOG_CHART, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_polys, laurent_polys)
+def test_add_and_sub_match_the_fraction_reference(p, q):
+    assert p + q == reference_add(p, q)
+    assert p - q == reference_add(p, q, -1)
+    assert is_normalized(p - q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_polys, log_polys)
+def test_diff_matches_the_fraction_reference(p, r):
+    for name in ("x", "y", "z"):
+        assert p.diff(name) == reference_diff(p, name)
+    for name in ("x", "s"):
+        assert r.diff(name) == reference_diff(r, name)
+
+
+def needs_log(p, i):
+    """Whether some term of p has no antiderivative along coordinate i."""
+    chart = p.chart
+    name = chart.coords[i]
+    if name == chart.log_coord:
+        return any(e[chart.index[chart.exp_var]] == 0 for e in p.terms)
+    return any(e[chart.index[name]] == -1 for e in p.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_polys | log_polys)
+def test_integral_and_grading_against_their_definitions(p):
+    for i in range(p.chart.dim):
+        if needs_log(p, i):
+            with pytest.raises(NonExactDivision):
+                p.coord_integral(i)
+        else:
+            assert p.coord_integral(i).coord_diff(i) == p
+    weight = p.chart.one().term_weight
+    scaled, flat = p.graded()
+    assert scaled == Poly(p.chart, {e: c * weight(e) for e, c in p.terms.items()})
+    assert flat == Poly(p.chart, {e: c for e, c in p.terms.items() if not weight(e)})
+    inverse, flat_again = p.graded(-1)
+    assert flat_again == flat and inverse.graded()[0] == p - flat
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_polys, laurent_polys, small_rationals.filter(bool))
+def test_equal_polynomials_share_packed_form_and_hash(p, q, c):
+    chart = KERNEL_CHART
+    routes = [(p + q) - q, Poly(chart, dict(p.terms)), -(-p), (p * c) * (1 / c),
+              sum_products(chart, [(1, p)]), p.substitute({}, chart),
+              reference_sum_products(chart, [(1, p), (q, p), (-q, p)])]
+    for r in routes:
+        assert r == p and hash(r) == hash(p)
+        assert (dict(r.packed), r.den) == (dict(p.packed), p.den)
+    assert (p == q) == (dict(p.terms) == dict(q.terms))
+
+
+def test_term_maps_are_read_only():
+    c = KERNEL_CHART
+    p = 3 * c.var("x") * c.var("y") ** -2 + Fraction(1, 2)
+    expected = {(1, -2, 0): Fraction(3), (0, 0, 0): Fraction(1, 2)}
+    with pytest.raises(TypeError):
+        p.terms[(1, -2, 0)] = Fraction(5)
+    with pytest.raises(TypeError):
+        p.terms[(0, 1, 0)] = Fraction(5)
+    with pytest.raises(TypeError):
+        del p.terms[(0, 0, 0)]
+    with pytest.raises(TypeError):
+        p.packed[next(iter(p.packed))] = 7
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    assert dict(p.terms) == expected
+
+
+def test_exponents_at_the_field_bound_raise():
+    c = KERNEL_CHART
+    top = HALF - 1
+    x, y = c.var("x"), c.var("y")
+    x_top = Poly(c, {(top, 0, 0): 1})
+    y_low = Poly(c, {(0, -top, 0): 1})
+    assert dict(x_top.terms) == {(top, 0, 0): 1}
+    assert y_low.unit_inverse() == Poly(c, {(0, top, 0): 1})
+    assert Poly(c, {(top - 1, 0, 0): 2}) * x == 2 * x_top
+    # an exponent, or the total degree, out of range
+    for exps in [(HALF, 0, 0), (0, -HALF, 0), (HALF // 2, HALF // 2, 0),
+                 (0, -HALF // 2, -HALF // 2)]:
+        with pytest.raises(ExponentOverflow):
+            Poly(c, {exps: 1})
+    with pytest.raises(ValueError):  # one exponent per chart variable
+        Poly(c, {(1, 2): 1})
+    with pytest.raises(ExponentOverflow):
+        x_top * x
+    with pytest.raises(ExponentOverflow):
+        sum_products(c, [(2, x), (x_top, x_top)])
+    with pytest.raises(ExponentOverflow):
+        Poly(c, {(HALF // 2, 0, 0): 1}) * Poly(c, {(0, HALF // 2, 0): 1})
+    with pytest.raises(ExponentOverflow):
+        y_low.diff("y")
+    with pytest.raises(ExponentOverflow):
+        (x_top * y ** -1) * y
+    # a bound loosened by cancellation is made exact before raising
+    x_below = Poly(c, {(top - 1, 0, 0): 1})
+    shrunk = (x_top + y) - x_top
+    assert shrunk == y and shrunk * x_below == Poly(c, {(top - 1, 1, 0): 1})
+
+
+def largest(p):
+    """The largest |exponent| or |total degree| over the terms of p."""
+    return max((max(abs(sum(e)), *map(abs, e)) for e in p.terms), default=0)
+
+
+near_bound = st.integers(-3, 3) | st.integers(HALF - 4, HALF - 1) | \
+    st.integers(-HALF + 1, -HALF + 4)
+near_bound_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3) | st.integers(HALF - 4, HALF - 1), near_bound,
+              st.integers(-3, 3)), small_rationals, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_bound_polys, near_bound_polys)
+def test_products_near_the_field_bound_raise_or_are_exact(pt, qt):
+    try:
+        p, q = Poly(KERNEL_CHART, pt), Poly(KERNEL_CHART, qt)
+    except ExponentOverflow:
+        assume(False)
+    expected = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(map(add, e1, e2))
+            expected[key] = expected.get(key, 0) + c1 * c2
+    try:
+        got = p * q
+    except ExponentOverflow:
+        assert largest(p) + largest(q) >= HALF
+    else:
+        assert dict(got.terms) == {e: v for e, v in expected.items() if v}
 
 
 # ---------------------------------------------------------------------------

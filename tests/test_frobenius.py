@@ -382,6 +382,35 @@ def test_wdvv_computes_each_pairing_once(monkeypatch):
     assert calls[0] > bound
 
 
+def test_wdvv_builds_no_fraction(monkeypatch):
+    """verify_wdvv compares the pairings as integer numerators over one
+    denominator: on C4k2 and C5k1 it passes and creates no Fraction, and on
+    the `wdvv` corruption of the CLI mutation suite (C3k1 with the
+    coefficient of t3^8 in F raised by 1) it fails, again with none."""
+    structs = [build_structure(RootSystemSpec("C", l, k)) for l, k in ((4, 2), (5, 1))]
+    c3 = build_structure(RootSystemSpec("C", 3, 1))
+    potential = c3.potential
+    bump = Poly.monomial(potential.chart, {"t3": 8})
+    assert next(iter(bump.packed)) in potential.poly.packed
+    bad = replace(c3, potential=replace(potential, poly=potential.poly + bump))
+    made = [0]
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert Fraction(1, 2) and made[0] == 1  # the patch sees every Fraction
+    made[0] = 0
+    results = [verify_wdvv(s) for s in structs]
+    failures = verify_wdvv(bad)
+    monkeypatch.undo()
+    assert made[0] == 0
+    assert results == [[], []]
+    assert failures
+
+
 def test_wdvv_negative_control():
     struct = build_structure(RootSystemSpec("C", 3, 1))
     tc = struct.potential.chart
