@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .exactalg import (Chart, Matrix, NonExactDivision, NonUnitLaurentSubstitution,
-                       Poly, Rational, contract, sum_products)
+                       Poly, Rational, contract, mat_det, sum_products)
 from .flatcoords import FlatChartData, covariant_form, flat_pipeline
 from .metrics import BilinearForm, FlatPencil, build_pencil, transform_form
 from .orbitspace import compute_g_direct
@@ -47,6 +48,10 @@ class ShapeMismatch(ArithmeticError):
 
 class OracleMismatch(ArithmeticError):
     """The metric disagrees with its first-principles pairings."""
+
+
+class NoCyclicDirection(ArithmeticError):
+    """No direction x certifies C_x cyclic, so WDVV cannot be proved through one."""
 
 
 @dataclass(frozen=True)
@@ -138,12 +143,14 @@ def third_derivatives_from_metric(spec: RootSystemSpec, g_t: BilinearForm,
 
 def _tagged_derivatives(f2: List[List[Poly]], kpos: int) -> List[List[List[Poly]]]:
     """F_{abc} = d_c F_{ab}, plus the derivative 1 of the t^{l+1} tag that
-    F_{kk} carries (kpos = k - 1) at (k, k, l+1)."""
+    F_{kk} carries (kpos = k - 1) at (k, k, l+1), taken once at a <= b <= c
+    and shared by the permutations (each slot in a list of its own)."""
     dim = len(f2)
-    f3 = [[[f2[a][b].coord_diff(c) for c in range(dim)] for b in range(dim)]
-          for a in range(dim)]
-    f3[kpos][kpos][dim - 1] = f3[kpos][kpos][dim - 1] + 1
-    return f3
+    once = {(a, b, c): f2[a][b].coord_diff(c)
+            for a in range(dim) for b in range(a, dim) for c in range(b, dim)}
+    once[kpos, kpos, dim - 1] = once[kpos, kpos, dim - 1] + 1
+    return [[[once[tuple(sorted((a, b, c)))] for c in range(dim)] for b in range(dim)]
+            for a in range(dim)]
 
 
 def integrate_potential(spec: RootSystemSpec, f3: List[List[List[Poly]]],
@@ -244,11 +251,8 @@ def third_derivatives(potential: PotentialF) -> List[List[List[Poly]]]:
 
 
 def raised_hessian(potential: PotentialF, eta_up: List[List[Rational]]):
-    """F^{ij} = eta^{ii'} eta^{jj'} F_{i'j'}; returns (poly part, tag flag).
-
-    The explicit-t^{l+1} tag of F_{kk} raises to the (l+1, l+1) slot with
-    coefficient 1 (eta^{l+1,k} = 1).
-    """
+    """F^{ij} = eta^{ii'} eta^{jj'} F_{i'j'} without the t^{l+1} tag of
+    F_{kk}, which raises to 1 * t^{l+1} at (l+1, l+1) (eta^{l+1,k} = 1)."""
     f2 = second_derivatives(potential)
     return contract(eta_up, contract(eta_up, f2, 0), 1)
 
@@ -261,59 +265,77 @@ def verify_wdvv(struct: FrobeniusStructure) -> List[Tuple[Tuple[int, int, int, i
     """The WDVV residuals that do not vanish; an empty list means the system
     holds identically.
 
-    The residual is A_{ijpq} = B(ij;pq) - B(pj;iq), with
-    B(ab;cd) = F_{ab lam} eta^{lam mu} F_{mu cd}.  F_{abc} are third
-    derivatives of one potential, so totally symmetric, and eta^{..} must be
-    symmetric (SymmetryViolation otherwise).  Then B depends only on the
-    multiset {a, b, c, d} and on its split into two pairs, and WDVV holds
-    exactly when, for every multiset a <= b <= c <= d, its (up to three)
-    pairings ab|cd, ac|bd, ad|bc give the same B.  Each multiset's pairings
-    are computed once, compared exactly and dropped; no table of B is kept.
-    One entry ((i, j, p, q), A_{ijpq}), 1-based, is reported per pairing that
-    differs from ab|cd: (b, a, c, d) for ac|bd and (b, a, d, c) for ad|bc.
+    A_{ijpq} = B(ij;pq) - B(pj;iq), B(ab;cd) = F_{ab lam} eta^{lam mu} F_{mu cd}
+    (eta^{..} must be symmetric: SymmetryViolation).  WDVV says the C_a,
+    (C_a)^mu_nu = eta^{mu lam} F_{lam a nu}, commute (Dubrovin, LNM 1620,
+    Lecture 1); what commutes with a cyclic C_x is a polynomial in it (Horn &
+    Johnson, Matrix Analysis, Thm 3.2.4.2).  So through the lightest x != k
+    (fewest terms in F_{x..}) that ``_krylov_certifies``, each distinct
+    pairing xb|cd, xc|bd, xd|bc of each multiset {x, b, c, d}, b <= c <= d,
+    is computed once; one that differs from xb|cd is reported, 1-based, as
+    ((b, x, c, d), A_bxcd) or ((b, x, d, c), A_bxdc); with none certified,
+    the nonzero residuals through the lightest x, or else NoCyclicDirection.
     """
-    potential = struct.potential
     eta_up = struct.eta_up
-    f3 = third_derivatives(potential)
+    f3 = third_derivatives(struct.potential)
     dim = len(f3)
     for i in range(dim):
         for j in range(i):
             if eta_up[i][j] != eta_up[j][i]:
                 raise SymmetryViolation(f"eta^({i + 1},{j + 1}) != eta^({j + 1},{i + 1})")
-    chart = potential.chart
-    kpos, last = potential.vertex - 1, dim - 1
-    # h_{ab}^mu = eta^{mu lam} F_{ab lam} = d_a d_b (eta^{mu lam} d_lam F):
-    # raising the gradient costs one scalar product per nonzero eta entry,
-    # not one per nonzero F_{ab lam}.  The head's third derivatives (1 at the
-    # permutations of (k, k, l+1)) are constants added afterwards.
-    raised = contract(eta_up, [potential.poly.coord_diff(lam) for lam in range(dim)], 0)
+    kpos = struct.potential.vertex - 1
+    directions = sorted((x for x in range(dim) if x != kpos),
+                        key=lambda x: sum(len(p.packed) for row in f3[x] for p in row))
+    for x in directions:  # row b of h_{xb}^mu = eta^{mu lam} F_{xb lam} is C_x e_b
+        if _krylov_certifies(contract(eta_up, f3[x], 1), kpos):
+            return _residuals_through(f3, eta_up, x)
+    failures = _residuals_through(f3, eta_up, directions[0])
+    if failures:
+        return failures
+    raise NoCyclicDirection("no certificate: no x != k makes C_x cyclic at the test point")
 
-    def pairing(ha: Dict[int, List[Poly]], b: int, c: int, d: int) -> Poly:
-        """B(ab;cd), given the row ha[b] = h_{ab}^."""
-        return sum_products(chart, [(hm, f3[mu][c][d]) for mu, hm in enumerate(ha[b])])
+
+def _krylov_certifies(h: Matrix, kpos: int) -> bool:
+    """Whether det[e_k, C e_k, ..., C^{n-1} e_k], C e_b = h[b], is nonzero at
+    the point with the Laurent variables at 1 and the others at 2, 3, 5, ...
+    in chart order, so a nonzero rational function with e_k a cyclic vector
+    of C.  C is read in integers: a constant's one numerator over their lcm."""
+    point_chart = Chart("point", [])
+    primes = (p for p in count(2) if all(p % q for q in range(2, p)))
+    point = {var.name: Poly.const(point_chart, 1 if var.laurent else next(primes))
+             for var in h[0][0].chart.vars}
+    at = [[e.substitute(point, point_chart) for e in row] for row in h]
+    den = lcm(1, *[v.den for row in at for v in row])
+    cols = [[sum(v.packed.values()) * (den // v.den) for v in row] for row in at]
+    krylov = [[int(i == kpos) for i in range(len(h))]]
+    for _ in range(len(h) - 1):
+        krylov.append([sum(a * c for a, c in zip(r, krylov[-1])) for r in zip(*cols)])
+    return not mat_det([[Poly.const(point_chart, c) for c in row] for row in krylov]).is_zero()
+
+
+def _residuals_through(f3: List[List[List[Poly]]], eta_up: List[List[Rational]],
+                       x: int) -> List[Tuple[Tuple[int, int, int, int], Poly]]:
+    """The nonzero A_{ijpq} of the multisets {x, b, c, d}, b <= c <= d (see
+    ``verify_wdvv``), through h_{xb}^mu = eta^{mu lam} F_{xb lam}; F_{abc}
+    holds the head's constant 1 at every permutation of (k, k, l+1)."""
+    dim = len(f3)
+    chart = f3[0][0][0].chart
+    h = contract(eta_up, f3[x], 1)
+
+    def pairing(b: int, c: int, d: int) -> Poly:  # B(xb;cd)
+        return sum_products(chart, [(hm, f3[mu][c][d]) for mu, hm in enumerate(h[b])])
 
     failures = []
-    for a in range(dim):
-        # a, the least index of the multiset, lies in the first pair of every
-        # pairing, so only the row h_{a.} is live
-        da = [v.coord_diff(a) for v in raised]
-        ha = {b: [v.coord_diff(b) for v in da] for b in range(a, dim)}
-        if a == kpos:
-            for b, lam in ((kpos, last), (last, kpos)):
-                ha[b] = [e + eta_up[mu][lam] for mu, e in enumerate(ha[b])]
-        for b in range(a, dim):
-            for c in range(b, dim):
-                for d in range(c, dim):
-                    first = pairing(ha, b, c, d)
-                    # ac|bd is ab|cd when b = c; ad|bc is ac|bd when a = b
-                    # or c = d (and ab|cd when a = b = c or b = c = d)
-                    splits = []
-                    if b != c:
-                        splits.append(((b, a, c, d), c, b, d))
-                    if a != b and c != d:
-                        splits.append(((b, a, d, c), d, b, c))
-                    for (i, j, p, q), y, z, w in splits:
-                        other = pairing(ha, y, z, w)
+    for b in range(dim):
+        for c in range(b, dim):
+            for d in range(c, dim):
+                first = pairing(b, c, d)
+                # xc|bd is xb|cd when b = c or x = d; xd|bc is xc|bd when
+                # c = d or x = b, and xb|cd when b = d or x = c
+                for (i, j, p, q), distinct in (((b, x, c, d), b != c and x != d),
+                                               ((b, x, d, c), c != d and x not in (b, c))):
+                    if distinct:
+                        other = pairing(p, i, q)  # B(xp;iq) = B(pj;iq)
                         if other != first:
                             failures.append(((i + 1, j + 1, p + 1, q + 1), first - other))
     return failures

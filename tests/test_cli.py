@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylfrob import cli
+from weylfrob import cli, frobenius
 from weylfrob.exactalg import Poly
 from weylfrob.fixtures import C3K1, Fixture
 from weylfrob.frobenius import (build_structure, integrate_potential,
@@ -334,6 +334,19 @@ def test_oracle_names_the_entry_with_a_laurent_term():
     bad = _laurent_pencil_g(build_structure(RootSystemSpec("C", 3, 1)))
     assert cli.run_check("oracle", bad, 3)["detail"] == (
         "C3k1: g[1][1] differs from the first-principles pairing")
+
+
+def test_wdvv_without_a_certificate_is_a_failed_check(monkeypatch, capsys):
+    """No direction certifies and the residuals vanish: the check fails with
+    a detail that names the missing certificate, and `verify` exits 1."""
+    monkeypatch.setattr(frobenius, "_krylov_certifies", lambda h, kpos: False)
+    result = cli.run_check("wdvv", build_structure(RootSystemSpec("C", 3, 1)), 3)
+    assert result["passed"] is False
+    assert "no certificate" in result["detail"]
+    assert run(["verify", "--family", "C", "--rank", "3", "--vertex", "1",
+                "--checks", "wdvv"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == [result]
 
 
 def test_mutation_suite_covers_every_check():

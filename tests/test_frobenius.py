@@ -8,12 +8,12 @@ import pytest
 
 from weylfrob import exactalg, frobenius
 from weylfrob.cli import compare_fixture
-from weylfrob.exactalg import Poly, contract
+from weylfrob.exactalg import Chart, Poly, VarSpec, contract, sum_products
 from weylfrob.fixtures import FIXTURES
 from weylfrob.flatcoords import flat_pipeline
 from weylfrob.frobenius import (Inconsistent, PotentialF, ShapeMismatch,
                                 build_structure, integrate_potential, oracle_check,
-                                raised_hessian, third_derivatives,
+                                raised_hessian, second_derivatives, third_derivatives,
                                 third_derivatives_from_metric, verify_euler_unity,
                                 verify_intersection, verify_wdvv)
 from weylfrob.metrics import BilinearForm, build_pencil, transform_christoffel
@@ -59,23 +59,80 @@ def reference_wdvv(struct):
     return failures
 
 
-def _pairing_slots(f3, h):
-    """The (multiset, pairing, mu) slots that need a product: over 4-index
-    multisets a <= b <= c <= d, their distinct splits xy|zw into two pairs
-    (x = a), and the mu with h_{xy}^mu and F_{mu zw} both nonzero."""
+def reference_wdvv_pairings(struct):
+    """WDVV over every 4-index multiset a <= b <= c <= d: its (up to three)
+    pairings ab|cd, ac|bd, ad|bc computed once each and compared exactly;
+    one entry ((i, j, p, q), A_{ijpq}), 1-based, per pairing that differs
+    from ab|cd: (b, a, c, d) for ac|bd and (b, a, d, c) for ad|bc."""
+    potential = struct.potential
+    eta_up = struct.eta_up
+    f3 = third_derivatives(potential)
     dim = len(f3)
-    total = 0
+    chart = potential.chart
+    kpos, last = potential.vertex - 1, dim - 1
+    # h_{ab}^mu = d_a d_b (eta^{mu lam} d_lam F), plus the head's constant
+    # third derivatives at the permutations of (k, k, l+1)
+    raised = contract(eta_up, [potential.poly.coord_diff(lam) for lam in range(dim)], 0)
+
+    def pairing(ha, b, c, d):
+        return sum_products(chart, [(hm, f3[mu][c][d]) for mu, hm in enumerate(ha[b])])
+
+    failures = []
     for a in range(dim):
+        # a, the least index of the multiset, lies in the first pair of
+        # every pairing, so only the row h_{a.} is live
+        da = [v.coord_diff(a) for v in raised]
+        ha = {b: [v.coord_diff(b) for v in da] for b in range(a, dim)}
+        if a == kpos:
+            for b, lam in ((kpos, last), (last, kpos)):
+                ha[b] = [e + eta_up[mu][lam] for mu, e in enumerate(ha[b])]
         for b in range(a, dim):
             for c in range(b, dim):
                 for d in range(c, dim):
-                    splits = {frozenset([(a, b), (c, d)]): (a, b, c, d),
-                              frozenset([(a, c), (b, d)]): (a, c, b, d),
-                              frozenset([(a, d), (b, c)]): (a, d, b, c)}
-                    for (x, y, z, w) in splits.values():
-                        total += sum(1 for mu in range(dim) if not h[x][y][mu].is_zero()
-                                     and not f3[mu][z][w].is_zero())
+                    first = pairing(ha, b, c, d)
+                    splits = []
+                    if b != c:
+                        splits.append(((b, a, c, d), c, b, d))
+                    if a != b and c != d:
+                        splits.append(((b, a, d, c), d, b, c))
+                    for (i, j, p, q), y, z, w in splits:
+                        other = pairing(ha, y, z, w)
+                        if other != first:
+                            failures.append(((i + 1, j + 1, p + 1, q + 1), first - other))
+    return failures
+
+
+def _rows_through(struct, f3, x):
+    """h_{xb}^mu = eta^{mu lam} F_{xb lam}, indexed [b][mu]."""
+    return contract(struct.eta_up, f3[x], 1)
+
+
+def _pairing_slots(f3, h, x):
+    """The (multiset, pairing, mu) slots that need a product: over the
+    multisets {x, b, c, d} with b <= c <= d, their distinct splits xy|zw into
+    two pairs, and the mu with h_{xy}^mu and F_{mu zw} both nonzero."""
+    dim = len(f3)
+    total = 0
+    for b in range(dim):
+        for c in range(b, dim):
+            for d in range(c, dim):
+                splits = {}
+                for y, z, w in ((b, c, d), (c, b, d), (d, b, c)):
+                    key = frozenset([tuple(sorted((x, y))), tuple(sorted((z, w)))])
+                    splits.setdefault(key, (y, z, w))
+                for (y, z, w) in splits.values():
+                    total += sum(1 for mu in range(dim) if not h[y][mu].is_zero()
+                                 and not f3[mu][z][w].is_zero())
     return total
+
+
+def reference_tagged_derivatives(f2, kpos):
+    """F_{abc} = d_c F_{ab} at every (a, b, c), plus the tag's 1 at (k, k, l+1)."""
+    dim = len(f2)
+    f3 = [[[f2[a][b].coord_diff(c) for c in range(dim)] for b in range(dim)]
+          for a in range(dim)]
+    f3[kpos][kpos][dim - 1] = f3[kpos][kpos][dim - 1] + 1
+    return f3
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +246,21 @@ def test_integrate_potential_inverts_third_derivatives(l, k):
     assert integrate_potential(spec, f3, struct.eta_cov).poly == struct.potential.poly
     # the build's F_{abc}, taken from g_t, are those of the potential
     assert third_derivatives_from_metric(spec, struct.g_t, struct.eta_cov) == f3
+
+
+@pytest.mark.parametrize("l,k", ALL_RANK5)
+def test_tagged_derivatives_match_the_dense_reference(l, k):
+    """Each F_{abc} is differentiated once, at a <= b <= c, and shared by its
+    permutations; the tensor equals the one differentiated at every slot."""
+    potential = build_structure(RootSystemSpec("C", l, k)).potential
+    f2 = second_derivatives(potential)
+    f3 = third_derivatives(potential)
+    assert f3 == reference_tagged_derivatives(f2, k - 1)
+    dim = l + 1
+    assert all(f3[a][b][c] is f3[c][a][b] is f3[b][c][a]
+               for a in range(dim) for b in range(dim) for c in range(dim))
+    rows = [row for plane in f3 for row in plane]
+    assert len({id(row) for row in rows}) == dim * dim
 
 
 def _count_solves(monkeypatch):
@@ -324,29 +396,102 @@ def test_integrate_potential_rejects_log_antiderivatives(triple, mono):
 def test_wdvv_residuals_vanish(l, k):
     struct = build_structure(RootSystemSpec("C", l, k))
     assert verify_wdvv(struct) == []
+    assert reference_wdvv_pairings(struct) == []
     assert reference_wdvv(struct) == []
+
+
+@pytest.mark.parametrize("l,k", ALL_RANK5)
+def test_wdvv_residuals_vanish_on_b(l, k):
+    struct = build_structure(RootSystemSpec("B", l, k))
+    assert verify_wdvv(struct) == []
+    assert reference_wdvv_pairings(struct) == []
 
 
 # one monomial added to F breaks WDVV; the reported residuals must be exact
 WDVV_CORRUPTIONS = [((l, k), mono) for (l, k) in [(3, 1), (4, 2)]
                     for mono in [{"t3": 8}, {"t2": 2, "t3": 2},
                                  {"t1": 1, "t2": 1, "t3": 1}, {"t1": 3}]]
+WDVV_CORRUPTIONS.append(((5, 3), {"t4": 4, "t5": 2}))
+
+
+def _corrupted(lk, mono):
+    struct = build_structure(RootSystemSpec("C", *lk))
+    potential = struct.potential
+    return replace(struct, potential=replace(
+        potential, poly=potential.poly + Poly.monomial(potential.chart, mono)))
 
 
 @pytest.mark.parametrize("lk,mono", WDVV_CORRUPTIONS,
                          ids=[f"C{l}k{k}-{'.'.join(f'{v}^{e}' for v, e in m.items())}"
                               for (l, k), m in WDVV_CORRUPTIONS])
 def test_wdvv_corrupted_potential_reports_exact_residuals(lk, mono):
-    struct = build_structure(RootSystemSpec("C", *lk))
-    potential = struct.potential
-    bad = replace(struct, potential=replace(
-        potential, poly=potential.poly + Poly.monomial(potential.chart, mono)))
+    """The corruption fails verify_wdvv, the full pairing loop, and the
+    comparison through every direction x != k; each residual reported is
+    the exact A_{ijpq}."""
+    bad = _corrupted(lk, mono)
     failures = verify_wdvv(bad)
-    assert failures and reference_wdvv(bad)
+    assert failures and reference_wdvv(bad) and reference_wdvv_pairings(bad)
     f3, h = _wdvv_tensors(bad)
-    for (i, j, p, q), residual in failures:
-        assert not residual.is_zero()
-        assert residual == _wdvv_residual(bad, f3, h, i - 1, j - 1, p - 1, q - 1)
+    through = [frobenius._residuals_through(f3, bad.eta_up, x)
+               for x in range(len(f3)) if x != lk[1] - 1]
+    for reported in [failures] + through:
+        assert reported
+        for (i, j, p, q), residual in reported:
+            assert not residual.is_zero()
+            assert residual == _wdvv_residual(bad, f3, h, i - 1, j - 1, p - 1, q - 1)
+
+
+def test_wdvv_reports_residuals_without_a_certificate(monkeypatch):
+    """With no direction certified, nonzero residuals are still reported;
+    vanishing ones raise NoCyclicDirection rather than pass."""
+    bad = _corrupted((3, 1), {"t3": 8})
+    expected = verify_wdvv(bad)
+    monkeypatch.setattr(frobenius, "_krylov_certifies", lambda h, kpos: False)
+    assert verify_wdvv(bad) == expected != []
+    with pytest.raises(frobenius.NoCyclicDirection, match="no certificate"):
+        verify_wdvv(build_structure(RootSystemSpec("C", 3, 1)))
+
+
+def _constant_rows(chart, mat):
+    """C e_b = column b of ``mat``, as the rows h[b] of the certificate."""
+    return [[Poly.const(chart, mat[mu][b]) for mu in range(len(mat))]
+            for b in range(len(mat))]
+
+
+def test_krylov_certificate_rejects_derogatory_matrices():
+    """A derogatory C has no cyclic vector, so the certificate must fail on
+    it; a companion matrix is cyclic from its first basis vector."""
+    chart = Chart("c", [VarSpec("u", Fraction(1)), VarSpec("v", Fraction(1), laurent=True)])
+    u, v = Poly.variable(chart, "u"), Poly.variable(chart, "v")
+    certifies = frobenius._krylov_certifies
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert not certifies(_constant_rows(chart, identity), 0)
+    assert not certifies(_constant_rows(chart, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]), 0)
+    companion = [[0, 0, 7], [1, 0, -3], [0, 1, 2]]
+    assert certifies(_constant_rows(chart, companion), 0)
+    # the companion matrix of x^3 - v x - u: cyclic from e_1 at every point
+    zero, one = Poly.const(chart, 0), Poly.const(chart, 1)
+    assert certifies([[zero, one, zero], [zero, zero, one], [u, v, zero]], 0)
+    # diag(u, u, v^-1) is derogatory at every point
+    assert not certifies([[u, zero, zero], [zero, u, zero],
+                          [zero, zero, v.unit_inverse()]], 0)
+    # from e_3 the companion's Krylov space is all of it only if u != 0;
+    # at the point (u, v) = (2, 1) it is
+    assert certifies([[zero, one, zero], [zero, zero, one], [u, v, zero]], 2)
+
+
+def test_every_spec_certifies_a_direction():
+    """The guard behind verify_wdvv's one-direction proof: some x != k has a
+    nonzero Krylov determinant on every C spec up to rank 8 and every B spec
+    up to rank 5."""
+    specs = [RootSystemSpec("C", l, k) for l in range(1, 9) for k in range(1, l + 1)]
+    specs += [RootSystemSpec("B", l, k) for l, k in ALL_RANK5]
+    for spec in specs:
+        struct = build_structure(spec)
+        f3 = third_derivatives(struct.potential)
+        kpos = spec.vertex - 1
+        assert any(frobenius._krylov_certifies(_rows_through(struct, f3, x), kpos)
+                   for x in range(len(f3)) if x != kpos), spec.label()
 
 
 def test_wdvv_rejects_nonsymmetric_eta():
@@ -358,23 +503,42 @@ def test_wdvv_rejects_nonsymmetric_eta():
 
 
 def test_wdvv_computes_each_pairing_once(monkeypatch):
-    """At most one Poly-by-Poly product per (multiset, pairing, mu) slot,
-    counted as the nonzero Poly x Poly pairs that reach the product kernel."""
+    """At most one Poly-by-Poly product per (multiset, pairing, mu) slot of
+    the multisets that hold the certified direction x (the lightest),
+    counted as the nonzero Poly x Poly pairs that reach the product kernel on
+    the flat chart (the certificate's products are on the point chart)."""
     struct = build_structure(RootSystemSpec("C", 5, 3))
-    bound = _pairing_slots(*_wdvv_tensors(struct))
+    chart = struct.potential.chart
     calls = [0]
+    chosen = []
     kernel = exactalg.sum_products
+    through = frobenius._residuals_through
 
-    def counting_kernel(chart, pairs):
+    def counting_kernel(chart_of, pairs):
         pairs = list(pairs)
-        calls[0] += sum(1 for x, y in pairs if isinstance(x, Poly)
-                        and not x.is_zero() and not y.is_zero())
-        return kernel(chart, pairs)
+        if chart_of is chart:
+            calls[0] += sum(1 for x, y in pairs if isinstance(x, Poly)
+                            and not x.is_zero() and not y.is_zero())
+        return kernel(chart_of, pairs)
+
+    def recording_through(f3, eta_up, x):
+        chosen.append(x)
+        return through(f3, eta_up, x)
 
     # Poly.__mul__ looks the kernel up in exactalg, verify_wdvv in frobenius
     monkeypatch.setattr(exactalg, "sum_products", counting_kernel)
     monkeypatch.setattr(frobenius, "sum_products", counting_kernel)
+    monkeypatch.setattr(frobenius, "_residuals_through", recording_through)
     assert verify_wdvv(struct) == []
+    (x,) = chosen
+    f3 = third_derivatives(struct.potential)
+
+    def terms(y):
+        return sum(len(p.packed) for row in f3[y] for p in row)
+
+    # the lightest direction certifies here, and it is the one used
+    assert terms(x) == min(terms(y) for y in range(len(f3)) if y != 2)
+    bound = _pairing_slots(f3, _rows_through(struct, f3, x), x)
     assert 0 < calls[0] <= bound
     # the per-residual reference recomputes pairings and exceeds the bound
     calls[0] = 0
