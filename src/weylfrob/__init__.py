@@ -15,13 +15,12 @@ from .frobenius import (EulerField, FrobeniusStructure, Inconsistent, NoCyclicDi
                         build_structure, oracle_check, verify_euler_unity,
                         verify_intersection, verify_wdvv)
 from .metrics import BilinearForm, ChristoffelContra, FlatPencil, build_pencil
-from .rootdata import (DegreeData, ExtendedMetric, InvalidSpec, RootSystemSpec,
-                       build, dual_index)
+from .rootdata import ExtendedMetric, InvalidSpec, RootSystemSpec, build, dual_index
 
 __all__ = [
     "Chart", "ChartMismatch", "ExponentOverflow", "LinearSolveResult", "NonExactDivision",
     "NonUnitLaurentSubstitution", "Poly", "Rational", "VarSpec",
-    "solve_linear", "DegreeData", "ExtendedMetric", "InvalidSpec",
+    "solve_linear", "ExtendedMetric", "InvalidSpec",
     "RootSystemSpec", "build", "dual_index", "BilinearForm", "ChristoffelContra",
     "FlatPencil", "build_pencil", "EulerField", "FrobeniusStructure", "PotentialF",
     "build_structure", "oracle_check", "verify_euler_unity", "verify_intersection",

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 from .exactalg import Poly, contract, unit_det
 from .fixtures import FIXTURES, Fixture, terms_to_poly
 from .flatcoords import _expected_pattern
-from .frobenius import (ORACLE_MAX_RANK, FrobeniusStructure, build_structure,
+from .frobenius import (ORACLE_AGREES, FrobeniusStructure, build_structure,
                         oracle_check, verify_euler_unity, verify_intersection,
                         verify_wdvv)
 from .metrics import (det_eta_check, eta_closed_form_check, eta_from_g,
@@ -28,6 +28,9 @@ from .serialize import document_json, structure_document, structure_latex
 
 CHECK_NAMES = ["pencil", "eta-form", "det", "wdvv", "euler", "intersection",
                "duality", "oracle"]
+
+# the largest rank at which the first-principles oracle runs
+ORACLE_MAX_RANK = 3
 
 
 def run_check(name: str, struct: FrobeniusStructure, oracle_max_rank: int) -> Dict:
@@ -116,8 +119,8 @@ def run_check(name: str, struct: FrobeniusStructure, oracle_max_rank: int) -> Di
             if spec.rank > oracle_max_rank:
                 return _result(name, True,
                                f"skipped (rank {spec.rank} > bound {oracle_max_rank})")
-            oracle_check(struct, oracle_max_rank)
-            return _result(name, True, "first-principles metric agrees")
+            oracle_check(struct)
+            return _result(name, True, ORACLE_AGREES)
         raise ValueError(f"unknown check {name!r}")
     except (ArithmeticError, ValueError) as exc:
         return _result(name, False, str(exc))
@@ -171,16 +174,12 @@ def compare_fixture(struct: FrobeniusStructure, fixture: Fixture) -> List[str]:
             problems.append(f"h_{j}: got {got!r}, expected {expected!r}")
 
     expected_f = terms_to_poly(t_chart, fixture.potential_terms)
-    if struct.potential.poly != expected_f:
-        flipped = _flip_sign_map(struct)
-        if flipped == expected_f:
-            problems.append("note: potential matches after the s -> -s re-match")
-        else:
-            diff = struct.potential.poly - expected_f
-            for exps, coeff in diff.sorted_terms():
-                problems.append(
-                    f"potential term {diff.exponents_as_dict(exps)}: "
-                    f"constructed - expected = {coeff}")
+    if struct.potential.poly != expected_f and _flip_sign_map(struct) != expected_f:
+        diff = struct.potential.poly - expected_f
+        for exps, coeff in diff.sorted_terms():
+            problems.append(
+                f"potential term {diff.exponents_as_dict(exps)}: "
+                f"constructed - expected = {coeff}")
 
     dt = [Fraction(x) for x in fixture.euler_dtilde]
     if list(struct.euler.dtilde) != dt:
@@ -194,7 +193,7 @@ def compare_fixture(struct: FrobeniusStructure, fixture: Fixture) -> List[str]:
         if struct.g_t.mat[i - 1][j - 1] != expected:
             problems.append(f"g^{i}{j}: got {struct.g_t.mat[i - 1][j - 1]!r}, "
                             f"expected {expected!r}")
-    return [p for p in problems if not p.startswith("note:")]
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +229,11 @@ def _main(argv: Optional[List[str]]) -> int:
     _add_spec_args(p_con)
     p_con.add_argument("--out", default=None, help="output path (default: stdout)")
     p_con.add_argument("--format", default="json", choices=["json", "latex"])
-    p_con.add_argument("--oracle-max-rank", type=int, default=ORACLE_MAX_RANK)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
     _add_spec_args(p_ver)
     p_ver.add_argument("--checks", default=",".join(CHECK_NAMES),
                        help="comma-separated subset of " + ",".join(CHECK_NAMES))
-    p_ver.add_argument("--oracle-max-rank", type=int, default=ORACLE_MAX_RANK)
 
     p_cmp = sub.add_parser("compare", help="diff against an embedded worked example")
     p_cmp.add_argument("--fixture", required=True, choices=sorted(FIXTURES))
@@ -269,7 +266,7 @@ def _main(argv: Optional[List[str]]) -> int:
     if args.command == "construct":
         try:
             struct = build_structure(spec)
-            report = run_checks(struct, CHECK_NAMES, args.oracle_max_rank)
+            report = run_checks(struct, CHECK_NAMES, ORACLE_MAX_RANK)
         except (ArithmeticError, ValueError) as exc:
             print(f"construction failed: {exc}", file=sys.stderr)
             return 1
@@ -307,7 +304,7 @@ def _main(argv: Optional[List[str]]) -> int:
         except (ArithmeticError, ValueError) as exc:
             print(f"construction failed: {exc}", file=sys.stderr)
             return 1
-        report = run_checks(struct, wanted, args.oracle_max_rank)
+        report = run_checks(struct, wanted, ORACLE_MAX_RANK)
         print(json.dumps({"spec": {"family": spec.family, "rank": spec.rank,
                                    "vertex": spec.vertex},
                           "checks": report}, indent=2))

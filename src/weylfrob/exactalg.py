@@ -532,10 +532,6 @@ class Poly:
 
     # ---- grading ----
 
-    def term_weight(self, exps: Exponents) -> Fraction:
-        chart = self.chart
-        return Fraction(sum(map(mul, chart._weight_nums, exps)), chart._weight_den)
-
     def graded(self, power: int = 1) -> Tuple["Poly", "Poly"]:
         """(the sum of w^power c x^e over the terms c x^e of nonzero weight
         w, for power = 1 or -1; the terms of weight 0)."""
@@ -722,7 +718,7 @@ class LinearSolveResult:
 
 
 def solve_linear(equations: Iterable[Tuple[Mapping[str, Fraction], Fraction]],
-                 unknowns: Optional[Sequence[str]] = None) -> LinearSolveResult:
+                 unknowns: Sequence[str]) -> LinearSolveResult:
     """Solve a rational linear system given as (coeffs-by-unknown, rhs) pairs.
 
     Elimination is incremental: each equation is reduced against the pivot
@@ -731,11 +727,6 @@ def solve_linear(equations: Iterable[Tuple[Mapping[str, Fraction], Fraction]],
     """
     eqs = [({u: rat(c) for u, c in coeffs.items() if c}, rat(rhs))
            for coeffs, rhs in equations]
-    if unknowns is None:
-        seen = set()
-        for coeffs, _ in eqs:
-            seen.update(coeffs)
-        unknowns = sorted(seen)
     order = {u: i for i, u in enumerate(unknowns)}
     # pivot variable -> (row dict, rhs); rows are kept reduced against each other
     pivots: Dict[str, Tuple[Dict[str, Fraction], Fraction]] = {}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import (Chart, Matrix, Poly, contract, mat_inverse_unit,
+from .exactalg import (INCONSISTENT, Chart, Matrix, Poly, contract, mat_inverse_unit,
                        monomials_of_weighted_degree, solve_linear)
 from .metrics import BilinearForm, transform_form
 from .orbitspace import CoordMap, t_chart, w_chart, z_chart
@@ -117,7 +117,7 @@ def flat_candidate_solve(gammas: List[List[List[Poly]]], base: Poly,
             rhs = Fraction(-base_r.packed.get(mono, 0), base_r.den)
             eqs.append((coeffs, rhs))
     result = solve_linear(eqs, unknowns)
-    if result.kind == "inconsistent":
+    if result.kind == INCONSISTENT:
         raise AnsatzInsufficient(f"flatness system for {what} is inconsistent")
     solution = base
     for q, c in enumerate(candidates):
@@ -444,7 +444,7 @@ def solve_flat_chart(spec: RootSystemSpec, eta_w: BilinearForm,
     return cmap, eta_t, h_polys
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlatChartData:
     """All stages of the y -> t normalization for one structure."""
 

@@ -20,8 +20,9 @@ the build never transports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import lcm
 from typing import Dict, List, Optional, Tuple
@@ -65,7 +66,7 @@ class EulerField:
     last_component: Rational
 
 
-@dataclass
+@dataclass(frozen=True)
 class PotentialF:
     """F = (t^k)^2 t^{l+1} / 2 + poly, with poly free of explicit t^{l+1}."""
 
@@ -73,17 +74,37 @@ class PotentialF:
     vertex: int
     poly: Poly
 
+    @cached_property
+    def hessian(self) -> List[List[Poly]]:
+        """F_{ab} = d^2 F / dt^a dt^b, head included except for its t^{l+1}
+        tag at (k, k); formed on first use and read by every check (a
+        changed poly is a new, frozen PotentialF, so it cannot go stale)."""
+        chart = self.chart
+        dim = chart.dim
+        kpos = self.vertex - 1
+        last = dim - 1
+        grads = [self.poly.coord_diff(a) for a in range(dim)]
+        f2 = [[None] * dim for _ in range(dim)]
+        tk = Poly.variable(chart, f"t{self.vertex}")
+        for a in range(dim):
+            for b in range(a, dim):
+                val = grads[a].coord_diff(b)
+                if {a, b} == {kpos, last}:
+                    val = val + tk
+                f2[a][b] = val
+                f2[b][a] = val
+        return f2
 
-@dataclass
+
+@dataclass(frozen=True)
 class BIdentification:
     """How a B_l structure is pulled back from the C_l one."""
 
     spec: RootSystemSpec
     log_scale: Rational          # ybar^{l+1} = log_scale * y^{l+1}
-    validated: bool              # oracle comparison performed
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrobeniusStructure:
     spec: RootSystemSpec
     cspec: RootSystemSpec
@@ -224,37 +245,17 @@ def _check_shape(spec: RootSystemSpec, potential: PotentialF,
         raise ShapeMismatch("G is not weighted-homogeneous of degree 2")
 
 
-def second_derivatives(potential: PotentialF) -> List[List[Poly]]:
-    """d^2 F / dt^a dt^b, head included except for its t^{l+1} tag at (k,k)."""
-    chart = potential.chart
-    dim = chart.dim
-    kpos = potential.vertex - 1
-    last = dim - 1
-    grads = [potential.poly.coord_diff(a) for a in range(dim)]
-    f2 = [[None] * dim for _ in range(dim)]
-    tk = Poly.variable(chart, f"t{potential.vertex}")
-    for a in range(dim):
-        for b in range(a, dim):
-            val = grads[a].coord_diff(b)
-            if {a, b} == {kpos, last}:
-                val = val + tk
-            f2[a][b] = val
-            f2[b][a] = val
-    return f2
-
-
 def third_derivatives(potential: PotentialF) -> List[List[List[Poly]]]:
     """F_{abc} of the potential, head included."""
     # f2 already holds the t^k block of the head; only the unrepresentable
     # t^{l+1} tag at (k,k) needs its derivative added
-    return _tagged_derivatives(second_derivatives(potential), potential.vertex - 1)
+    return _tagged_derivatives(potential.hessian, potential.vertex - 1)
 
 
 def raised_hessian(potential: PotentialF, eta_up: List[List[Rational]]):
     """F^{ij} = eta^{ii'} eta^{jj'} F_{i'j'} without the t^{l+1} tag of
     F_{kk}, which raises to 1 * t^{l+1} at (l+1, l+1) (eta^{l+1,k} = 1)."""
-    f2 = second_derivatives(potential)
-    return contract(eta_up, contract(eta_up, f2, 0), 1)
+    return contract(eta_up, contract(eta_up, potential.hessian, 0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +352,7 @@ def verify_euler_unity(struct: FrobeniusStructure) -> Poly:
     dim = l + 1
     # F_{kij} = d_k F_{ij}: the head's constant third derivatives come from
     # its t^k block in F_{ij}, and the t^{l+1} tag at (k, k) has zero d_k
-    f2 = second_derivatives(struct.potential)
+    f2 = struct.potential.hessian
     kpos = k - 1
     for i in range(dim):
         for j in range(dim):
@@ -401,10 +402,6 @@ def verify_intersection(struct: FrobeniusStructure) -> None:
 
 _CACHE: Dict[Tuple[str, int, int], FrobeniusStructure] = {}
 
-# the largest rank at which the first-principles oracle runs, in the build's
-# B_l guard, in ``oracle_check`` and in the CLI
-ORACLE_MAX_RANK = 3
-
 
 def build_structure(spec: RootSystemSpec) -> FrobeniusStructure:
     """Construct (and cache) the structure for a marked spec.
@@ -445,37 +442,32 @@ def _build_c(spec: RootSystemSpec) -> FrobeniusStructure:
 
 
 def b_to_c(spec: RootSystemSpec) -> FrobeniusStructure:
-    """The B_l structure as the pullback of the C_l one (same l, k).
-
-    At oracle-reachable ranks the identification is validated from first
-    principles: the pairings of the pulled-back generators under the B_l
-    invariant metric must equal the C_l intersection form expanded in the
-    same Laurent chart.
-    """
+    """The B_l structure as the pullback of the C_l one (same l, k): every
+    part of the C_l structure is shared, the potential and its Hessian
+    included.  The ``oracle`` check validates the identification."""
     if spec.family != "B":
         raise ValueError("b_to_c expects a B-family spec")
-    cspec = RootSystemSpec("C", spec.rank, spec.vertex)
-    cstruct = build_structure(cspec)
+    cstruct = build_structure(RootSystemSpec("C", spec.rank, spec.vertex))
     log_scale = Fraction(1, 2) if spec.vertex == spec.rank else Fraction(1)
-    validated = spec.rank <= ORACLE_MAX_RANK
-    if validated:
-        _match_oracle(spec, cstruct.pencil.g, log_scale)
-    return FrobeniusStructure(spec=spec, cspec=cspec, pencil=cstruct.pencil,
-                              flat=cstruct.flat, g_t=cstruct.g_t,
-                              eta_t=cstruct.eta_t,
-                              eta_cov=cstruct.eta_cov, eta_up=cstruct.eta_up,
-                              euler=cstruct.euler, potential=cstruct.potential,
-                              b_ident=BIdentification(spec, log_scale, validated))
+    return replace(cstruct, spec=spec, b_ident=BIdentification(spec, log_scale))
 
 
-def _match_oracle(spec: RootSystemSpec, g: BilinearForm, log_scale: Fraction) -> None:
-    """Expand the y-chart form g in the oracle chart and compare it with the
-    first-principles pairings of ``spec``, entry by entry.  Every pairing is a
-    polynomial in the generators and E^{+-1}; an entry with a negative power
-    of a generator is not, so it is a mismatch too (its expansion raises)."""
+# the detail of a passing ``oracle`` check, which a B document reads back
+ORACLE_AGREES = "first-principles metric agrees"
+
+
+def oracle_check(struct: FrobeniusStructure) -> None:
+    """Expand the structure's y-chart metric g in the oracle chart and compare
+    it with the first-principles pairings of the spec's own generators, entry
+    by entry; for B_l that is the pullback identification with the recorded
+    log scale.  Every pairing is a polynomial in the generators and E^{+-1};
+    an entry with a negative power of a generator is not, so it is a mismatch
+    too (its expansion raises)."""
+    spec = struct.spec
+    log_scale = struct.b_ident.log_scale if spec.family == "B" else Fraction(1)
     pairings, bindings = compute_g_direct(spec, log_scale)
     ochart = pairings[0][0].chart
-    for i, row in enumerate(g.mat):
+    for i, row in enumerate(struct.pencil.g.mat):
         for j, entry in enumerate(row):
             try:
                 matched = entry.substitute(bindings, ochart) == pairings[i][j]
@@ -485,16 +477,3 @@ def _match_oracle(spec: RootSystemSpec, g: BilinearForm, log_scale: Fraction) ->
                 raise OracleMismatch(
                     f"{spec.label()}: g[{i + 1}][{j + 1}] differs from the "
                     "first-principles pairing")
-
-
-def oracle_check(struct: FrobeniusStructure, max_rank: int = ORACLE_MAX_RANK) -> bool:
-    """The structure's y-chart metric, expanded in the oracle chart, equals the
-    pairings of the spec's own generators from the definition; for B_l that
-    is the pullback identification with the recorded log scale.  Returns
-    False above the bound."""
-    spec = struct.spec
-    if spec.rank > max_rank:
-        return False
-    log_scale = struct.b_ident.log_scale if spec.family == "B" else Fraction(1)
-    _match_oracle(spec, struct.pencil.g, log_scale)
-    return True

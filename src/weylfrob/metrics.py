@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .exactalg import Chart, Matrix, Poly, contract, mat_det
-from .orbitspace import CoordMap, extend_with_uv, theta_chart, theta_map, y_chart
+from .orbitspace import CoordMap, extend_with_uv, theta_chart, theta_map
 from .rootdata import RootSystemSpec
 
 
@@ -29,7 +29,7 @@ class DetMismatch(ArithmeticError):
     """det(eta) disagrees with the closed form."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BilinearForm:
     """Symmetric matrix of contravariant metric components over a chart."""
 
@@ -44,7 +44,7 @@ class BilinearForm:
         return BilinearForm(self.chart, [[fn(e) for e in row] for row in self.mat])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChristoffelContra:
     """Contravariant connection components Gamma^{ij}_m over a chart."""
 
@@ -56,7 +56,7 @@ class ChristoffelContra:
         return len(self.arr)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlatPencil:
     """The pair (g, eta) and the connection of g on the y-chart."""
 
@@ -191,12 +191,10 @@ def eta_from_g(g_y: BilinearForm, spec: RootSystemSpec) -> BilinearForm:
     return g_y.map_entries(lambda p: p.diff(name))
 
 
-def eta_closed_form(spec: RootSystemSpec, chart: Optional[Chart] = None) -> BilinearForm:
+def eta_closed_form(spec: RootSystemSpec, chart: Chart) -> BilinearForm:
     """The block closed form of eta, entries R_j, P_j, Q_m (y^0 = 1 convention)."""
     l, k = spec.rank, spec.vertex
     n = l - k
-    if chart is None:
-        chart = y_chart(spec)
     pfx = chart.vars[0].name[0]
     E = Poly.variable(chart, "E")
 
@@ -240,7 +238,7 @@ def eta_closed_form(spec: RootSystemSpec, chart: Optional[Chart] = None) -> Bili
     return BilinearForm(chart, mat)
 
 
-def det_eta_closed_form(spec: RootSystemSpec, chart: Optional[Chart] = None) -> Poly:
+def det_eta_closed_form(spec: RootSystemSpec, chart: Chart) -> Poly:
     """Closed-form det(eta) with the corrected overall sign.
 
     The usual printed form of this determinant carries (-1)^l; direct
@@ -250,8 +248,6 @@ def det_eta_closed_form(spec: RootSystemSpec, chart: Optional[Chart] = None) -> 
     """
     l, k = spec.rank, spec.vertex
     n = l - k
-    if chart is None:
-        chart = y_chart(spec)
     pfx = chart.vars[0].name[0]
     sign = -1 if (((k - 1) // 2) + 1 + n * (n - 1) // 2) % 2 else 1
     coeff = Fraction(sign) * k ** (k - 1) * 4 ** n * (n ** n if n else 1)

@@ -42,21 +42,13 @@ def _indexed_chart(prefix: str, spec: RootSystemSpec, weights: Sequence[Fraction
     return Chart(prefix, varspecs, log_coord=f"{prefix}{l + 1}", exp_var="E")
 
 
-def exp_granularity(spec: RootSystemSpec) -> Fraction:
-    """The step of the chart's exponential variable as a fraction of y^{l+1}.
-
-    For C_l (and B_l with k < l) the generator twists are integer multiples
-    of y^{l+1} and E = e^{y^{l+1}}.  For B_l with k = l the degrees d_j are
-    quarter-integers, so the invariant ring needs E = e^{y^{l+1}/4}.
-    """
-    if spec.family == "B" and spec.vertex == spec.rank:
-        return Fraction(1, 4)
-    return Fraction(1)
-
-
 def y_chart(spec: RootSystemSpec) -> Chart:
-    return _indexed_chart("y", spec, degrees(spec), exp_granularity(spec),
-                          laurent_last=True)
+    """The chart of the C_l generators, E = e^{y^{l+1}}.  The B_l generators
+    live in the oracle chart instead (their twists need a finer E at k = l)."""
+    if spec.family != "C":
+        raise ValueError("y_chart covers the C family; B_l generators "
+                         "are realized inside the oracle chart")
+    return _indexed_chart("y", spec, degrees(spec), Fraction(1), laurent_last=True)
 
 
 def z_chart(spec: RootSystemSpec) -> Chart:
@@ -107,10 +99,10 @@ def oracle_chart(spec: RootSystemSpec) -> Chart:
     return Chart("oracle", varspecs)
 
 
-def extend_with_uv(chart: Chart, tag: str = "uv") -> Chart:
+def extend_with_uv(chart: Chart) -> Chart:
     """Clone a chart with two extra weight-0 variables u, v (for generating functions)."""
     varspecs = list(chart.vars) + [VarSpec("u", Fraction(0)), VarSpec("v", Fraction(0))]
-    return Chart(f"{chart.name}_{tag}", varspecs, log_coord=chart.log_coord,
+    return Chart(f"{chart.name}_uv", varspecs, log_coord=chart.log_coord,
                  exp_var=chart.exp_var)
 
 
@@ -374,7 +366,7 @@ def compute_g_direct(spec: RootSystemSpec,
     exactly when its expansion equals the pairings entry by entry.
     Independent of the generating-function fast path.
     """
-    metric, _ = build(spec)
+    metric = build(spec)
     ochart = oracle_chart(spec)
     funcs = generator_exprs(spec, ochart)
     if spec.family == "B":

@@ -3,8 +3,7 @@
 Only the data the construction consumes is materialized: the invariant
 bilinear form on the extended space (stored with the 1/(4 pi^2) prefactor
 cancelled, so all entries are rational), the marked-vertex degrees d_j, the
-Cartan determinant, the normalized flat-chart degrees, and the duality
-involution on indices.
+normalized flat-chart degrees, and the duality involution on indices.
 """
 
 from __future__ import annotations
@@ -37,14 +36,6 @@ class RootSystemSpec:
             raise InvalidSpec(
                 f"vertex must satisfy 1 <= k <= {self.rank}, got {self.vertex}")
 
-    @property
-    def l(self) -> int:
-        return self.rank
-
-    @property
-    def k(self) -> int:
-        return self.vertex
-
     def label(self) -> str:
         return f"{self.family}{self.rank}k{self.vertex}"
 
@@ -61,24 +52,6 @@ class ExtendedMetric:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class DegreeData:
-    """Marked-vertex degrees d_j, Cartan determinant, flat-chart degrees.
-
-    ``dtilde`` has l+1 entries (the last one, for the log coordinate, is 0)
-    and always follows the C_l normalization: the B_l orbit space is
-    identified with the C_l one before flat coordinates enter.
-    """
-
-    d: Tuple[Rational, ...]
-    cartan_det: int
-    dtilde: Tuple[Rational, ...]
 
 
 def degrees(spec: RootSystemSpec) -> Tuple[Rational, ...]:
@@ -103,8 +76,8 @@ def flat_degrees(l: int, k: int) -> Tuple[Rational, ...]:
     return tuple(dt)
 
 
-def build(spec: RootSystemSpec) -> Tuple[ExtendedMetric, DegreeData]:
-    """Construct the extended metric and degree data for a marked root system."""
+def build(spec: RootSystemSpec) -> ExtendedMetric:
+    """Construct the extended metric for a marked root system."""
     l, k = spec.rank, spec.vertex
     d = degrees(spec)
     rows = []
@@ -125,9 +98,7 @@ def build(spec: RootSystemSpec) -> Tuple[ExtendedMetric, DegreeData]:
         rows.append(tuple(row))
     last = [Fraction(0)] * l + [Fraction(-1) / d[k - 1]]
     rows.append(tuple(last))
-    metric = ExtendedMetric(tuple(rows))
-    data = DegreeData(d=d, cartan_det=2, dtilde=flat_degrees(l, k))
-    return metric, data
+    return ExtendedMetric(tuple(rows))
 
 
 def dual_index(spec: RootSystemSpec, i: int) -> int:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from .exactalg import Chart, Poly
-from .frobenius import FrobeniusStructure
+from .frobenius import ORACLE_AGREES, FrobeniusStructure
 from .orbitspace import CoordMap, generator_map, theta_map, zeta_chart
 
 
@@ -95,17 +95,14 @@ def structure_document(struct: FrobeniusStructure, report: List[Dict]) -> Dict:
         doc["b_identification"] = {
             "log_scale": frac_str(struct.b_ident.log_scale),
             "last_generator_squares_to": "y_l^2",
-            "oracle_validated": struct.b_ident.validated,
+            "oracle_validated": {"check": "oracle", "passed": True,
+                                 "detail": ORACLE_AGREES} in report,
         }
     return doc
 
 
 def document_json(doc: Dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
-
-
-def load_document(text: str) -> Dict:
-    return json.loads(text)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from weylfrob.frobenius import (build_structure, integrate_potential,
                                 third_derivatives_from_metric)
 from weylfrob.metrics import BilinearForm, ChristoffelContra
 from weylfrob.rootdata import RootSystemSpec
-from weylfrob.serialize import document_json, load_document, structure_document
+from weylfrob.serialize import document_json, structure_document
 
 
 def run(argv):
@@ -112,7 +112,7 @@ def test_json_roundtrip_byte_identical():
     struct = build_structure(RootSystemSpec("C", 3, 1))
     report = cli.run_checks(struct, cli.CHECK_NAMES, 3)
     text = document_json(structure_document(struct, report))
-    doc = load_document(text)
+    doc = json.loads(text)
     assert document_json(doc) == text
 
 
@@ -347,6 +347,22 @@ def test_wdvv_without_a_certificate_is_a_failed_check(monkeypatch, capsys):
                 "--checks", "wdvv"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["checks"] == [result]
+
+
+def test_oracle_validated_reads_the_oracle_check():
+    """A B document is oracle-validated exactly when its report holds the
+    passing ``oracle`` check."""
+    struct = build_structure(RootSystemSpec("B", 3, 2))
+
+    def validated(report):
+        return structure_document(struct, report)["b_identification"]["oracle_validated"]
+
+    report = cli.run_checks(struct, cli.CHECK_NAMES, 3)
+    assert validated(report) is True
+    assert validated([r for r in report if r["check"] != "oracle"]) is False
+    assert validated(cli.run_checks(struct, ["oracle"], 2)) is False  # skipped
+    wrong = _set_log_scale(struct, Fraction(1, 2))
+    assert validated(cli.run_checks(wrong, ["oracle"], 3)) is False
 
 
 def test_mutation_suite_covers_every_check():

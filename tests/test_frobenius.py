@@ -1,23 +1,24 @@
 """Potential construction, WDVV/Euler/intersection identities, B -> C."""
 
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
 
-from weylfrob import exactalg, frobenius
+from weylfrob import cli, exactalg, frobenius
 from weylfrob.cli import compare_fixture
 from weylfrob.exactalg import Chart, Poly, VarSpec, contract, sum_products
 from weylfrob.fixtures import FIXTURES
 from weylfrob.flatcoords import flat_pipeline
-from weylfrob.frobenius import (Inconsistent, PotentialF, ShapeMismatch,
+from weylfrob.frobenius import (ORACLE_AGREES, Inconsistent, PotentialF, ShapeMismatch,
                                 build_structure, integrate_potential, oracle_check,
-                                raised_hessian, second_derivatives, third_derivatives,
+                                raised_hessian, third_derivatives,
                                 third_derivatives_from_metric, verify_euler_unity,
                                 verify_intersection, verify_wdvv)
 from weylfrob.metrics import BilinearForm, build_pencil, transform_christoffel
 from weylfrob.rootdata import RootSystemSpec, flat_degrees
+from weylfrob.serialize import structure_document
 
 ALL_SMALL = [(l, k) for l in range(1, 4) for k in range(1, l + 1)]
 ALL_RANK5 = [(l, k) for l in range(1, 6) for k in range(1, l + 1)]
@@ -253,7 +254,7 @@ def test_tagged_derivatives_match_the_dense_reference(l, k):
     """Each F_{abc} is differentiated once, at a <= b <= c, and shared by its
     permutations; the tensor equals the one differentiated at every slot."""
     potential = build_structure(RootSystemSpec("C", l, k)).potential
-    f2 = second_derivatives(potential)
+    f2 = potential.hessian
     f3 = third_derivatives(potential)
     assert f3 == reference_tagged_derivatives(f2, k - 1)
     dim = l + 1
@@ -300,7 +301,8 @@ def test_oracle_check_takes_no_linear_solve(monkeypatch):
     structs = [build_structure(RootSystemSpec(family, l, k))
                for family in ("C", "B") for l, k in ALL_SMALL]
     calls = _count_solves(monkeypatch)
-    assert all(oracle_check(struct) for struct in structs)
+    for struct in structs:
+        oracle_check(struct)
     assert calls[0] == 0
 
 
@@ -609,10 +611,12 @@ def test_b_to_c_identification(family, l, k):
     spec = RootSystemSpec(family, l, k)
     struct = build_structure(spec)
     assert struct.cspec == RootSystemSpec("C", l, k)
-    assert struct.b_ident is not None and struct.b_ident.validated
     expected_scale = Fraction(1, 2) if k == l else Fraction(1)
     assert struct.b_ident.log_scale == expected_scale
-    assert oracle_check(struct)
+    # the oracle check is the one comparison, and the document reads it back
+    report = cli.run_checks(struct, ["oracle"], 3)
+    assert report == [{"check": "oracle", "passed": True, "detail": ORACLE_AGREES}]
+    assert structure_document(struct, report)["b_identification"]["oracle_validated"]
 
 
 def test_b_potential_equals_c_potential():
@@ -625,11 +629,13 @@ def test_b_potential_equals_c_potential():
 def test_oracle_check_passes_small_c():
     for l in (1, 2, 3):
         for k in range(1, l + 1):
-            assert oracle_check(build_structure(RootSystemSpec("C", l, k)))
-    assert oracle_check(build_structure(RootSystemSpec("C", 4, 1)),
-                        max_rank=3) is False  # skipped
-    # the default bound is the build's B guard bound
-    assert oracle_check(build_structure(RootSystemSpec("C", 4, 1))) is False
+            struct = build_structure(RootSystemSpec("C", l, k))
+            assert cli.run_check("oracle", struct, 3) == {
+                "check": "oracle", "passed": True, "detail": ORACLE_AGREES}
+            assert structure_document(struct, [])["b_identification"] is None
+    # the bound lives in run_check, which skips above it
+    assert cli.run_check("oracle", build_structure(RootSystemSpec("C", 4, 1)), 3) == {
+        "check": "oracle", "passed": True, "detail": "skipped (rank 4 > bound 3)"}
 
 
 def test_rank6_structure_builds_and_verifies():
@@ -640,5 +646,67 @@ def test_rank6_structure_builds_and_verifies():
 
 def test_b_above_oracle_bound_builds_unvalidated():
     struct = build_structure(RootSystemSpec("B", 4, 4))
-    assert struct.b_ident is not None and not struct.b_ident.validated
+    report = cli.run_checks(struct, ["oracle"], 3)
+    assert report[0]["passed"] and report[0]["detail"].startswith("skipped")
+    assert structure_document(struct, report)["b_identification"]["oracle_validated"] is False
     assert struct.potential.poly == build_structure(RootSystemSpec("C", 4, 4)).potential.poly
+
+
+def test_b_is_compared_with_the_oracle_once(monkeypatch):
+    """Building and checking every B spec of rank <= 3 expands the oracle
+    once per spec, in the ``oracle`` check; B4k4 is above the bound and never
+    reaches it."""
+    g_direct = frobenius.compute_g_direct
+    calls = []
+
+    def counting_g_direct(spec, log_scale):
+        calls.append(spec.label())
+        return g_direct(spec, log_scale)
+
+    monkeypatch.setattr(frobenius, "compute_g_direct", counting_g_direct)
+    monkeypatch.setattr(frobenius, "_CACHE", {})
+    specs = [RootSystemSpec("B", l, k) for l in (1, 2, 3) for k in range(1, l + 1)]
+    for spec in specs + [RootSystemSpec("B", 4, 4)]:
+        report = cli.run_checks(build_structure(spec), cli.CHECK_NAMES, 3)
+        assert all(r["passed"] for r in report)
+    assert calls == [spec.label() for spec in specs]
+
+
+def test_checks_form_the_hessian_once(monkeypatch):
+    """All checks on C5k3 and then on B5k3 form F_ab once: every check reads
+    the potential's cached Hessian, and B5k3 shares the C5k3 potential.
+    Counted as derivatives taken of F's polynomial itself."""
+    monkeypatch.setattr(frobenius, "_CACHE", {})
+    structs = [build_structure(RootSystemSpec(family, 5, 3)) for family in ("C", "B")]
+    poly = structs[0].potential.poly
+    coord_diff = Poly.coord_diff
+    taken = []
+
+    def counting_coord_diff(p, i):
+        if p is poly:
+            taken.append(i)
+        return coord_diff(p, i)
+
+    monkeypatch.setattr(Poly, "coord_diff", counting_coord_diff)
+    for struct in structs:
+        assert all(r["passed"] for r in cli.run_checks(struct, cli.CHECK_NAMES, 3))
+    assert taken == list(range(6))
+
+
+def test_structure_containers_are_frozen():
+    struct = build_structure(RootSystemSpec("C", 3, 1))
+    b_ident = build_structure(RootSystemSpec("B", 3, 2)).b_ident
+    for obj, field in ((struct, "potential"), (struct.potential, "poly"),
+                       (b_ident, "log_scale"), (struct.pencil, "g"),
+                       (struct.flat, "eta_t"), (struct.g_t, "mat"),
+                       (struct.pencil.gamma_g, "arr")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
+    # a changed potential is a new one, with a Hessian of its own
+    potential = struct.potential
+    hessian = potential.hessian
+    assert potential.hessian is hessian
+    bump = Poly.monomial(potential.chart, {"t3": 8})
+    bumped = replace(potential, poly=potential.poly + bump)
+    assert bumped.hessian[2][2] - hessian[2][2] == bump.coord_diff(2).coord_diff(2)
+    assert potential.hessian is hessian

@@ -11,7 +11,7 @@ from weylfrob.metrics import (build_pencil, det_eta_check, DetMismatch,
                               gamma_theta, linearity_check, theta_map,
                               transform_christoffel, transform_form)
 from weylfrob.orbitspace import (CoordMap, elementary_symmetric, extend_with_uv,
-                                 generator_map, zeta_chart)
+                                 generator_map, y_chart, zeta_chart)
 from weylfrob.rootdata import RootSystemSpec, degrees, flat_degrees
 
 from test_exactalg import weighted_degree
@@ -227,7 +227,7 @@ def test_eta_c3k1_entries():
 def test_eta_closed_form_legend():
     # P_j = 4 (k - j + 1) y^{j-1} e^{y^{l+1}} with y^0 = 1
     spec = RootSystemSpec("C", 4, 3)
-    closed = eta_closed_form(spec)
+    closed = eta_closed_form(spec, y_chart(spec))
     yc = closed.chart
     for j in range(1, 4):
         prefactor = 4 * (3 - j + 1)

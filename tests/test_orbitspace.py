@@ -6,12 +6,13 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from weylfrob.exactalg import Chart, Poly, monomials_of_weighted_degree, solve_linear
+from weylfrob.exactalg import (Chart, Poly, VarSpec, monomials_of_weighted_degree,
+                               solve_linear)
 from weylfrob.metrics import BilinearForm
 from weylfrob.orbitspace import (compute_g_direct, elementary_symmetric,
-                                 exp_granularity, extend_with_uv, generator_exprs,
-                                 generator_map, oracle_chart, oracle_pairing,
-                                 theta_chart, theta_map, y_chart, zeta_chart)
+                                 extend_with_uv, generator_exprs, generator_map,
+                                 oracle_chart, oracle_pairing, theta_chart, theta_map,
+                                 y_chart, zeta_chart)
 from weylfrob.rootdata import RootSystemSpec, build, degrees
 
 from test_exactalg import weighted_degree
@@ -109,20 +110,32 @@ def reexpress(entry: Poly, target_chart: Chart, target_degree: Fraction,
     return out
 
 
+def b_y_chart(spec: RootSystemSpec) -> Chart:
+    """The chart of the B_l generators themselves: y^j of weight d_j, and
+    E = e^{y^{l+1}} of weight 1, or E = e^{y^{l+1}/4} of weight 1/4 when
+    k = l, where the d_j are quarter-integers."""
+    l = spec.rank
+    d = degrees(spec)
+    varspecs = [VarSpec(f"y{j}", d[j - 1], laurent=(j == l)) for j in range(1, l + 1)]
+    e_weight = Fraction(1, 4) if spec.vertex == l else Fraction(1)
+    varspecs.append(VarSpec("E", e_weight, laurent=True))
+    return Chart("y", varspecs, log_coord=f"y{l + 1}", exp_var="E")
+
+
 def reference_g_direct(spec: RootSystemSpec) -> BilinearForm:
     """The intersection form on the spec's own y-chart, from the definition:
     the generators' pairings in the oracle chart, each re-expressed in the
     y-chart by an exact linear solve over the monomials of its weighted
-    degree (E = r^(4 * exp_granularity)).  The test oracle of
-    ``compute_g_direct``, which only expands and compares."""
-    metric, data = build(spec)
+    degree.  The test oracle of ``compute_g_direct``, which only expands and
+    compares."""
+    metric = build(spec)
     ochart = oracle_chart(spec)
     funcs = generator_exprs(spec, ochart)
     ghat = oracle_pairing(metric, funcs, Fraction(1))
-    yc = y_chart(spec)
+    yc = y_chart(spec) if spec.family == "C" else b_y_chart(spec)
     var_exprs = {f"y{j}": funcs[j - 1] for j in range(1, spec.rank + 1)}
-    var_exprs["E"] = Poly.variable(ochart, "r") ** int(4 * exp_granularity(spec))
-    wts = list(data.d) + [Fraction(0)]
+    var_exprs["E"] = Poly.variable(ochart, "r") ** int(4 * yc.weight("E"))
+    wts = list(degrees(spec)) + [Fraction(0)]
     size = spec.rank + 1
     mat = [[None] * size for _ in range(size)]
     for i in range(size):
@@ -231,15 +244,11 @@ def test_reference_expands_to_the_pairings(family, l, k):
             assert ref.mat[i][j].substitute(bindings, ochart) == pairings[i][j]
 
 
-def test_exp_granularity_quarter_step_for_b_half_twist():
-    assert exp_granularity(RootSystemSpec("B", 3, 3)) == Fraction(1, 4)
-    assert exp_granularity(RootSystemSpec("B", 3, 2)) == 1
-    assert exp_granularity(RootSystemSpec("C", 3, 3)) == 1
-    assert y_chart(RootSystemSpec("B", 2, 2)).weight("E") == Fraction(1, 4)
-
-
 def test_theta_machinery_is_c_only():
     with pytest.raises(ValueError):
         generator_map(RootSystemSpec("B", 2, 1))
     with pytest.raises(ValueError):
         assemble_P(RootSystemSpec("B", 2, 1))
+    for k in (1, 2):  # the B_l generators live in the oracle chart
+        with pytest.raises(ValueError):
+            y_chart(RootSystemSpec("B", 2, k))
