@@ -25,10 +25,11 @@ coordinate acts as E*d/dE, which keeps the ring purely polynomial.
 Products and sums of products go through one kernel, ``sum_products``,
 which adds the products of integer numerators over one common denominator
 (sparse products with packed exponents in the manner of Monagan and
-Pearce).  ``Poly.__mul__`` is its one-pair case.
+Pearce).  ``Poly.__mul__`` is its one-pair case.  ``substitute_all``
+composes a batch of polynomials through one table of monomial images.
 
 The module also provides the exact linear algebra the rest of the package
-leans on: an incremental rational Gaussian eliminator, the determinant and
+leans on: a fraction-free integer-row linear solver, the determinant and
 adjugate of Poly matrices, and the two primitives every tensor computation
 goes through: ``mat_inverse_unit`` (the one exact inverse) and ``contract``
 (the one index contraction).  Determinants and inverses eliminate on unit
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -344,15 +346,13 @@ class Poly:
             raise TypeError("polynomial powers must be integers")
         if n < 0:
             return self.unit_inverse() ** (-n)
-        result = Poly.const(self.chart, 1)
-        base = self
+        result, base = Poly.const(self.chart, 1), self
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n >> 1
-            if base_needed:
+            n >>= 1
+            if n:
                 base = base * base
-            n = base_needed
         return result
 
     def _coerce(self, other) -> "Poly":
@@ -419,54 +419,9 @@ class Poly:
 
     def substitute(self, bindings: Mapping[str, "Poly"],
                    target: Optional[Chart] = None) -> "Poly":
-        """Exact composition: replace each chart variable by its binding.
-
-        Unbound variables are carried over by name into the target chart.
-        Negative exponents require the binding to be a unit monomial.
-        """
-        if target is None:
-            for b in bindings.values():
-                target = b.chart
-                break
-            else:
-                target = self.chart
-        cache: Dict[Tuple[str, int], Poly] = {}
-
-        def power_of(name: str, e: int) -> Poly:
-            key = (name, e)
-            got = cache.get(key)
-            if got is not None:
-                return got
-            base = bindings.get(name)
-            if base is None:
-                base = Poly.variable(target, name)
-            if base.chart != target:
-                raise ChartMismatch("bindings live on different charts")
-            if e >= 0:
-                val = base ** e
-            else:
-                if not base.is_unit_monomial():
-                    raise NonUnitLaurentSubstitution(
-                        f"variable {name!r} occurs with negative exponent but is bound "
-                        f"to {base!r}, not a unit")
-                val = base.unit_inverse() ** (-e)
-            cache[key] = val
-            return val
-
-        # each term v x^a * ... * z^b enters the sum as the pair
-        # (v * x^a * ..., z^b), so its last product happens in the kernel;
-        # the common denominator divides once at the end
-        one = Poly.const(target, 1)
-        names = [var.name for var in self.chart.vars]
-        unpack = self.chart.unpack
-        pairs = []
-        for key, c in self._nums.items():
-            factors = [power_of(nm, e) for nm, e in zip(names, unpack(key)) if e]
-            last = factors.pop() if factors else one
-            for f in factors:
-                c = f * c
-            pairs.append((c, last))
-        return _scale(sum_products(target, pairs), 1, self._den)
+        """Exact composition: replace each chart variable by its binding
+        (``substitute_all`` of this one polynomial)."""
+        return substitute_all([self], bindings, target)[0]
 
     # ---- exact division ----
 
@@ -625,6 +580,16 @@ def _bound_of(extra: int, *ps: Poly) -> int:
                            f"field bound +-{_HALF - 1}")
 
 
+def product_bound(xs: Sequence[Poly], ys: Sequence[Poly], extra: int = 0) -> None:
+    """ExponentOverflow unless every product x * y of xs and ys, times at most
+    ``extra`` more, keeps its exponents inside the packed fields."""
+    top = extra + sum(max([p._bound for p in ps], default=0) for ps in (xs, ys))
+    if top >= _HALF:
+        top = extra + sum(max(map(_exact_bound, ps), default=0) for ps in (xs, ys))
+        if top >= _HALF:
+            raise ExponentOverflow(f"a product exponent could reach {top}")
+
+
 def _scale(p: Poly, n: int, d: int) -> Poly:
     """p * n / d for integers n and d > 0."""
     if not n or not p._nums:
@@ -694,6 +659,60 @@ def sum_products(chart: Chart, pairs: Iterable[tuple]) -> Poly:
     return _canon(chart, acc, den, bound)
 
 
+def substitute_all(polys: Sequence[Poly], bindings: Mapping[str, Poly],
+                   target: Optional[Chart] = None) -> List[Poly]:
+    """Exact composition of each of ``polys`` (all on one chart) with the
+    bindings of its variables; unbound ones are carried over by name into
+    the target chart (by default the bindings' chart).  A monomial's image
+    is a smaller one's times one binding (its inverse, which must be a unit,
+    for a negative exponent), memoized in one table for the call; the
+    variables with the fewest binding terms are peeled first.
+    """
+    if not polys:
+        return []
+    source = polys[0].chart
+    target = target or (next(iter(bindings.values())).chart if bindings else source)
+    # (term count of the binding, key step, field shift, name), cheapest first
+    steps = sorted((len(bindings[v.name]._nums) if v.name in bindings else 1,
+                    source._units[i], source._shifts[i], v.name)
+                   for i, v in enumerate(source.vars))
+    table: Dict[int, Poly] = {source._bias: Poly.const(target, 1)}
+
+    @cache
+    def factor(name: str, sign: int) -> Poly:
+        """The binding of ``name`` (sign 1) or its inverse (sign -1)."""
+        got = bindings.get(name) or Poly.variable(target, name)
+        if got.chart != target:
+            raise ChartMismatch("bindings live on different charts")
+        if sign > 0:
+            return got
+        if not got.is_unit_monomial():
+            raise NonUnitLaurentSubstitution(f"variable {name!r} occurs with negative "
+                                             f"exponent but is bound to {got!r}, not a unit")
+        return got.unit_inverse()
+
+    def image(key: int) -> Poly:
+        path = []  # (key, factor) down to a key in the table
+        while key not in table:
+            # one step of the cheapest variable present
+            _, unit, shift, name = next(s for s in steps if (key >> s[2]) & _MASK != _HALF)
+            sign = 1 if (key >> shift) & _MASK > _HALF else -1
+            path.append((key, factor(name, sign)))
+            key -= sign * unit
+        got = table[key]
+        for key, f in reversed(path):
+            got = table[key] = got * f
+        return got
+
+    out = []
+    for p in polys:
+        if p.chart != source:
+            raise ChartMismatch("substitute_all takes polynomials of one chart")
+        images = sum_products(target, [(v, image(k)) for k, v in p._nums.items()])
+        out.append(_scale(images, 1, p._den))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Exact linear solving over the rationals
 # ---------------------------------------------------------------------------
@@ -721,79 +740,92 @@ def solve_linear(equations: Iterable[Tuple[Mapping[str, Fraction], Fraction]],
                  unknowns: Sequence[str]) -> LinearSolveResult:
     """Solve a rational linear system given as (coeffs-by-unknown, rhs) pairs.
 
-    Elimination is incremental: each equation is reduced against the pivot
-    rows found so far, so large overdetermined systems stay cheap as long as
-    the rank is moderate.
+    Each equation becomes a primitive integer row over the columns of
+    ``unknowns`` and one rhs column (ValueError for an unlisted unknown).
+    Rows are eliminated sparsest first by fraction-free steps, one gcd pass
+    per row, each pivoting on its lowest-index column; those are the pivots
+    of the reduced echelon form in any row order, so the particular solution
+    (free unknowns 0) and the nullspace are too.  Once every unknown has a
+    pivot, the rows left are only checked against the solution.
     """
-    eqs = [({u: rat(c) for u, c in coeffs.items() if c}, rat(rhs))
-           for coeffs, rhs in equations]
     order = {u: i for i, u in enumerate(unknowns)}
-    # pivot variable -> (row dict, rhs); rows are kept reduced against each other
-    pivots: Dict[str, Tuple[Dict[str, Fraction], Fraction]] = {}
-    inconsistent = False
-
-    def reduce_row(row: Dict[str, Fraction], rhs: Fraction):
-        # eliminate every pivot column present; pivot rows contain no other
-        # pivot columns, so one sweep cannot reintroduce any
-        while True:
-            pcols = [u for u in row if u in pivots]
-            if not pcols:
-                break
-            for lead in sorted(pcols, key=lambda u: order[u]):
-                f = row.get(lead)
-                if not f:
-                    continue
-                prow, prhs = pivots[lead]
-                for u, c in prow.items():
-                    s = row.get(u, Fraction(0)) - f * c
-                    if s:
-                        row[u] = s
-                    elif u in row:
-                        del row[u]
-                rhs = rhs - f * prhs
-        if not row:
-            return row, rhs, None
-        return row, rhs, min(row, key=lambda u: order[u])
-
-    for coeffs, rhs in eqs:
-        row, r, lead = reduce_row(dict(coeffs), rhs)
-        if lead is None:
-            if r:
-                inconsistent = True
-            continue
-        f = row[lead]
-        row = {u: c / f for u, c in row.items()}
-        r = r / f
-        # keep existing pivot rows reduced against the new one
-        for pl, (prow, prhs) in list(pivots.items()):
-            g = prow.get(lead)
-            if g:
-                for u, c in row.items():
-                    s = prow.get(u, Fraction(0)) - g * c
-                    if s:
-                        prow[u] = s
-                    elif u in prow:
-                        del prow[u]
-                pivots[pl] = (prow, prhs - g * r)
-        pivots[lead] = (row, r)
-
-    if inconsistent:
-        return LinearSolveResult(INCONSISTENT, None, [])
-    free = [u for u in unknowns if u not in pivots]
-    solution = {u: Fraction(0) for u in free}
-    for lead, (row, rhs) in pivots.items():
-        solution[lead] = rhs
-    if not free:
-        return LinearSolveResult(UNIQUE, solution, [])
+    rhs_col = len(order)
+    rows: List[Dict[int, int]] = []
+    for coeffs, rhs in equations:
+        for u in coeffs:
+            if u not in order:
+                raise ValueError(f"equation names {u!r}, which is not an unknown")
+        parts = [(order[u], *_parts(c)) for u, c in coeffs.items()]
+        parts.append((rhs_col, *_parts(rhs)))
+        den = lcm(1, *[d for _, n, d in parts if n])
+        row = _primitive({col: n * (den // d) for col, n, d in parts if n})
+        if row:
+            rows.append(row)
+    rows.sort(key=len)
+    # pivot column -> its row, in the order found; a pivot row holds no
+    # earlier pivot column, so one pass in that order clears them all
+    pivots: Dict[int, Dict[int, int]] = {}
+    for at, row in enumerate(rows):
+        if len(pivots) == rhs_col:
+            break
+        for p, prow in pivots.items():
+            if p in row:
+                _eliminate(row, p, prow)
+        if row:
+            lead = min(row)
+            if lead == rhs_col:
+                return LinearSolveResult(INCONSISTENT, None, [])
+            pivots[lead] = _primitive(row)
+    else:
+        at = len(rows)
+    # back-substitute: each row then holds its pivot, free columns and rhs
+    for p in reversed(list(pivots)):
+        row = pivots[p]
+        for c in [c for c in row if c != p and c in pivots]:
+            _eliminate(row, c, pivots[c])
+        pivots[p] = _primitive(row)
+    if at < len(rows):
+        # every unknown has a pivot: x_p = X_p / den
+        den = lcm(1, *[row[p] for p, row in pivots.items()])
+        xs = {p: row.get(rhs_col, 0) * (den // row[p]) for p, row in pivots.items()}
+        for row in rows[at:]:
+            if sum(v * xs[c] for c, v in row.items() if c != rhs_col) != \
+                    row.get(rhs_col, 0) * den:
+                return LinearSolveResult(INCONSISTENT, None, [])
+    free = [c for c in range(rhs_col) if c not in pivots]
+    solution = {unknowns[c]: Fraction(0) for c in free}
+    for p, row in pivots.items():
+        solution[unknowns[p]] = Fraction(row.get(rhs_col, 0), row[p])
     basis = []
-    for fvar in free:
-        vec = {fvar: Fraction(1)}
-        for lead, (row, _) in pivots.items():
-            c = row.get(fvar)
-            if c:
-                vec[lead] = -c
+    for f in free:
+        vec = {unknowns[f]: Fraction(1)}
+        for p, row in pivots.items():
+            if f in row:
+                vec[unknowns[p]] = Fraction(-row[f], row[p])
         basis.append(vec)
-    return LinearSolveResult(PARAMETRIC, solution, basis)
+    return LinearSolveResult(PARAMETRIC if free else UNIQUE, solution, basis)
+
+
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def _eliminate(row: Dict[int, int], p: int, prow: Dict[int, int]) -> None:
+    """row <- a * row - b * prow in place, with a and b the entries of column
+    p in prow and row over their gcd, so that column p cancels."""
+    g = gcd(prow[p], row[p])
+    a, b = prow[p] // g, row[p] // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in prow.items():
+        s = row.get(c, 0) - b * v
+        if s:
+            row[c] = s
+        else:
+            del row[c]
 
 
 # ---------------------------------------------------------------------------

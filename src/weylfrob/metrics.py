@@ -144,14 +144,17 @@ def gamma_theta(spec: RootSystemSpec) -> ChristoffelContra:
 # ---------------------------------------------------------------------------
 
 def transform_form(form: BilinearForm, cmap: CoordMap) -> BilinearForm:
-    """Contravariant 2-tensor components in the target chart of the map."""
+    """Symmetric contravariant 2-tensor components in the target chart of the
+    map: all entries pushed at once, then the entries i <= j of J g J^T."""
     if form.chart != cmap.source:
         raise ValueError("form does not live on the map's source chart")
     _, J = cmap.jacobians
-    zero = Poly.const(cmap.target, 0)
-    gsub = [[cmap.push(e) if not e.is_zero() else zero for e in row]
-            for row in form.mat]
-    return BilinearForm(cmap.target, contract(J, contract(J, gsub, 0), 1))
+    n = form.dim
+    flat = cmap.push([e for row in form.mat for e in row])
+    half = contract(J, [flat[i * n:(i + 1) * n] for i in range(n)], 0)
+    upper = [contract(J[i:], half[i], 0) for i in range(n)]  # upper[i][j - i]
+    return BilinearForm(cmap.target, [[upper[min(i, j)][abs(j - i)] for j in range(n)]
+                                      for i in range(n)])
 
 
 def transform_christoffel(gamma: ChristoffelContra, cmap: CoordMap,
@@ -166,9 +169,8 @@ def transform_christoffel(gamma: ChristoffelContra, cmap: CoordMap,
         raise ValueError("connection does not live on the map's source chart")
     K, J = cmap.jacobians
     n = gamma.dim
-    zero = Poly.const(cmap.target, 0)
-    gsub = [[[cmap.push(e) if not e.is_zero() else zero for e in row]
-             for row in plane] for plane in gamma.arr]
+    pushed = iter(cmap.push([e for plane in gamma.arr for row in plane for e in row]))
+    gsub = [[[next(pushed) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     K_t = [[K[q][m] for q in range(n)] for m in range(n)]
     tens = contract(K_t, contract(J, contract(J, gsub, 0), 1), 2)
     # inhomogeneous part; dK[a][c][m] = d_a K^c_m

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (Chart, ChartMismatch, Matrix, Poly, VarSpec, contract,
-                       mat_inverse_unit, rat)
+                       mat_inverse_unit, rat, substitute_all)
 from .rootdata import ExtendedMetric, RootSystemSpec, build, degrees, flat_degrees
 
 
@@ -126,37 +126,33 @@ class CoordMap:
     pullback: Optional[Dict[str, Poly]] = None
     forward: Optional[Dict[str, Poly]] = None
 
-    def push(self, p: Poly) -> Poly:
-        """Re-express a function given over the source chart in target variables."""
+    def push(self, ps: Sequence[Poly]) -> List[Poly]:
+        """Functions over the source chart in target variables, at one go."""
         if self.pullback is None:
             raise ValueError(f"map {self.source.name}->{self.target.name} has no pullback")
-        if p.chart != self.source:
-            raise ChartMismatch("push expects a polynomial over the source chart")
-        return p.substitute(self.pullback, target=self.target)
+        if any(p.chart != self.source for p in ps):
+            raise ChartMismatch("push expects polynomials over the source chart")
+        return substitute_all(ps, self.pullback, target=self.target)
 
-    def pull(self, p: Poly) -> Poly:
-        """Re-express a function given over the target chart in source variables."""
+    def pull(self, ps: Sequence[Poly]) -> List[Poly]:
+        """Functions over the target chart in source variables, at one go."""
         if self.forward is None:
             raise ValueError(f"map {self.source.name}->{self.target.name} has no forward")
-        if p.chart != self.target:
-            raise ChartMismatch("pull expects a polynomial over the target chart")
-        return p.substitute(self.forward, target=self.source)
+        if any(p.chart != self.target for p in ps):
+            raise ChartMismatch("pull expects polynomials over the target chart")
+        return substitute_all(ps, self.forward, target=self.source)
 
     def verify(self):
         """Check that the stored directions compose to the identity."""
         if self.pullback is not None and self.forward is not None:
-            for name in [v.name for v in self.target.vars]:
-                got = self.push(self.forward[name])
-                if got != Poly.variable(self.target, name):
-                    raise ArithmeticError(
-                        f"map {self.source.name}->{self.target.name}: forward/pullback "
-                        f"composition fails on {name!r}: {got!r}")
-            for name in [v.name for v in self.source.vars]:
-                got = self.pull(self.pullback[name])
-                if got != Poly.variable(self.source, name):
-                    raise ArithmeticError(
-                        f"map {self.source.name}->{self.target.name}: pullback/forward "
-                        f"composition fails on {name!r}: {got!r}")
+            for chart, there, back in ((self.target, self.forward, self.push),
+                                       (self.source, self.pullback, self.pull)):
+                names = [v.name for v in chart.vars]
+                for name, got in zip(names, back([there[n] for n in names])):
+                    if got != Poly.variable(chart, name):
+                        raise ArithmeticError(
+                            f"map {self.source.name}->{self.target.name}: round trip "
+                            f"fails on {name!r}: {got!r}")
 
     def compose(self, other: "CoordMap") -> "CoordMap":
         """self: A->B composed with other: B->C, giving A->C."""
@@ -164,10 +160,10 @@ class CoordMap:
             raise ChartMismatch("compose requires matching middle chart")
         pullback = None
         if self.pullback is not None and other.pullback is not None:
-            pullback = {u: other.push(expr) for u, expr in self.pullback.items()}
+            pullback = dict(zip(self.pullback, other.push(list(self.pullback.values()))))
         forward = None
         if self.forward is not None and other.forward is not None:
-            forward = {v: self.pull(other.forward[v]) for v in other.forward}
+            forward = dict(zip(other.forward, self.pull(list(other.forward.values()))))
         return CoordMap(self.source, other.target, pullback=pullback, forward=forward)
 
     def jacobian_pullback(self) -> Matrix:

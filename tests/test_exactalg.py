@@ -11,9 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weylfrob.exactalg import (FIELD_BITS, Chart, ChartMismatch, ExponentOverflow,
-                               NonExactDivision, NonUnitLaurentSubstitution, Poly,
-                               VarSpec, contract, monomials_of_weighted_degree,
-                               solve_linear, sum_products)
+                               LinearSolveResult, NonExactDivision,
+                               NonUnitLaurentSubstitution, Poly, VarSpec, contract,
+                               monomials_of_weighted_degree, rat, solve_linear,
+                               substitute_all, sum_products)
 
 
 def simple_chart():
@@ -333,6 +334,156 @@ def test_solve_linear_parametric_fuzz():
             for vec in res.nullspace:
                 assert sum(vec.get(u, 0) * c for u, c in coeffs.items()) == 0
         assert (res.kind == "unique") == (not res.nullspace)
+
+
+def reference_solve_linear(equations, unknowns):
+    """The incremental Fraction eliminator that solve_linear replaced: each
+    equation is reduced against the pivot rows found so far, which are kept
+    reduced against each other (Gauss-Jordan)."""
+    eqs = [({u: rat(c) for u, c in coeffs.items() if c}, rat(rhs))
+           for coeffs, rhs in equations]
+    order = {u: i for i, u in enumerate(unknowns)}
+    # pivot variable -> (row dict, rhs); rows are kept reduced against each other
+    pivots = {}
+    inconsistent = False
+
+    def reduce_row(row, rhs):
+        # eliminate every pivot column present; pivot rows contain no other
+        # pivot columns, so one sweep cannot reintroduce any
+        while True:
+            pcols = [u for u in row if u in pivots]
+            if not pcols:
+                break
+            for lead in sorted(pcols, key=lambda u: order[u]):
+                f = row.get(lead)
+                if not f:
+                    continue
+                prow, prhs = pivots[lead]
+                for u, c in prow.items():
+                    s = row.get(u, Fraction(0)) - f * c
+                    if s:
+                        row[u] = s
+                    elif u in row:
+                        del row[u]
+                rhs = rhs - f * prhs
+        if not row:
+            return row, rhs, None
+        return row, rhs, min(row, key=lambda u: order[u])
+
+    for coeffs, rhs in eqs:
+        row, r, lead = reduce_row(dict(coeffs), rhs)
+        if lead is None:
+            if r:
+                inconsistent = True
+            continue
+        f = row[lead]
+        row = {u: c / f for u, c in row.items()}
+        r = r / f
+        # keep existing pivot rows reduced against the new one
+        for pl, (prow, prhs) in list(pivots.items()):
+            g = prow.get(lead)
+            if g:
+                for u, c in row.items():
+                    s = prow.get(u, Fraction(0)) - g * c
+                    if s:
+                        prow[u] = s
+                    elif u in prow:
+                        del prow[u]
+                pivots[pl] = (prow, prhs - g * r)
+        pivots[lead] = (row, r)
+
+    if inconsistent:
+        return LinearSolveResult("inconsistent", None, [])
+    free = [u for u in unknowns if u not in pivots]
+    solution = {u: Fraction(0) for u in free}
+    for lead, (row, rhs) in pivots.items():
+        solution[lead] = rhs
+    if not free:
+        return LinearSolveResult("unique", solution, [])
+    basis = []
+    for fvar in free:
+        vec = {fvar: Fraction(1)}
+        for lead, (row, _) in pivots.items():
+            c = row.get(fvar)
+            if c:
+                vec[lead] = -c
+        basis.append(vec)
+    return LinearSolveResult("parametric", solution, basis)
+
+
+def _assert_same_solve(eqs, unknowns):
+    got, ref = solve_linear(eqs, unknowns), reference_solve_linear(eqs, unknowns)
+    assert got.kind == ref.kind
+    assert got.solution == ref.solution
+    # the same pivots give the same nullspace basis, so the same span
+    assert got.nullspace == ref.nullspace
+    return got
+
+
+UNKNOWNS = ["u0", "u1", "u2", "u3", "u4"]
+solve_coeffs = st.integers(-4, 4) | st.builds(Fraction, st.integers(-6, 6),
+                                              st.integers(1, 7))
+
+
+@st.composite
+def linear_systems(draw):
+    """Int and mixed-denominator rows over 0..5 unknowns, with zero rows and
+    duplicate rows mixed in."""
+    unknowns = UNKNOWNS[:draw(st.integers(0, 5))]
+    coeffs = (st.dictionaries(st.sampled_from(unknowns), solve_coeffs, max_size=5)
+              if unknowns else st.just({}))
+    eqs = draw(st.lists(st.tuples(coeffs, solve_coeffs), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        eqs.insert(draw(st.integers(0, len(eqs))), ({u: 0 for u in unknowns}, 0))
+    if eqs:
+        for _ in range(draw(st.integers(0, 2))):
+            eqs.append(eqs[draw(st.integers(0, len(eqs) - 1))])
+    return eqs, unknowns
+
+
+@st.composite
+def full_rank_with_a_tail(draw):
+    """One single-unknown row per unknown (sparsest, so eliminated first),
+    then denser rows checked only against the solution: consistent ones and,
+    when ``bump`` is nonzero, one that is off by it."""
+    unknowns = UNKNOWNS[:draw(st.integers(1, 5))]
+    values = {u: draw(solve_coeffs) for u in unknowns}
+    eqs = []
+    for u in unknowns:
+        c = draw(solve_coeffs.filter(bool))
+        eqs.append(({u: c}, c * values[u]))
+    for _ in range(draw(st.integers(1, 3))):
+        row = {u: draw(solve_coeffs.filter(bool)) for u in unknowns}
+        eqs.append((row, sum(c * values[u] for u, c in row.items())))
+    bump = draw(st.integers(-2, 2))
+    row, rhs = eqs[-1]
+    eqs[-1] = (row, rhs + bump)
+    return eqs, unknowns, values, bump
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+@example(([], []))
+@example(([({}, 0), ({}, 3)], []))
+@example(([({"u0": 0, "u1": 0}, 0)] * 3, ["u0", "u1"]))
+def test_solve_linear_matches_the_fraction_reference(system):
+    _assert_same_solve(*system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(full_rank_with_a_tail())
+def test_solve_linear_checks_the_rows_left_after_full_rank(system):
+    eqs, unknowns, values, bump = system
+    got = _assert_same_solve(eqs, unknowns)
+    if bump:
+        assert got.kind == "inconsistent"
+    else:
+        assert got.kind == "unique" and got.solution == values
+
+
+def test_solve_linear_names_an_unknown_it_was_not_given():
+    with pytest.raises(ValueError, match="'z'"):
+        solve_linear([({"x": 1}, 1), ({"x": 1, "z": 2}, 3)], ["x", "y"])
 
 
 def test_substitute_unknown_target_variable_fails():
@@ -809,16 +960,42 @@ def test_exact_div_integer_remainder_and_negative_exponent_raise():
         Fraction(1, 6) * x * y - Fraction(1, 3)) == Poly.const(chart, Fraction(9, 2))
 
 
+small_kernel_polys = st.dictionaries(laurent_exponents, small_rationals, max_size=4).map(
+    lambda terms: Poly(KERNEL_CHART, terms))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.dictionaries(laurent_exponents, small_rationals, max_size=4).map(
-           lambda terms: Poly(KERNEL_CHART, terms)),
+@given(st.lists(small_kernel_polys, min_size=1, max_size=4),
        st.dictionaries(laurent_exponents, small_rationals, max_size=3).map(
            lambda terms: Poly(KERNEL_CHART, terms)),
-       small_rationals.filter(bool), small_rationals.filter(bool))
-def test_substitute_matches_the_fraction_reference(p, bx, cy, cz):
+       small_rationals.filter(bool), small_rationals.filter(bool), st.booleans())
+def test_substitute_matches_the_fraction_reference(batch, bx, cy, cz, carry_x):
+    # one substitute_all call pushes the whole batch through one table of
+    # monomial images; y and z carry negative exponents (unit bindings), and
+    # an unbound x is carried over by name
     chart = KERNEL_CHART
     bindings = {"x": bx, "y": cy * chart.var("y") ** 2, "z": cz * chart.var("z")}
-    assert p.substitute(bindings, chart) == reference_substitute(p, bindings, chart)
+    if carry_x:
+        del bindings["x"]
+    full = {"x": chart.var("x"), **bindings}
+    expected = [reference_substitute(p, full, chart) for p in batch]
+    assert substitute_all(batch, bindings, chart) == expected
+    assert [p.substitute(bindings, chart) for p in batch] == expected
+
+
+def test_substitute_all_raises_for_a_non_unit_and_an_overflow():
+    chart = KERNEL_CHART
+    x, y = chart.var("x"), chart.var("y")
+    y_inv = Poly.monomial(chart, {"y": -1})
+    non_unit = {"y": y + 1}
+    # a non-unit binding is fine until some entry carries a negative exponent
+    assert substitute_all([x * y, x], non_unit, chart) == [x * y + x, x]
+    with pytest.raises(NonUnitLaurentSubstitution):
+        substitute_all([x * y, x * y_inv], non_unit, chart)
+    big = Poly.monomial(chart, {"x": (1 << (FIELD_BITS - 1)) // 3 + 1})
+    assert substitute_all([x ** 2], {"x": big}, chart) == [big * big]
+    with pytest.raises(ExponentOverflow):
+        substitute_all([x ** 2, x ** 3], {"x": big}, chart)
 
 
 # ---------------------------------------------------------------------------

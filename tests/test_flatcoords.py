@@ -6,13 +6,14 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from weylfrob import exactalg, flatcoords, frobenius
-from weylfrob.exactalg import Poly, mat_det, solve_linear
-from weylfrob.flatcoords import (BSeries, BlockFormMismatch, b_coefficients,
-                                 build_w_chart, build_z_chart, flat_pipeline,
-                                 gamma_w, lower_christoffels, solve_p_block)
+from weylfrob.exactalg import Poly, mat_det, monomials_of_weighted_degree, solve_linear
+from weylfrob.flatcoords import (AnsatzInsufficient, BSeries, BlockFormMismatch,
+                                 b_coefficients, build_w_chart, build_z_chart,
+                                 flat_candidate_solve, flat_pipeline, gamma_w,
+                                 lower_christoffels, solve_p_block)
 from weylfrob.frobenius import build_structure
 from weylfrob.metrics import build_pencil
-from weylfrob.rootdata import RootSystemSpec, flat_degrees
+from weylfrob.rootdata import RootSystemSpec, degrees, flat_degrees
 
 from test_exactalg import weighted_degree
 
@@ -283,9 +284,8 @@ def test_map_components_weighted_homogeneous():
 
 
 def test_corrupted_eta_is_rejected():
-    # scaling one block entry must break either the flat solve or the
-    # z-stage pattern assertion: the checks are not vacuous
-    from weylfrob.flatcoords import AnsatzInsufficient, BlockFormMismatch
+    # scaling one block entry of eta by 3 at C3k1 breaks the z-stage pattern
+    # at its (2, 2) slot: the pattern check is not vacuous
     from weylfrob.metrics import BilinearForm
 
     spec = RootSystemSpec("C", 3, 1)
@@ -294,8 +294,105 @@ def test_corrupted_eta_is_rejected():
     mat[1][2] = mat[1][2] * 3
     mat[2][1] = mat[1][2]
     bad = BilinearForm(pen.eta.chart, mat)
-    with pytest.raises((AnsatzInsufficient, BlockFormMismatch, ArithmeticError)):
+    with pytest.raises(BlockFormMismatch,
+                       match=r"^eta\(z\)\[2\]\[2\] = 4\*z2 - 16/3\*z3, expected 4\*z2$"):
         flat_pipeline(spec, bad)
+
+
+def p_block_inputs(spec: RootSystemSpec, eta_y, j: int):
+    """(base, candidates) of p_j exactly as ``solve_p_block`` builds them."""
+    yc = eta_y.chart
+    names = [f"y{i}" for i in range(1, j)] + ["E"]
+    basis = monomials_of_weighted_degree(yc, names, degrees(spec)[j - 1])
+    return Poly.variable(yc, f"y{j}"), [Poly.monomial(yc, mono) for mono in basis]
+
+
+def test_perturbed_gamma_makes_the_flatness_system_inconsistent():
+    # doubling gamma^2_{11} at C3k3 leaves p_2 no solution in its ansatz
+    spec = RootSystemSpec("C", 3, 3)
+    eta = build_pencil(spec).eta
+    gammas = lower_christoffels(eta)
+    base, candidates = p_block_inputs(spec, eta, 2)
+    assert flat_candidate_solve(gammas, base, candidates, "p_2") != base
+    gammas[1][0][0] = gammas[1][0][0] * 2
+    with pytest.raises(AnsatzInsufficient,
+                       match=r"^flatness system for p_2 is inconsistent$"):
+        flat_candidate_solve(gammas, base, candidates, "p_2")
+
+
+def test_equations_dropped_for_one_candidate_leave_a_nonzero_residual(monkeypatch):
+    # the solver never sees the rows of one candidate whose coefficient is
+    # nonzero, so it sets that coefficient to 0 and the system stays
+    # consistent: only the exact residual check of the solution catches it
+    spec = RootSystemSpec("C", 3, 3)
+    eta = build_pencil(spec).eta
+    gammas = lower_christoffels(eta)
+    base, candidates = p_block_inputs(spec, eta, 3)
+    tau = flat_candidate_solve(gammas, base, candidates, "p_3")
+    q = next(q for q, c in enumerate(candidates)
+             if next(iter(c.packed)) in tau.packed)
+    solve = flatcoords.solve_linear
+    seen = []
+
+    def blind_solve(equations, unknowns):
+        seen.append(unknowns[q])
+        return solve([(row, rhs) for row, rhs in equations if unknowns[q] not in row],
+                     unknowns)
+
+    monkeypatch.setattr(flatcoords, "solve_linear", blind_solve)
+    with pytest.raises(AnsatzInsufficient,
+                       match=r"^flatness residual \(\d+, \d+\) nonzero for p_3$"):
+        flat_candidate_solve(gammas, base, candidates, "p_3")
+    assert seen
+
+
+def test_flat_solve_accepts_scaled_and_mixed_candidates():
+    # the rows use numerator polynomials: rescaled candidates, a
+    # two-term candidate and a base with a denominator give the same flat
+    # function, scaled with the base
+    spec = RootSystemSpec("C", 4, 4)
+    eta = build_pencil(spec).eta
+    gammas = lower_christoffels(eta)
+    base, candidates = p_block_inputs(spec, eta, 4)
+    tau = flat_candidate_solve(gammas, base, candidates, "p_4")
+    mixed = [candidates[0] * Fraction(3, 7) + candidates[1]] + \
+        [c * Fraction(5, 2) for c in candidates[1:]]
+    scaled = flat_candidate_solve(gammas, base * Fraction(2, 9), mixed, "p_4")
+    assert scaled == tau * Fraction(2, 9)
+
+
+def test_flat_candidate_solve_makes_fractions_only_for_its_unknowns(monkeypatch):
+    """On C6k6 each p_j solve creates at most one Fraction per unknown (its
+    solution values), however many rows its system has."""
+    spec = RootSystemSpec("C", 6, 6)
+    eta = build_pencil(spec).eta
+    gammas = lower_christoffels(eta)
+    inputs = [p_block_inputs(spec, eta, j) for j in range(1, 7)]
+    solve = flatcoords.solve_linear
+    rows = []
+
+    def counting_solve(equations, unknowns):
+        rows.append(len(equations))
+        return solve(equations, unknowns)
+
+    made = [0]
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(flatcoords, "solve_linear", counting_solve)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert Fraction(1, 2) and made[0] == 1  # the patch sees every Fraction
+    counts = []
+    for base, candidates in inputs:
+        made[0] = 0
+        flat_candidate_solve(gammas, base, candidates, "p")
+        counts.append((made[0], len(candidates)))
+    monkeypatch.undo()
+    assert all(n_made <= n_unknowns for n_made, n_unknowns in counts), counts
+    assert rows[-1] > 2 * counts[-1][1]
 
 
 @pytest.mark.parametrize("l,k", [(4, 1), (6, 1), (7, 3)])

@@ -133,7 +133,7 @@ def _esym_or_one(values, j: int, chart: Chart) -> Poly:
 def _theta_in_zeta(spec: RootSystemSpec, work: Chart) -> Dict[str, Poly]:
     gen = generator_map(spec)
     tmap = theta_map(spec)
-    return {f"th{j}": inject(gen.pull(tmap.pullback[f"th{j}"]), work)
+    return {f"th{j}": inject(gen.pull([tmap.pullback[f"th{j}"]])[0], work)
             for j in range(spec.rank + 1)}
 
 

@@ -51,7 +51,7 @@ def assemble_P(spec: RootSystemSpec) -> GenPolyP:
     zc_uv = extend_with_uv(zeta_chart(spec))
     gen = generator_map(spec)
     tmap = theta_map(spec)
-    theta_in_zeta = {f"th{j}": inject(gen.pull(tmap.pullback[f"th{j}"]), zc_uv)
+    theta_in_zeta = {f"th{j}": inject(gen.pull([tmap.pullback[f"th{j}"]])[0], zc_uv)
                      for j in range(l + 1)}
     u = Poly.variable(zc_uv, "u")
     lhs = Poly.const(zc_uv, 0)
