@@ -580,16 +580,6 @@ def _bound_of(extra: int, *ps: Poly) -> int:
                            f"field bound +-{_HALF - 1}")
 
 
-def product_bound(xs: Sequence[Poly], ys: Sequence[Poly], extra: int = 0) -> None:
-    """ExponentOverflow unless every product x * y of xs and ys, times at most
-    ``extra`` more, keeps its exponents inside the packed fields."""
-    top = extra + sum(max([p._bound for p in ps], default=0) for ps in (xs, ys))
-    if top >= _HALF:
-        top = extra + sum(max(map(_exact_bound, ps), default=0) for ps in (xs, ys))
-        if top >= _HALF:
-            raise ExponentOverflow(f"a product exponent could reach {top}")
-
-
 def _scale(p: Poly, n: int, d: int) -> Poly:
     """p * n / d for integers n and d > 0."""
     if not n or not p._nums:
@@ -657,6 +647,46 @@ def sum_products(chart: Chart, pairs: Iterable[tuple]) -> Poly:
                 key = k1 + k2
                 acc[key] = get(key, 0) + a * v
     return _canon(chart, acc, den, bound)
+
+
+def flatness_rows(gammas: Sequence[Sequence[Sequence[Poly]]],
+                  columns: Sequence[Poly]) -> Iterable[Dict[int, int]]:
+    """For the numerator polynomial N of each column, the integer rows of
+    s_ij (d_i d_j N - sum_m gamma^m_{ij} d_m N) over the pairs i <= j, with
+    s_ij the lcm of the gamma^m_{ij} denominators: a dict keyed by the pair's
+    index stacked above the monomial's packed key, so equal keys across
+    columns name one equation.  d_i d_j of a term is a key shift and
+    gamma^m_{ij} times a term of d_m N shifts gamma's keys."""
+    n, bias = len(gammas), columns[0].chart._bias
+    top = bias.bit_length()  # a row's key: its pair's index b above a monomial key
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    scales = []
+    by_m: List[List[Tuple[int, int]]] = [[] for _ in range(n)]  # m -> shifted, scaled terms
+    for b, (i, j) in enumerate(pairs):
+        gs = [(m, gammas[m][i][j]) for m in range(n) if gammas[m][i][j]._nums]
+        scales.append(lcm(1, *[g._den for _, g in gs]))
+        for m, g in gs:
+            by_m[m] += [((b << top) + k - bias, v * (scales[b] // g._den))
+                        for k, v in g._nums.items()]
+    grads = [[Poly._raw(c.chart, c._nums, 1, c._bound).coord_diff(m) for m in range(n)]
+             for c in columns]
+    # every product of a gamma and a gradient must stay inside the fields
+    factors = ([g for p in gammas for r in p for g in r], [d for ds in grads for d in ds])
+    if sum(max([p._bound for p in ps], default=0) for ps in factors) >= _HALF:
+        reach = sum(max(map(_exact_bound, ps), default=0) for ps in factors)
+        if reach >= _HALF:
+            raise ExponentOverflow(f"a product exponent could reach {reach}")
+    for ds in grads:
+        acc: Dict[int, int] = {}
+        for b, (i, j) in enumerate(pairs):  # d_i d_j N = 0 once d_i N or d_j N is
+            if ds[i]._nums and ds[j]._nums:
+                acc.update(((b << top) + k, scales[b] * v)
+                           for k, v in ds[i].coord_diff(j)._nums.items())
+        for m in range(n):
+            for k1, a in ds[m]._nums.items():
+                for k2, c in by_m[m]:
+                    acc[k1 + k2] = acc.get(k1 + k2, 0) - a * c
+        yield acc
 
 
 def substitute_all(polys: Sequence[Poly], bindings: Mapping[str, Poly],

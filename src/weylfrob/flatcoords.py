@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import (INCONSISTENT, Chart, Matrix, Poly, contract, mat_inverse_unit,
-                       monomials_of_weighted_degree, product_bound, solve_linear,
+from .exactalg import (INCONSISTENT, Chart, Matrix, Poly, contract, flatness_rows,
+                       mat_inverse_unit, monomials_of_weighted_degree, solve_linear,
                        sum_products)
 from .metrics import BilinearForm, transform_form
 from .orbitspace import CoordMap, t_chart, w_chart, z_chart
@@ -79,48 +78,16 @@ def lower_christoffels(form: BilinearForm,
 
 def flat_candidate_solve(gammas: List[List[List[Poly]]], base: Poly,
                          candidates: List[Poly], what: str) -> Poly:
-    """Solve for the flat function base + sum c_q * candidate_q.
-
-    The equations are integer rows, one per pair i <= j and monomial, read
-    off packed numerators with no residual Poly or Fraction per candidate:
-    for the numerator polynomial N of each candidate (and of base, the rhs),
-    d_i d_j N - sum_m gamma^m_{ij} d_m N times the lcm of the gamma^m_{ij}
-    denominators, where d_i d_j of a term is a key shift and gamma^m_{ij}
-    times a term of d_m N shifts gamma's keys.  Free parameters are set to
-    zero and the solution's residual is verified exactly; AnsatzInsufficient
-    when the system is inconsistent or that residual is nonzero.
-    """
+    """The flat function base + sum c_q * candidate_q, solved on the integer
+    rows of ``flatness_rows`` with free parameters zero and its residual
+    verified exactly: AnsatzInsufficient when the system is inconsistent or
+    that residual is nonzero."""
     chart = base.chart
     n = chart.dim
-    bias = chart.pack([0] * chart.nvars)
-    top = bias.bit_length()  # a row's key: its pair's index b above a monomial key
-    pairs = {ij: b for b, ij in enumerate((i, j) for i in range(n) for j in range(i, n))}
-    scales = {}
-    by_m: List[List[Tuple[int, int]]] = [[] for _ in range(n)]  # m -> shifted, scaled terms
-    for (i, j), b in pairs.items():
-        gs = [(m, gammas[m][i][j]) for m in range(n) if not gammas[m][i][j].is_zero()]
-        scale = scales[b] = lcm(1, *[g.den for _, g in gs])
-        for m, g in gs:
-            by_m[m] += [((b << top) + k - bias, v * (scale // g.den))
-                        for k, v in g.packed.items()]
     columns = [Poly.from_packed(chart, p.packed, 1) for p in candidates + [base]]
-    product_bound([g for plane in gammas for row in plane for g in row], columns, 1)
     unknowns = [f"c{q}" for q in range(len(candidates))]
-    rows: Dict[int, Dict[Optional[str], int]] = {}
-    for q, col in enumerate(columns):
-        grads = [col.coord_diff(m) for m in range(n)]
-        live = [m for m in range(n) if not grads[m].is_zero()]
-        acc: Dict[int, int] = {}
-        for x, i in enumerate(live):  # d_i d_j N = 0 once d_i N or d_j N is
-            for j in live[x:]:
-                b = pairs[(i, j)]
-                acc.update(((b << top) + k, scales[b] * v)
-                           for k, v in grads[i].coord_diff(j).packed.items())
-        for m in live:
-            for k1, a in grads[m].packed.items():
-                for k2, c in by_m[m]:
-                    acc[k1 + k2] = acc.get(k1 + k2, 0) - a * c
-        name = unknowns[q] if q < len(unknowns) else None  # None: base's column
+    rows: Dict[int, Dict[Optional[str], int]] = {}  # None names base's column
+    for name, acc in zip(unknowns + [None], flatness_rows(gammas, columns)):
         for key, v in acc.items():
             if v:
                 rows.setdefault(key, {})[name] = v
@@ -133,10 +100,11 @@ def flat_candidate_solve(gammas: List[List[List[Poly]]], base: Poly,
     solution = Poly.from_packed(chart, total.packed, total.den * base.den)
     grads = [solution.coord_diff(m) for m in range(n)]
     minus = [(m, -grads[m]) for m in range(n) if not grads[m].is_zero()]
-    for (i, j) in pairs:
-        if not sum_products(chart, [(1, grads[i].coord_diff(j))] +
-                            [(gammas[m][i][j], g) for m, g in minus]).is_zero():
-            raise AnsatzInsufficient(f"flatness residual {(i, j)} nonzero for {what}")
+    for i in range(n):
+        for j in range(i, n):
+            if not sum_products(chart, [(1, grads[i].coord_diff(j))] +
+                                [(gammas[m][i][j], g) for m, g in minus]).is_zero():
+                raise AnsatzInsufficient(f"flatness residual {(i, j)} nonzero for {what}")
     return solution
 
 

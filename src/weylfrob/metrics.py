@@ -148,8 +148,10 @@ def transform_form(form: BilinearForm, cmap: CoordMap) -> BilinearForm:
     map: all entries pushed at once, then the entries i <= j of J g J^T."""
     if form.chart != cmap.source:
         raise ValueError("form does not live on the map's source chart")
-    _, J = cmap.jacobians
     n = form.dim
+    if any(form.mat[i][j] != form.mat[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("form is not symmetric")
+    _, J = cmap.jacobians
     flat = cmap.push([e for row in form.mat for e in row])
     half = contract(J, [flat[i * n:(i + 1) * n] for i in range(n)], 0)
     upper = [contract(J[i:], half[i], 0) for i in range(n)]  # upper[i][j - i]

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from weylfrob.exactalg import (FIELD_BITS, Chart, ChartMismatch, ExponentOverflow,
                                LinearSolveResult, NonExactDivision,
                                NonUnitLaurentSubstitution, Poly, VarSpec, contract,
-                               monomials_of_weighted_degree, rat, solve_linear,
-                               substitute_all, sum_products)
+                               flatness_rows, monomials_of_weighted_degree, rat,
+                               solve_linear, substitute_all, sum_products)
 
 
 def simple_chart():
@@ -1350,3 +1350,55 @@ def test_unit_determinant_without_unit_entries_takes_the_fallback(monkeypatch):
         assert mat_det(rows) == naive_det(rows) == permutation_sign(perm) * 2 * b
         assert calls["fraction_free"] > 0
         assert mat_adjugate(rows) == cofactor_adjugate(rows)
+
+
+# ---------------------------------------------------------------------------
+# flatness_rows: the integer rows of the flatness operator
+# ---------------------------------------------------------------------------
+
+def scaled_residuals(gammas, col):
+    """s_ij (d_i d_j N - sum_m gamma^m_{ij} d_m N) for i <= j, built as Polys."""
+    c = col.chart
+    n = c.dim
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            s = lcm(1, *[gammas[m][i][j].den for m in range(n)
+                         if not gammas[m][i][j].is_zero()])
+            r = col.coord_diff(i).coord_diff(j) - sum_products(
+                c, [(gammas[m][i][j], col.coord_diff(m)) for m in range(n)])
+            out.append(r * s)
+    return out
+
+
+def test_flatness_rows_are_the_scaled_residual_numerators():
+    c = laurent_chart()
+    x, y = c.var("x"), c.var("y")
+    gammas = [[[x * Fraction(1, 3) + y ** -1, Poly.const(c, 0)],
+               [Poly.const(c, 0), x * y * Fraction(5, 2)]],
+              [[y ** 2 * Fraction(-1, 6), x ** 2 + Fraction(2, 9)],
+               [x ** 2 + Fraction(2, 9), Poly.const(c, 7)]]]
+    cols = [x ** 3 * y ** -2 * 4 - x * y, x ** 2 + y ** 3 * 3, Poly.const(c, 5)]
+    rows = list(flatness_rows(gammas, cols + [cols[0] * Fraction(-2, 3)]))
+    for col, row in zip(cols, rows):
+        residuals = scaled_residuals(gammas, col)
+        assert all(r.den == 1 for r in residuals)
+        # pairs never share a key: the rows hold every residual numerator once
+        assert sorted(v for v in row.values() if v) == \
+            sorted(v for r in residuals for v in r.packed.values())
+    assert not any(rows[2].values())  # a constant is flat
+    # equal keys name one equation, and a column's denominator is dropped:
+    # -2/3 N has the rows of its numerator -2 N
+    assert rows[3] == {k: -2 * v for k, v in rows[0].items()}
+
+
+def test_flatness_rows_guard_the_packed_fields():
+    c = simple_chart()
+    zero = Poly.const(c, 0)
+    gammas = [[[zero, zero], [zero, zero]] for _ in range(2)]
+    gammas[0][0][0] = Poly.monomial(c, {"u": HALF - 3})
+    # u^(HALF-3) * d_u u^3 = 3 u^(HALF-1) still fits; d_u u^4 would not
+    (row,) = flatness_rows(gammas, [c.var("u") ** 3])
+    assert sorted(row.values()) == [-3, 6]
+    with pytest.raises(ExponentOverflow, match=r"^a product exponent could reach"):
+        list(flatness_rows(gammas, [c.var("u") ** 4]))

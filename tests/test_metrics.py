@@ -6,7 +6,7 @@ from typing import Dict
 import pytest
 
 from weylfrob.exactalg import Chart, Poly
-from weylfrob.metrics import (build_pencil, det_eta_check, DetMismatch,
+from weylfrob.metrics import (BilinearForm, build_pencil, det_eta_check, DetMismatch,
                               eta_closed_form, eta_closed_form_check, g_theta,
                               gamma_theta, linearity_check, theta_map,
                               transform_christoffel, transform_form)
@@ -188,6 +188,15 @@ def test_transform_identity_map():
     gam = transform_christoffel(pen.gamma_g, ident, same)
     assert all(gam.arr[i][j][m] == pen.gamma_g.arr[i][j][m]
                for i in range(3) for j in range(3) for m in range(3))
+
+
+def test_transform_form_rejects_a_non_symmetric_form():
+    # only the entries i <= j of J g J^T are formed, so symmetry is checked
+    pen = build_pencil(RootSystemSpec("C", 2, 1))
+    mat = [list(row) for row in pen.g.mat]
+    mat[0][1] = mat[0][1] + 1
+    with pytest.raises(ValueError, match=r"^form is not symmetric$"):
+        transform_form(BilinearForm(pen.chart, mat), identity_map(pen.chart))
 
 
 @pytest.mark.parametrize("l,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
