@@ -10,10 +10,10 @@ entry point is :func:`weylfrob.frobenius.build_structure`; the CLI lives in
 from .exactalg import (Chart, ChartMismatch, ExponentOverflow, LinearSolveResult,
                        NonExactDivision, NonUnitLaurentSubstitution, Poly, Rational,
                        VarSpec, solve_linear)
-from .frobenius import (EulerField, FrobeniusStructure, Inconsistent, NoCyclicDirection,
-                        OracleMismatch, PotentialF, ShapeMismatch, SymmetryViolation,
-                        build_structure, oracle_check, verify_euler_unity,
-                        verify_intersection, verify_wdvv)
+from .frobenius import (CheckFailed, EulerField, FrobeniusStructure, Inconsistent,
+                        NoCyclicDirection, OracleMismatch, PotentialF, ShapeMismatch,
+                        SymmetryViolation, build_structure, oracle_check,
+                        verify_euler_unity, verify_intersection, verify_wdvv)
 from .metrics import BilinearForm, ChristoffelContra, FlatPencil, build_pencil
 from .rootdata import ExtendedMetric, InvalidSpec, RootSystemSpec, build, dual_index
 
@@ -24,6 +24,6 @@ __all__ = [
     "RootSystemSpec", "build", "dual_index", "BilinearForm", "ChristoffelContra",
     "FlatPencil", "build_pencil", "EulerField", "FrobeniusStructure", "PotentialF",
     "build_structure", "oracle_check", "verify_euler_unity", "verify_intersection",
-    "verify_wdvv", "Inconsistent", "NoCyclicDirection", "OracleMismatch", "ShapeMismatch",
-    "SymmetryViolation",
+    "verify_wdvv", "CheckFailed", "Inconsistent", "NoCyclicDirection", "OracleMismatch",
+    "ShapeMismatch", "SymmetryViolation",
 ]

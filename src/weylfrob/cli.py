@@ -15,114 +15,29 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .exactalg import Poly, contract, unit_det
+from .exactalg import Poly
 from .fixtures import FIXTURES, Fixture, terms_to_poly
-from .flatcoords import _expected_pattern
-from .frobenius import (ORACLE_AGREES, FrobeniusStructure, build_structure,
-                        oracle_check, verify_euler_unity, verify_intersection,
-                        verify_wdvv)
-from .metrics import (det_eta_check, eta_closed_form_check, eta_from_g,
-                      linearity_check)
-from .rootdata import InvalidSpec, RootSystemSpec, dual_index, flat_degrees
+from .frobenius import CHECKS, FrobeniusStructure, build_structure
+from .rootdata import InvalidSpec, RootSystemSpec
 from .serialize import document_json, structure_document, structure_latex
 
-CHECK_NAMES = ["pencil", "eta-form", "det", "wdvv", "euler", "intersection",
-               "duality", "oracle"]
+CHECK_NAMES = list(CHECKS)
 
 # the largest rank at which the first-principles oracle runs
 ORACLE_MAX_RANK = 3
 
 
 def run_check(name: str, struct: FrobeniusStructure, oracle_max_rank: int) -> Dict:
-    """Run one named verification suite; returns {check, passed, detail}."""
-    spec = struct.spec
-    cspec = struct.cspec
+    """Run one named check of ``frobenius.CHECKS``; returns {check, passed,
+    detail}.  The oracle is skipped, as passed, above oracle_max_rank."""
+    if name not in CHECKS:
+        return _result(name, False, f"unknown check {name!r}")
+    rank = struct.spec.rank
+    if name == "oracle" and rank > oracle_max_rank:
+        return _result(name, True, f"skipped (rank {rank} > bound {oracle_max_rank})")
     try:
-        if name == "pencil":
-            pencil = struct.pencil
-            if not linearity_check(pencil.g, pencil.gamma_g, cspec):
-                return _result(name, False, "g or Gamma not linear in y^k")
-            g = pencil.g.mat
-            dim = len(g)
-            d_k_g = eta_from_g(pencil.g, cspec).mat
-            for i in range(dim):
-                for j in range(dim):
-                    if pencil.eta.mat[i][j] != d_k_g[i][j]:
-                        return _result(name, False,
-                                       f"eta^({i+1},{j+1}) != d g^({i+1},{j+1})/d y^k")
-            unit_det(pencil.eta.mat)  # raises NonInvertibleMatrix on a degenerate eta
-            # Gamma must be the Levi-Civita connection of g, in the y-chart:
-            # - g = A + y^k eta with A, eta free of y^k, so det g has leading
-            #   coefficient det eta, a unit: g is non-degenerate, and compatible
-            #   plus torsion-free pins Gamma as its Levi-Civita connection (no
-            #   inverse is needed);
-            # - d/dy^k of compatibility and the (y^k)^2 coefficient of
-            #   torsion-freeness are the same two identities for (eta, d_k Gamma),
-            #   so the Levi-Civita connection of eta needs no test of its own
-            gam = pencil.gamma_g.arr
-            for i in range(dim):
-                for j in range(dim):
-                    for m in range(dim):
-                        if g[i][j].coord_diff(m) != gam[i][j][m] + gam[j][i][m]:
-                            return _result(name, False,
-                                           f"gamma^({i+1},{j+1})_{m+1} mismatch")
-            # torsion[j][m][i] = g^{is} gamma^{jm}_s, symmetric in i <-> j
-            torsion = contract(g, gam, 2)
-            for i in range(dim):
-                for j in range(i + 1, dim):
-                    for m in range(dim):
-                        if torsion[j][m][i] != torsion[i][m][j]:
-                            return _result(name, False,
-                                           f"gamma^({i+1},{m+1}) and gamma^({j+1},{m+1}) "
-                                           "torsion mismatch")
-            for stage, form in (("z", struct.flat.eta_z), ("w", struct.flat.eta_w),
-                                ("t", struct.flat.eta_t)):
-                expected = _expected_pattern(cspec, form.chart, stage)
-                for i in range(dim):
-                    for j in range(dim):
-                        if form.mat[i][j] != expected[i][j]:
-                            return _result(name, False, f"eta({stage}) pattern broken")
-            return _result(name, True, "linearity, pencil symbols, stage patterns")
-        if name == "eta-form":
-            eta_closed_form_check(cspec, struct.pencil.eta)
-            return _result(name, True, "eta equals the closed form")
-        if name == "det":
-            det = det_eta_check(cspec, struct.pencil.eta)
-            return _result(name, True, f"det(eta) = {det!r}")
-        if name == "wdvv":
-            failures = verify_wdvv(struct)
-            if failures:
-                (idx, poly) = failures[0]
-                return _result(name, False,
-                               f"{len(failures)} nonzero residuals, e.g. {idx}: {poly!r}")
-            return _result(name, True, "all associativity residuals vanish")
-        if name == "euler":
-            residual = verify_euler_unity(struct)
-            return _result(name, True, f"L_E F - 2F = {residual!r}")
-        if name == "intersection":
-            verify_intersection(struct)
-            return _result(name, True, "g = L_E F^(ij) and Gamma = dtilde_j c")
-        if name == "duality":
-            l, k = cspec.rank, cspec.vertex
-            dt = flat_degrees(l, k)
-            for i in range(1, l + 2):
-                if dt[i - 1] + dt[dual_index(cspec, i) - 1] != 1:
-                    return _result(name, False, f"dtilde_{i} + dtilde_{i}* != 1")
-            for i in range(l + 1):
-                for j in range(l + 1):
-                    nonzero = bool(struct.eta_up[i][j])
-                    if nonzero != (dual_index(cspec, i + 1) == j + 1):
-                        return _result(name, False,
-                                       f"eta^{i+1},{j+1} vs duality mismatch")
-            return _result(name, True, "involution matches eta pattern")
-        if name == "oracle":
-            if spec.rank > oracle_max_rank:
-                return _result(name, True,
-                               f"skipped (rank {spec.rank} > bound {oracle_max_rank})")
-            oracle_check(struct)
-            return _result(name, True, ORACLE_AGREES)
-        raise ValueError(f"unknown check {name!r}")
-    except (ArithmeticError, ValueError) as exc:
+        return _result(name, True, CHECKS[name](struct))
+    except ArithmeticError as exc:
         return _result(name, False, str(exc))
 
 
@@ -200,10 +115,6 @@ def compare_fixture(struct: FrobeniusStructure, fixture: Fixture) -> List[str]:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _spec_from_args(args) -> RootSystemSpec:
-    return RootSystemSpec(args.family, args.rank, args.vertex)
-
-
 def _add_spec_args(sub):
     sub.add_argument("--family", required=True, choices=["B", "C"])
     sub.add_argument("--rank", required=True, type=int)
@@ -258,7 +169,7 @@ def _main(argv: Optional[List[str]]) -> int:
         return 0
 
     try:
-        spec = _spec_from_args(args)
+        spec = RootSystemSpec(args.family, args.rank, args.vertex)
     except InvalidSpec as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return 2

@@ -155,12 +155,6 @@ class Chart:
     def var(self, name: str) -> "Poly":
         return Poly.variable(self, name)
 
-    def one(self) -> "Poly":
-        return Poly.const(self, 1)
-
-    def const(self, c) -> "Poly":
-        return Poly.const(self, c)
-
     def pack(self, exps: Sequence[int]) -> int:
         """The packed key of an exponent vector; ExponentOverflow when an
         exponent or the total degree is out of range."""
@@ -247,8 +241,8 @@ class Poly:
         return Poly._raw(chart, {chart._bias: n}, d, 0)
 
     @staticmethod
-    def variable(chart: Chart, name: str, power: int = 1) -> "Poly":
-        return Poly.monomial(chart, {name: power})
+    def variable(chart: Chart, name: str) -> "Poly":
+        return Poly.monomial(chart, {name: 1})
 
     @staticmethod
     def monomial(chart: Chart, exps: Mapping[str, int], coeff=1) -> "Poly":

@@ -6,9 +6,9 @@ solving the flatness equations
     d_i d_j f  -  sum_m gamma^m_{ij} d_m f  =  0
 
 as exact linear systems over a triangular weighted-homogeneous ansatz; the
-resulting eta patterns (one per stage) are then asserted exactly.  The
-linear-block constants B^i_j between the z and y charts are read off one
-route, the closed-form generating series
+resulting eta patterns (``metrics.eta_pattern``, one per stage) are then
+asserted exactly.  The linear-block constants B^i_j between the z and y
+charts are read off one route, the closed-form generating series
 cosh(sqrt(t)/2) (2 sinh(sqrt(t)/2)/sqrt(t))^(2i-1); the triangular quadratic
 recursion they solve is kept in the tests as the oracle.
 
@@ -22,24 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import (INCONSISTENT, Chart, Matrix, Poly, contract, flatness_rows,
+from .exactalg import (INCONSISTENT, Matrix, Poly, contract, flatness_rows,
                        mat_inverse_unit, monomials_of_weighted_degree, solve_linear,
                        sum_products)
-from .metrics import BilinearForm, transform_form
+from .metrics import BilinearForm, assert_eta_pattern, transform_form
 from .orbitspace import CoordMap, t_chart, w_chart, z_chart
 from .rootdata import RootSystemSpec, degrees
 
 
 class AnsatzInsufficient(ArithmeticError):
     """The triangular flat-coordinate ansatz admits no solution."""
-
-
-class BlockFormMismatch(ArithmeticError):
-    """eta in the z or w chart missed its expected block pattern."""
-
-
-class EtaPatternMismatch(ArithmeticError):
-    """eta in the t-chart is not the expected constant matrix."""
 
 
 class PropertyViolation(ArithmeticError):
@@ -185,86 +177,14 @@ def b_coefficients(n: int) -> BSeries:
     return BSeries(n, table)
 
 
-def _expected_pattern(spec: RootSystemSpec, chart: Chart, stage: str) -> Matrix:
-    """The expected eta pattern after the z, w, or t stage.
-
-    For l-k = 1 the generic w/t-stage displays would overlap at the (l,l)
-    slot; the constructed value there is 1 (chain rule through s^2 = z^l).
-    """
-    l, k = spec.rank, spec.vertex
-    n = l - k
-    pfx = chart.vars[0].name[0]
-    size = l + 1
-    zero = Poly.const(chart, 0)
-    mat = [[zero] * size for _ in range(size)]
-
-    def put(i: int, j: int, val):
-        val = val if isinstance(val, Poly) else Poly.const(chart, val)
-        mat[i - 1][j - 1] = val
-        mat[j - 1][i - 1] = val
-
-    for i in range(1, k):
-        if k - i >= i:
-            put(i, k - i, k)
-    put(k, l + 1, 1)
-    if stage == "z":
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                m = i + j - 1
-                if m <= n:
-                    put(k + i, k + j, 4 * m * Poly.variable(chart, f"{pfx}{k + m}"))
-    elif stage == "w":
-        if n == 1:
-            put(l, l, 1)
-        elif n >= 2:
-            put(k + 1, l, 2)
-            s_inv2 = Poly.monomial(chart, {f"{pfx}{l}": -2})
-            for i in range(2, n):
-                for j in range(i, n):
-                    m = i + j - 1
-                    if m <= n - 1:
-                        put(k + i, k + j,
-                            4 * m * s_inv2 * Poly.variable(chart, f"{pfx}{k + m}"))
-            for i in range(2, n + 1):
-                j = n + 1 - i
-                if j >= i:
-                    put(k + i, k + j, 4 * n * s_inv2)
-    elif stage == "t":
-        if n == 1:
-            put(l, l, 1)
-        elif n >= 2:
-            put(k + 1, l, 2)
-            for i in range(k + 2, l):
-                j = k + l + 1 - i
-                if j >= i:
-                    put(i, j, 4 * n)
-    else:
-        raise ValueError(stage)
-    return mat
-
-
-def _assert_pattern(form: BilinearForm, expected: Matrix, stage: str, exc) -> None:
-    n = form.dim
-    for i in range(n):
-        for j in range(n):
-            if form.mat[i][j] != expected[i][j]:
-                raise exc(
-                    f"eta({stage})[{i + 1}][{j + 1}] = {form.mat[i][j]!r}, "
-                    f"expected {expected[i][j]!r}")
-
-
-def build_z_chart(spec: RootSystemSpec, eta_y: BilinearForm,
-                  p_list: Optional[List[Poly]] = None,
-                  bseries: Optional[BSeries] = None):
+def build_z_chart(spec: RootSystemSpec, eta_y: BilinearForm):
     """The shear stage y -> z and eta in the z-chart (zeroed R/P slots)."""
     l, k = spec.rank, spec.vertex
     n = l - k
     yc = eta_y.chart
     zc = z_chart(spec)
-    if p_list is None:
-        p_list = solve_p_block(spec, eta_y)
-    if bseries is None:
-        bseries = b_coefficients(n)
+    p_list = solve_p_block(spec, eta_y)
+    bseries = b_coefficients(n)
 
     forward: Dict[str, Poly] = {"E": Poly.variable(yc, "E")}
     for j in range(1, k + 1):
@@ -290,8 +210,8 @@ def build_z_chart(spec: RootSystemSpec, eta_y: BilinearForm,
     cmap = CoordMap(yc, zc, pullback=pullback, forward=forward)
     cmap.verify()
     eta_z = transform_form(eta_y, cmap)
-    _assert_pattern(eta_z, _expected_pattern(spec, zc, "z"), "z", BlockFormMismatch)
-    return cmap, eta_z, p_list, bseries
+    assert_eta_pattern(spec, eta_z, "z")
+    return cmap, eta_z, p_list
 
 
 def build_w_chart(spec: RootSystemSpec, eta_z: BilinearForm):
@@ -318,7 +238,7 @@ def build_w_chart(spec: RootSystemSpec, eta_z: BilinearForm):
         pullback[f"z{l}"] = s ** (2 * n)
         cmap = CoordMap(zc, wc, pullback=pullback, forward=None)
     eta_w = transform_form(eta_z, cmap)
-    _assert_pattern(eta_w, _expected_pattern(spec, wc, "w"), "w", BlockFormMismatch)
+    assert_eta_pattern(spec, eta_w, "w")
     return cmap, eta_w
 
 
@@ -418,7 +338,7 @@ def solve_flat_chart(spec: RootSystemSpec, eta_w: BilinearForm,
     cmap = CoordMap(wc, tc, pullback=pullback, forward=forward)
     cmap.verify()
     eta_t = transform_form(eta_w, cmap)
-    _assert_pattern(eta_t, _expected_pattern(spec, tc, "t"), "t", EtaPatternMismatch)
+    assert_eta_pattern(spec, eta_t, "t")
     return cmap, eta_t, h_polys
 
 
@@ -426,9 +346,7 @@ def solve_flat_chart(spec: RootSystemSpec, eta_w: BilinearForm,
 class FlatChartData:
     """All stages of the y -> t normalization for one structure."""
 
-    spec: RootSystemSpec
     p_list: List[Poly]
-    bseries: BSeries
     h_polys: Dict[int, Poly]
     z_map: CoordMap
     w_map: CoordMap
@@ -440,13 +358,11 @@ class FlatChartData:
 
 
 def flat_pipeline(spec: RootSystemSpec, eta_y: BilinearForm) -> FlatChartData:
-    z_map, eta_z, p_list, bseries = build_z_chart(spec, eta_y)
+    z_map, eta_z, p_list = build_z_chart(spec, eta_y)
     w_map, eta_w = build_w_chart(spec, eta_z)
     gammas = gamma_w(spec, eta_w)
     t_map, eta_t, h_polys = solve_flat_chart(spec, eta_w, gammas)
     y_to_t = z_map.compose(w_map).compose(t_map)
-    for cmap in (z_map, w_map, t_map):
-        cmap.drop_jacobians()
-    return FlatChartData(spec=spec, p_list=p_list, bseries=bseries, h_polys=h_polys,
-                         z_map=z_map, w_map=w_map, t_map=t_map, y_to_t=y_to_t,
-                         eta_z=eta_z, eta_w=eta_w, eta_t=eta_t)
+    return FlatChartData(p_list=p_list, h_polys=h_polys, z_map=z_map, w_map=w_map,
+                         t_map=t_map, y_to_t=y_to_t, eta_z=eta_z, eta_w=eta_w,
+                         eta_t=eta_t)

@@ -25,14 +25,16 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactalg import (Chart, Matrix, NonExactDivision, NonUnitLaurentSubstitution,
-                       Poly, Rational, contract, mat_det, sum_products)
+                       Poly, Rational, contract, mat_det, substitute_all, sum_products,
+                       unit_det)
 from .flatcoords import FlatChartData, covariant_form, flat_pipeline
-from .metrics import BilinearForm, FlatPencil, build_pencil, transform_form
+from .metrics import (BilinearForm, FlatPencil, assert_eta_pattern, build_pencil,
+                      det_eta_check, eta_from_g, linearity_check, transform_form)
 from .orbitspace import compute_g_direct
-from .rootdata import RootSystemSpec, flat_degrees
+from .rootdata import RootSystemSpec, dual_index, flat_degrees
 
 
 class SymmetryViolation(ArithmeticError):
@@ -53,6 +55,10 @@ class OracleMismatch(ArithmeticError):
 
 class NoCyclicDirection(ArithmeticError):
     """No direction x certifies C_x cyclic, so WDVV cannot be proved through one."""
+
+
+class CheckFailed(ArithmeticError):
+    """A named check found the identity it tests violated."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,6 @@ class FrobeniusStructure:
     pencil: FlatPencil
     flat: FlatChartData
     g_t: BilinearForm
-    eta_t: BilinearForm
     eta_cov: List[List[Rational]]
     eta_up: List[List[Rational]]
     euler: EulerField
@@ -305,11 +310,13 @@ def _krylov_certifies(h: Matrix, kpos: int) -> bool:
     primes = (p for p in count(2) if all(p % q for q in range(2, p)))
     point = {var.name: Poly.const(point_chart, 1 if var.laurent else next(primes))
              for var in h[0][0].chart.vars}
-    at = [[e.substitute(point, point_chart) for e in row] for row in h]
-    den = lcm(1, *[v.den for row in at for v in row])
-    cols = [[sum(v.packed.values()) * (den // v.den) for v in row] for row in at]
-    krylov = [[int(i == kpos) for i in range(len(h))]]
-    for _ in range(len(h) - 1):
+    n = len(h)
+    at = substitute_all([e for row in h for e in row], point, point_chart)
+    den = lcm(1, *[v.den for v in at])
+    nums = [sum(v.packed.values()) * (den // v.den) for v in at]
+    cols = [nums[b * n:(b + 1) * n] for b in range(n)]
+    krylov = [[int(i == kpos) for i in range(n)]]
+    for _ in range(n - 1):
         krylov.append([sum(a * c for a, c in zip(r, krylov[-1])) for r in zip(*cols)])
     return not mat_det([[Poly.const(point_chart, c) for c in row] for row in krylov]).is_zero()
 
@@ -374,8 +381,9 @@ def verify_euler_unity(struct: FrobeniusStructure) -> Poly:
     return Poly.monomial(chart, {f"t{k}": 2}, Fraction(1, 2 * k))
 
 
-def verify_intersection(struct: FrobeniusStructure) -> None:
-    """g^{ij} = L_E F^{ij} entrywise, exactly (the tag contributing 1/k).
+def verify_intersection(struct: FrobeniusStructure) -> str:
+    """g^{ij} = L_E F^{ij} entrywise, exactly (the tag contributing 1/k);
+    returns the ``intersection`` check's pass detail.
 
     The connection needs no test here (see the module notes).  Nor does its
     compatibility with g_t: once ``euler`` holds, F^{ij} has weight
@@ -394,6 +402,69 @@ def verify_intersection(struct: FrobeniusStructure) -> None:
             if got != struct.g_t.mat[i][j]:
                 raise Inconsistent(
                     f"L_E F^{{{i + 1},{j + 1}}} != g^{{{i + 1},{j + 1}}}")
+    return "g = L_E F^(ij) and Gamma = dtilde_j c"
+
+
+def verify_pencil(struct: FrobeniusStructure) -> str:
+    """The ``pencil`` check: in the y-chart, g and Gamma are at most linear in
+    y^k, eta = d g/d y^k has a unit determinant, and Gamma is the
+    Levi-Civita connection of g; eta keeps its pattern after the z, w and t
+    stages.  Returns the pass detail."""
+    cspec = struct.cspec
+    pencil = struct.pencil
+    if not linearity_check(pencil.g, pencil.gamma_g, cspec):
+        raise CheckFailed("g or Gamma not linear in y^k")
+    g = pencil.g.mat
+    dim = len(g)
+    d_k_g = eta_from_g(pencil.g, cspec).mat
+    for i in range(dim):
+        for j in range(dim):
+            if pencil.eta.mat[i][j] != d_k_g[i][j]:
+                raise CheckFailed(f"eta^({i+1},{j+1}) != d g^({i+1},{j+1})/d y^k")
+    unit_det(pencil.eta.mat)  # raises NonInvertibleMatrix on a degenerate eta
+    # Gamma must be the Levi-Civita connection of g, in the y-chart:
+    # - g = A + y^k eta with A, eta free of y^k, so det g has leading
+    #   coefficient det eta, a unit: g is non-degenerate, and compatible
+    #   plus torsion-free pins Gamma as its Levi-Civita connection (no
+    #   inverse is needed);
+    # - d/dy^k of compatibility and the (y^k)^2 coefficient of
+    #   torsion-freeness are the same two identities for (eta, d_k Gamma),
+    #   so the Levi-Civita connection of eta needs no test of its own
+    gam = pencil.gamma_g.arr
+    for i in range(dim):
+        for j in range(dim):
+            for m in range(dim):
+                if g[i][j].coord_diff(m) != gam[i][j][m] + gam[j][i][m]:
+                    raise CheckFailed(f"gamma^({i+1},{j+1})_{m+1} mismatch")
+    # torsion[j][m][i] = g^{is} gamma^{jm}_s, symmetric in i <-> j
+    torsion = contract(g, gam, 2)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for m in range(dim):
+                if torsion[j][m][i] != torsion[i][m][j]:
+                    raise CheckFailed(f"gamma^({i+1},{m+1}) and gamma^({j+1},{m+1}) "
+                                      "torsion mismatch")
+    flat = struct.flat
+    for stage, form in (("z", flat.eta_z), ("w", flat.eta_w), ("t", flat.eta_t)):
+        assert_eta_pattern(cspec, form, stage)
+    return "linearity, pencil symbols, stage patterns"
+
+
+def verify_duality(struct: FrobeniusStructure) -> str:
+    """The ``duality`` check: the involution i -> i* pairs flat degrees to
+    dtilde_i + dtilde_i* = 1, and eta^{ij} is nonzero exactly at j = i*.
+    Returns the pass detail."""
+    cspec = struct.cspec
+    l = cspec.rank
+    dt = flat_degrees(l, cspec.vertex)
+    for i in range(1, l + 2):
+        if dt[i - 1] + dt[dual_index(cspec, i) - 1] != 1:
+            raise CheckFailed(f"dtilde_{i} + dtilde_{i}* != 1")
+    for i in range(l + 1):
+        for j in range(l + 1):
+            if bool(struct.eta_up[i][j]) != (dual_index(cspec, i + 1) == j + 1):
+                raise CheckFailed(f"eta^{i+1},{j+1} vs duality mismatch")
+    return "involution matches eta pattern"
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +478,7 @@ def build_structure(spec: RootSystemSpec) -> FrobeniusStructure:
     """Construct (and cache) the structure for a marked spec.
 
     The build runs pencil -> flat coordinates -> g_t -> F_{abc} from g_t ->
-    F, guarded only by the shape of F; the eight named checks of the CLI
+    F, guarded only by the shape of F; the eight named checks (``CHECKS``)
     verify the result.  Only the metric is transported to the flat chart:
     the connection is certified in the y-chart (``pencil``), where the
     pencil builds it."""
@@ -428,7 +499,6 @@ def _build_c(spec: RootSystemSpec) -> FrobeniusStructure:
     pencil = build_pencil(spec)
     flat = flat_pipeline(spec, pencil.eta)
     g_t = transform_form(pencil.g, flat.y_to_t)
-    flat.y_to_t.drop_jacobians()
     eta_up = constant_matrix(flat.eta_t.mat)
     eta_cov = constant_matrix(covariant_form(flat.eta_t))
     euler = EulerField(dtilde=tuple(flat_degrees(l, k)[:l]),
@@ -436,8 +506,7 @@ def _build_c(spec: RootSystemSpec) -> FrobeniusStructure:
     f3 = third_derivatives_from_metric(spec, g_t, eta_cov)
     potential = integrate_potential(spec, f3, eta_cov)
     return FrobeniusStructure(spec=spec, cspec=spec, pencil=pencil, flat=flat,
-                              g_t=g_t, eta_t=flat.eta_t,
-                              eta_cov=eta_cov, eta_up=eta_up, euler=euler,
+                              g_t=g_t, eta_cov=eta_cov, eta_up=eta_up, euler=euler,
                               potential=potential)
 
 
@@ -456,13 +525,13 @@ def b_to_c(spec: RootSystemSpec) -> FrobeniusStructure:
 ORACLE_AGREES = "first-principles metric agrees"
 
 
-def oracle_check(struct: FrobeniusStructure) -> None:
+def oracle_check(struct: FrobeniusStructure) -> str:
     """Expand the structure's y-chart metric g in the oracle chart and compare
     it with the first-principles pairings of the spec's own generators, entry
     by entry; for B_l that is the pullback identification with the recorded
     log scale.  Every pairing is a polynomial in the generators and E^{+-1};
     an entry with a negative power of a generator is not, so it is a mismatch
-    too (its expansion raises)."""
+    too (its expansion raises).  Returns ORACLE_AGREES."""
     spec = struct.spec
     log_scale = struct.b_ident.log_scale if spec.family == "B" else Fraction(1)
     pairings, bindings = compute_g_direct(spec, log_scale)
@@ -477,3 +546,36 @@ def oracle_check(struct: FrobeniusStructure) -> None:
                 raise OracleMismatch(
                     f"{spec.label()}: g[{i + 1}][{j + 1}] differs from the "
                     "first-principles pairing")
+    return ORACLE_AGREES
+
+
+# ---------------------------------------------------------------------------
+# The named checks
+# ---------------------------------------------------------------------------
+
+def _eta_form(struct: FrobeniusStructure) -> str:
+    assert_eta_pattern(struct.cspec, struct.pencil.eta, "y")
+    return "eta equals the closed form"
+
+
+def _wdvv(struct: FrobeniusStructure) -> str:
+    failures = verify_wdvv(struct)
+    if failures:
+        (idx, poly) = failures[0]
+        raise CheckFailed(f"{len(failures)} nonzero residuals, e.g. {idx}: {poly!r}")
+    return "all associativity residuals vanish"
+
+
+# each check takes the structure and returns its pass detail, or raises an
+# ArithmeticError whose message is the failure detail; the order is the
+# order of every report
+CHECKS: Dict[str, Callable[[FrobeniusStructure], str]] = {
+    "pencil": verify_pencil,
+    "eta-form": _eta_form,
+    "det": lambda struct: f"det(eta) = {det_eta_check(struct.cspec, struct.pencil.eta)!r}",
+    "wdvv": _wdvv,
+    "euler": lambda struct: f"L_E F - 2F = {verify_euler_unity(struct)!r}",
+    "intersection": verify_intersection,
+    "duality": verify_duality,
+    "oracle": oracle_check,
+}

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .exactalg import Chart, Matrix, Poly, contract, mat_det
+from .exactalg import Chart, Matrix, Poly, contract, mat_det, mat_inverse_unit
 from .orbitspace import CoordMap, extend_with_uv, theta_chart, theta_map
 from .rootdata import RootSystemSpec
 
 
-class ClosedFormMismatch(ArithmeticError):
-    """eta from differentiation disagrees with its closed form."""
+class BlockFormMismatch(ArithmeticError):
+    """eta missed its block pattern in the y, z, w or t chart."""
 
 
 class DetMismatch(ArithmeticError):
@@ -151,7 +151,7 @@ def transform_form(form: BilinearForm, cmap: CoordMap) -> BilinearForm:
     n = form.dim
     if any(form.mat[i][j] != form.mat[j][i] for i in range(n) for j in range(i)):
         raise ValueError("form is not symmetric")
-    _, J = cmap.jacobians
+    J = mat_inverse_unit(cmap.jacobian_pullback())
     flat = cmap.push([e for row in form.mat for e in row])
     half = contract(J, [flat[i * n:(i + 1) * n] for i in range(n)], 0)
     upper = [contract(J[i:], half[i], 0) for i in range(n)]  # upper[i][j - i]
@@ -169,7 +169,8 @@ def transform_christoffel(gamma: ChristoffelContra, cmap: CoordMap,
     """
     if gamma.chart != cmap.source:
         raise ValueError("connection does not live on the map's source chart")
-    K, J = cmap.jacobians
+    K = cmap.jacobian_pullback()
+    J = mat_inverse_unit(K)
     n = gamma.dim
     pushed = iter(cmap.push([e for plane in gamma.arr for row in plane for e in row]))
     gsub = [[[next(pushed) for _ in range(n)] for _ in range(n)] for _ in range(n)]
@@ -186,7 +187,7 @@ def transform_christoffel(gamma: ChristoffelContra, cmap: CoordMap,
 
 
 # ---------------------------------------------------------------------------
-# eta: definition, closed form, determinant, linearity
+# eta: definition, block patterns, determinant, linearity
 # ---------------------------------------------------------------------------
 
 def eta_from_g(g_y: BilinearForm, spec: RootSystemSpec) -> BilinearForm:
@@ -195,51 +196,79 @@ def eta_from_g(g_y: BilinearForm, spec: RootSystemSpec) -> BilinearForm:
     return g_y.map_entries(lambda p: p.diff(name))
 
 
-def eta_closed_form(spec: RootSystemSpec, chart: Chart) -> BilinearForm:
-    """The block closed form of eta, entries R_j, P_j, Q_m (y^0 = 1 convention)."""
+def eta_pattern(spec: RootSystemSpec, chart: Chart, stage: str) -> Matrix:
+    """eta's block pattern in the y, z, w or t chart (stage y/z/w/t).
+
+    In the y chart it is the closed form with entries R_j, P_j and Q_m
+    (y^0 = 1); the shear stage z zeroes the R/P slots and drops the tail of
+    Q_m.  For l-k = 1 the generic w/t-stage displays would overlap at the
+    (l,l) slot; the constructed value there is 1 (chain rule through
+    s^2 = z^l).
+    """
     l, k = spec.rank, spec.vertex
     n = l - k
     pfx = chart.vars[0].name[0]
-    E = Poly.variable(chart, "E")
-
-    def yv(j: int) -> Poly:
-        return Poly.const(chart, 1) if j == 0 else Poly.variable(chart, f"{pfx}{j}")
-
-    def R(j: int) -> Poly:
-        return 4 * (k - j + 1) * yv(j - 1) * E + (k - j) * yv(j)
-
-    def P(j: int) -> Poly:
-        return 4 * (k - j + 1) * yv(j - 1) * E
-
-    def Q(m: int) -> Poly:
-        out = 4 * m * yv(k + m)
-        if m != n:
-            out = out + (m + 1) * yv(k + m + 1)
-        return out
-
     size = l + 1
     zero = Poly.const(chart, 0)
     mat = [[zero] * size for _ in range(size)]
 
-    def put(i: int, j: int, val: Poly):
+    def put(i: int, j: int, val):
+        val = val if isinstance(val, Poly) else Poly.const(chart, val)
         mat[i - 1][j - 1] = val
         mat[j - 1][i - 1] = val
 
+    def var(j: int) -> Poly:
+        return Poly.const(chart, 1) if j == 0 else Poly.variable(chart, f"{pfx}{j}")
+
+    E = Poly.variable(chart, "E")
     for i in range(1, k):
         for j in range(i, k):
-            s = i + j
-            if s == k:
-                put(i, j, Poly.const(chart, k))
-            elif s > k:
-                put(i, j, R(s - k))
-    for i in range(1, k + 1):
-        put(i, k, P(i))
-    put(k, l + 1, Poly.const(chart, 1))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if i + j - 1 <= n:
-                put(k + i, k + j, Q(i + j - 1))
-    return BilinearForm(chart, mat)
+            r = i + j - k
+            if r == 0:
+                put(i, j, k)
+            elif r > 0 and stage == "y":  # R_r
+                put(i, j, 4 * (k - r + 1) * var(r - 1) * E + (k - r) * var(r))
+    if stage == "y":
+        for i in range(1, k + 1):  # P_i
+            put(i, k, 4 * (k - i + 1) * var(i - 1) * E)
+    put(k, l + 1, 1)
+    if stage in ("y", "z"):
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                m = i + j - 1
+                if m <= n:  # Q_m, whose tail the z stage drops
+                    q = 4 * m * var(k + m)
+                    if stage == "y" and m != n:
+                        q = q + (m + 1) * var(k + m + 1)
+                    put(k + i, k + j, q)
+    elif stage in ("w", "t"):
+        if n == 1:
+            put(l, l, 1)
+        elif n >= 2:
+            put(k + 1, l, 2)
+            # the w chart carries s^-2 = (w^l)^-2 and the blocks m < n
+            scale = Poly.monomial(chart, {f"{pfx}{l}": -2}) if stage == "w" else 1
+            for i in range(2, n + 1):
+                for j in range(i, n + 1):
+                    m = i + j - 1
+                    if m == n:
+                        put(k + i, k + j, 4 * n * scale)
+                    elif m < n and stage == "w":
+                        put(k + i, k + j, 4 * m * scale * var(k + m))
+    else:
+        raise ValueError(stage)
+    return mat
+
+
+def assert_eta_pattern(spec: RootSystemSpec, eta: BilinearForm, stage: str) -> None:
+    """eta against ``eta_pattern`` in its own chart, entry by entry;
+    BlockFormMismatch names the first entry that differs."""
+    expected = eta_pattern(spec, eta.chart, stage)
+    for i, (got_row, want_row) in enumerate(zip(eta.mat, expected)):
+        for j, (got, want) in enumerate(zip(got_row, want_row)):
+            if got != want:
+                raise BlockFormMismatch(
+                    f"eta({stage})[{i + 1}][{j + 1}] = {got!r}, expected {want!r}")
 
 
 def det_eta_closed_form(spec: RootSystemSpec, chart: Chart) -> Poly:
@@ -265,17 +294,6 @@ def det_eta_check(spec: RootSystemSpec, eta: BilinearForm) -> Poly:
     if det != expected:
         raise DetMismatch(f"det(eta) = {det!r}, closed form gives {expected!r}")
     return det
-
-
-def eta_closed_form_check(spec: RootSystemSpec, eta: BilinearForm) -> None:
-    expected = eta_closed_form(spec, eta.chart)
-    n = eta.dim
-    for i in range(n):
-        for j in range(n):
-            if eta.mat[i][j] != expected.mat[i][j]:
-                raise ClosedFormMismatch(
-                    f"eta[{i + 1}][{j + 1}] = {eta.mat[i][j]!r} differs from closed "
-                    f"form {expected.mat[i][j]!r}")
 
 
 def linearity_check(g_y: BilinearForm, gamma_y: ChristoffelContra,

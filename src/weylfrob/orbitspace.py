@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactalg import (Chart, ChartMismatch, Matrix, Poly, VarSpec, contract,
-                       mat_inverse_unit, rat, substitute_all)
+from .exactalg import (Chart, ChartMismatch, Matrix, Poly, VarSpec, contract, rat,
+                       substitute_all)
 from .rootdata import ExtendedMetric, RootSystemSpec, build, degrees, flat_degrees
 
 
@@ -110,7 +109,7 @@ def extend_with_uv(chart: Chart) -> Chart:
 # Coordinate maps
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CoordMap:
     """An invertible polynomial chart change, stored in whichever directions
     are polynomial.
@@ -155,16 +154,14 @@ class CoordMap:
                             f"fails on {name!r}: {got!r}")
 
     def compose(self, other: "CoordMap") -> "CoordMap":
-        """self: A->B composed with other: B->C, giving A->C."""
+        """self: A->B composed with other: B->C, giving A->C by its pullback
+        alone (transport needs no other direction)."""
         if self.target != other.source:
             raise ChartMismatch("compose requires matching middle chart")
-        pullback = None
-        if self.pullback is not None and other.pullback is not None:
-            pullback = dict(zip(self.pullback, other.push(list(self.pullback.values()))))
-        forward = None
-        if self.forward is not None and other.forward is not None:
-            forward = dict(zip(other.forward, self.pull(list(other.forward.values()))))
-        return CoordMap(self.source, other.target, pullback=pullback, forward=forward)
+        if self.pullback is None:
+            raise ValueError(f"map {self.source.name}->{self.target.name} has no pullback")
+        pullback = dict(zip(self.pullback, other.push(list(self.pullback.values()))))
+        return CoordMap(self.source, other.target, pullback=pullback)
 
     def jacobian_pullback(self) -> Matrix:
         """K[a][i] = d(source coord a)/d(target coord i), as Polys over the target.
@@ -189,18 +186,6 @@ class CoordMap:
                 expr = self.pullback[coord]
                 rows.append([expr.diff(tgt.coords[i]) for i in range(tgt.dim)])
         return rows
-
-    @cached_property
-    def jacobians(self) -> Tuple[Matrix, Matrix]:
-        """(K, J): the pullback Jacobian and its exact inverse, computed on
-        first use and kept, so every transport along this map inverts K once."""
-        K = self.jacobian_pullback()
-        return K, mat_inverse_unit(K)
-
-    def drop_jacobians(self) -> None:
-        """Forget the stored Jacobians once no transport along the map is
-        left, so a map kept in a structure does not keep them."""
-        vars(self).pop("jacobians", None)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +296,7 @@ def generator_exprs(spec: RootSystemSpec, chart: Chart) -> List[Poly]:
 
 
 def oracle_pairing(metric: ExtendedMetric, funcs: Sequence[Poly],
-                   log_scale: Fraction = Fraction(1)) -> Matrix:
+                   log_scale: Fraction) -> Matrix:
     """Pairings of the given functions (plus the log coordinate) under the
     invariant metric, computed from first principles in the oracle chart.
 

@@ -74,7 +74,7 @@ def structure_document(struct: FrobeniusStructure, report: List[Dict]) -> Dict:
             "z_to_w": map_to_obj(struct.flat.w_map),
             "w_to_t": map_to_obj(struct.flat.t_map),
         },
-        "eta_t": matrix_to_obj(struct.eta_t.mat),
+        "eta_t": matrix_to_obj(struct.flat.eta_t.mat),
         "g_t": matrix_to_obj(struct.g_t.mat),
         "potential": {
             "head": {

@@ -14,7 +14,7 @@ from weylfrob.fixtures import FIXTURES
 from weylfrob.flatcoords import b_coefficients
 from weylfrob.frobenius import (build_structure, oracle_check, third_derivatives,
                                 verify_euler_unity, verify_intersection, verify_wdvv)
-from weylfrob.metrics import (det_eta_check, eta_closed_form_check, eta_from_g,
+from weylfrob.metrics import (assert_eta_pattern, det_eta_check, eta_from_g, eta_pattern,
                               g_theta, theta_map, transform_form)
 from weylfrob.rootdata import RootSystemSpec, dual_index, flat_degrees
 from weylfrob.serialize import document_json, structure_document
@@ -102,15 +102,13 @@ def test_criterion_04_wdvv_all_structures_rank5():
 
 def test_criterion_05_eta_normal_form_rank5():
     started = time.monotonic()
-    from weylfrob.flatcoords import _expected_pattern
-
     for (l, k) in STRUCTURES_L5:
         spec = RootSystemSpec("C", l, k)
         struct = build_structure(spec)
-        expected = _expected_pattern(spec, struct.eta_t.chart, "t")
+        expected = eta_pattern(spec, struct.flat.eta_t.chart, "t")
         for i in range(l + 1):
             for j in range(l + 1):
-                assert struct.eta_t.mat[i][j] == expected[i][j]
+                assert struct.flat.eta_t.mat[i][j] == expected[i][j]
     _report("criterion 5 (eta normal form, 15 structures)", started)
 
 
@@ -131,7 +129,7 @@ def test_criterion_07_eta_closed_form_rank6():
         for k in range(1, l + 1):
             spec = RootSystemSpec("C", l, k)
             g_y = transform_form(g_theta(spec), theta_map(spec))
-            eta_closed_form_check(spec, eta_from_g(g_y, spec))
+            assert_eta_pattern(spec, eta_from_g(g_y, spec), "y")
     _report("criterion 7 (eta block closed form, l <= 6)", started)
 
 

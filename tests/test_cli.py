@@ -299,6 +299,9 @@ MUTATIONS = [
     ("pencil", "gamma_g[0][1][0] up, [1][0][0] down",
      lambda s: _twist_gamma_y(s, 0, 1, 0)),
     ("pencil", "gamma_g[j][0][0] += g[j][0]", lambda s: _shift_gamma_y(s, 0, 0)),
+    # the stage patterns: eta_w[0][0] is 0 in the w chart of C3k1
+    ("pencil", "flat.eta_w[0][0]",
+     lambda s: replace(s, flat=replace(s.flat, eta_w=_bump_form(s.flat.eta_w, 0, 0)))),
     # gamma_eta = d_k Gamma_y, the connection of eta, corrupted through Gamma_y
     ("pencil", "gamma_eta[0][0][0]", lambda s: _bump_gamma_eta(s, 0, 0, 0)),
     ("pencil", "gamma_eta[0][1][0] up, [1][0][0] down",
@@ -367,6 +370,16 @@ def test_oracle_validated_reads_the_oracle_check():
 
 def test_mutation_suite_covers_every_check():
     assert {check for check, _, _ in MUTATIONS} == set(cli.CHECK_NAMES)
+
+
+def test_check_names_are_the_library_checks():
+    assert cli.CHECK_NAMES == list(frobenius.CHECKS)
+
+
+def test_unknown_check_is_a_failed_result():
+    struct = build_structure(RootSystemSpec("C", 3, 1))
+    assert cli.run_check("nope", struct, 3) == {
+        "check": "nope", "passed": False, "detail": "unknown check 'nope'"}
 
 
 def test_metric_corruption_is_caught_by_intersection_alone():

@@ -7,12 +7,12 @@ import pytest
 
 from weylfrob import exactalg, flatcoords, frobenius
 from weylfrob.exactalg import Poly, mat_det, monomials_of_weighted_degree, solve_linear
-from weylfrob.flatcoords import (AnsatzInsufficient, BSeries, BlockFormMismatch,
-                                 b_coefficients, build_w_chart, build_z_chart,
-                                 flat_candidate_solve, flat_pipeline, gamma_w,
-                                 lower_christoffels, solve_p_block)
+from weylfrob.flatcoords import (AnsatzInsufficient, BSeries, b_coefficients,
+                                 build_w_chart, build_z_chart, flat_candidate_solve,
+                                 flat_pipeline, gamma_w, lower_christoffels,
+                                 solve_p_block)
 from weylfrob.frobenius import build_structure
-from weylfrob.metrics import build_pencil
+from weylfrob.metrics import BlockFormMismatch, build_pencil
 from weylfrob.rootdata import RootSystemSpec, degrees, flat_degrees
 
 from test_exactalg import weighted_degree
@@ -119,7 +119,7 @@ def test_p_block_c4k2():
 def test_z_block_fixture_coefficients():
     spec = RootSystemSpec("C", 4, 1)
     pen = build_pencil(spec)
-    zmap, _, _, _ = build_z_chart(spec, pen.eta)
+    zmap, _, _ = build_z_chart(spec, pen.eta)
     yc = pen.chart
     assert zmap.forward["z2"] == yc.var("y2") - Fraction(1, 6) * yc.var("y3") \
         + Fraction(1, 30) * yc.var("y4")
@@ -127,7 +127,7 @@ def test_z_block_fixture_coefficients():
 
     spec3 = RootSystemSpec("C", 3, 1)
     pen3 = build_pencil(spec3)
-    zmap3, _, _, _ = build_z_chart(spec3, pen3.eta)
+    zmap3, _, _ = build_z_chart(spec3, pen3.eta)
     assert zmap3.forward["z2"] == pen3.chart.var("y2") - Fraction(1, 6) * pen3.chart.var("y3")
 
 
@@ -149,7 +149,7 @@ def test_w_stage_eta_block_form_n1():
     # l - k = 1: the only w-variable is s with s^2 = z^l and eta(w^l, w^l) = 1
     spec = RootSystemSpec("C", 2, 1)
     pen = build_pencil(spec)
-    zmap, eta_z, _, _ = build_z_chart(spec, pen.eta)
+    zmap, eta_z, _ = build_z_chart(spec, pen.eta)
     wmap, eta_w = build_w_chart(spec, eta_z)
     assert eta_w.mat[1][1] == Poly.const(eta_w.chart, 1)
     assert wmap.pullback["z2"] == Poly.monomial(eta_w.chart, {"w2": 2})
@@ -158,7 +158,7 @@ def test_w_stage_eta_block_form_n1():
 def test_w_stage_exponents_c4k1():
     spec = RootSystemSpec("C", 4, 1)
     pen = build_pencil(spec)
-    zmap, eta_z, _, _ = build_z_chart(spec, pen.eta)
+    zmap, eta_z, _ = build_z_chart(spec, pen.eta)
     wmap, eta_w = build_w_chart(spec, eta_z)
     wc = eta_w.chart
     # z^3 = w^3 s^4, z^4 = s^6 encode w^3 = z^3 (z^4)^{-2/3}, w^4 = (z^4)^{1/6}
@@ -200,7 +200,7 @@ def test_gamma_w_delta_over_s_property_c5k1():
     # gamma^m_{l j} = delta^m_j / w^l for k+2 <= m <= l-1
     spec = RootSystemSpec("C", 5, 1)
     pen = build_pencil(spec)
-    zmap, eta_z, _, _ = build_z_chart(spec, pen.eta)
+    zmap, eta_z, _ = build_z_chart(spec, pen.eta)
     wmap, eta_w = build_w_chart(spec, eta_z)
     gam = gamma_w(spec, eta_w)  # runs all property checks internally
     wc = eta_w.chart
@@ -396,21 +396,23 @@ def test_flat_candidate_solve_makes_fractions_only_for_its_unknowns(monkeypatch)
 
 
 @pytest.mark.parametrize("l,k", [(4, 1), (6, 1), (7, 3)])
-def test_every_perturbed_b_constant_breaks_the_z_pattern(l, k):
+def test_every_perturbed_b_constant_breaks_the_z_pattern(monkeypatch, l, k):
     # the series is the one route to B in the build, so the eta_z block
     # pattern is what stands guard over it: 1/7 added to any single constant
-    # must be rejected
+    # must be rejected (the p-block is solved once and reused)
     spec = RootSystemSpec("C", l, k)
     pen = build_pencil(spec)
     p_list = solve_p_block(spec, pen.eta)
     good = b_coefficients(l - k)
     assert good.table
+    monkeypatch.setattr(flatcoords, "solve_p_block", lambda spec, eta_y: p_list)
     for key in good.table:
         table = dict(good.table)
         table[key] += Fraction(1, 7)
+        monkeypatch.setattr(flatcoords, "b_coefficients",
+                            lambda n, table=table: BSeries(good.n, table))
         with pytest.raises(BlockFormMismatch):
-            build_z_chart(spec, pen.eta, p_list=p_list,
-                          bseries=BSeries(good.n, table))
+            build_z_chart(spec, pen.eta)
 
 
 @pytest.mark.parametrize("l,k", [(4, 2), (7, 1)])

@@ -151,9 +151,7 @@ def reference_connection_identity(struct):
     spec = struct.cspec
     l, k = spec.rank, spec.vertex
     dim, last = l + 1, l
-    y_to_t = struct.flat.y_to_t
-    gamma_t = transform_christoffel(struct.pencil.gamma_g, y_to_t, struct.g_t)
-    y_to_t.drop_jacobians()  # leave the cached structure as the build left it
+    gamma_t = transform_christoffel(struct.pencil.gamma_g, struct.flat.y_to_t, struct.g_t)
     fup = raised_hessian(struct.potential, struct.eta_up)
     dt = flat_degrees(l, k)
     zero = Poly.const(struct.potential.chart, 0)
@@ -698,8 +696,8 @@ def test_structure_containers_are_frozen():
     b_ident = build_structure(RootSystemSpec("B", 3, 2)).b_ident
     for obj, field in ((struct, "potential"), (struct.potential, "poly"),
                        (b_ident, "log_scale"), (struct.pencil, "g"),
-                       (struct.flat, "eta_t"), (struct.g_t, "mat"),
-                       (struct.pencil.gamma_g, "arr")):
+                       (struct.flat, "eta_t"), (struct.flat.y_to_t, "pullback"),
+                       (struct.g_t, "mat"), (struct.pencil.gamma_g, "arr")):
         with pytest.raises(FrozenInstanceError):
             setattr(obj, field, getattr(obj, field))
     # a changed potential is a new one, with a Hessian of its own

@@ -6,8 +6,8 @@ from typing import Dict
 import pytest
 
 from weylfrob.exactalg import Chart, Poly
-from weylfrob.metrics import (BilinearForm, build_pencil, det_eta_check, DetMismatch,
-                              eta_closed_form, eta_closed_form_check, g_theta,
+from weylfrob.metrics import (BilinearForm, BlockFormMismatch, build_pencil, det_eta_check,
+                              DetMismatch, assert_eta_pattern, eta_pattern, g_theta,
                               gamma_theta, linearity_check, theta_map,
                               transform_christoffel, transform_form)
 from weylfrob.orbitspace import (CoordMap, elementary_symmetric, extend_with_uv,
@@ -236,20 +236,46 @@ def test_eta_c3k1_entries():
 def test_eta_closed_form_legend():
     # P_j = 4 (k - j + 1) y^{j-1} e^{y^{l+1}} with y^0 = 1
     spec = RootSystemSpec("C", 4, 3)
-    closed = eta_closed_form(spec, y_chart(spec))
-    yc = closed.chart
+    yc = y_chart(spec)
+    closed = eta_pattern(spec, yc, "y")
     for j in range(1, 4):
         prefactor = 4 * (3 - j + 1)
         expected = prefactor * (Poly.monomial(yc, {f"y{j - 1}": 1, "E": 1})
                                 if j > 1 else yc.var("E"))
-        assert closed.mat[j - 1][2] == expected
+        assert closed[j - 1][2] == expected
+
+
+def test_z_pattern_zeroes_r_and_p_and_drops_the_q_tail():
+    # C5k3 (n = 2): R_1 at (2, 2), P_1..P_3 at (1..3, 3); Q_1 at (4, 4)
+    # carries the tail 2 y5 in the y chart only
+    spec = RootSystemSpec("C", 5, 3)
+    yc = y_chart(spec)
+    y = eta_pattern(spec, yc, "y")
+    z = eta_pattern(spec, yc, "z")
+    E = yc.var("E")
+    slots = {(1, 1): 12 * E + 2 * yc.var("y1"), (0, 2): 12 * E,
+             (1, 2): 8 * yc.var("y1") * E, (2, 2): 4 * yc.var("y2") * E,
+             (3, 3): 4 * yc.var("y4") + 2 * yc.var("y5")}
+    for (i, j), value in slots.items():
+        assert y[i][j] == y[j][i] == value
+    assert all(z[i][j].is_zero() for i, j in list(slots)[:4])
+    assert z[3][3] == 4 * yc.var("y4")
+    assert all(y[i][j] == z[i][j] for i in range(6) for j in range(6)
+               if (min(i, j), max(i, j)) not in slots)
+
+
+def test_corrupted_eta_misses_the_y_pattern():
+    spec = RootSystemSpec("C", 3, 1)
+    pen = build_pencil(spec)
+    with pytest.raises(BlockFormMismatch, match=r"^eta\(y\)\[1\]\[1\] = 8\*E, "):
+        assert_eta_pattern(spec, pen.eta.map_entries(lambda p: p * 2), "y")
 
 
 @pytest.mark.parametrize("l,k", ALL_SMALL)
 def test_eta_matches_closed_form(l, k):
     spec = RootSystemSpec("C", l, k)
     pen = build_pencil(spec)
-    eta_closed_form_check(spec, pen.eta)
+    assert_eta_pattern(spec, pen.eta, "y")
 
 
 def test_det_examples():

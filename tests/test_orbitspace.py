@@ -9,7 +9,7 @@ import pytest
 from weylfrob.exactalg import (Chart, Poly, VarSpec, monomials_of_weighted_degree,
                                solve_linear)
 from weylfrob.metrics import BilinearForm
-from weylfrob.orbitspace import (compute_g_direct, elementary_symmetric,
+from weylfrob.orbitspace import (CoordMap, compute_g_direct, elementary_symmetric,
                                  extend_with_uv, generator_exprs, generator_map,
                                  oracle_chart, oracle_pairing, theta_chart, theta_map,
                                  y_chart, zeta_chart)
@@ -242,6 +242,16 @@ def test_reference_expands_to_the_pairings(family, l, k):
     for i in range(l + 1):
         for j in range(l + 1):
             assert ref.mat[i][j].substitute(bindings, ochart) == pairings[i][j]
+
+
+def test_compose_needs_both_pullbacks():
+    spec = RootSystemSpec("C", 2, 1)
+    gen, th = generator_map(spec), theta_map(spec)  # forward only, pullback only
+    y_to_theta = CoordMap(th.target, th.source, forward=th.pullback)
+    with pytest.raises(ValueError, match="zeta->y has no pullback"):
+        gen.compose(y_to_theta)
+    with pytest.raises(ValueError, match="y->theta has no pullback"):
+        th.compose(y_to_theta)
 
 
 def test_theta_machinery_is_c_only():
