@@ -143,6 +143,7 @@ class Chart:
         self._bias = sum(_HALF << s for s in self._shifts + (self._deg_shift,))
         # the key step that raises variable i (and the degree) by one
         self._units = tuple((1 << s) + (1 << self._deg_shift) for s in self._shifts)
+        self._laurent = any(v.laurent for v in self.vars)
         fixed = [s for s, v in zip(self._shifts, self.vars) if not v.laurent]
         # a key's non-Laurent fields, and their top bits: set exactly when
         # the exponent is >= 0, all-bias exactly when it is 0
@@ -551,8 +552,12 @@ def _exact_bound(p: Poly) -> int:
     """The largest |exponent| and |total degree| over the terms of p."""
     if not p._nums:
         return 0
-    lo, hi = p.exponent_range()
     deg_shift = p.chart._deg_shift
+    if not p.chart._laurent:
+        # no Laurent variable: every exponent is >= 0 and at most the degree
+        # of the last key in graded-lex order
+        return (max(p._nums) >> deg_shift) - _HALF
+    lo, hi = p.exponent_range()
     degs = [(k >> deg_shift) - _HALF for k in (min(p._nums), max(p._nums))]
     return max(map(abs, lo + hi + tuple(degs)))
 
@@ -643,59 +648,183 @@ def sum_products(chart: Chart, pairs: Iterable[tuple]) -> Poly:
     return _canon(chart, acc, den, bound)
 
 
-def flatness_rows(gammas: Sequence[Sequence[Sequence[Poly]]],
-                  columns: Sequence[Poly]) -> Iterable[Dict[int, int]]:
-    """For the numerator polynomial N of each column, the integer rows of
-    s_ij (d_i d_j N - sum_m gamma^m_{ij} d_m N) over the pairs i <= j, with
-    s_ij the lcm of the gamma^m_{ij} denominators: a dict keyed by the pair's
-    index stacked above the monomial's packed key, so equal keys across
-    columns name one equation.  d_i d_j of a term is a key shift and
-    gamma^m_{ij} times a term of d_m N shifts gamma's keys."""
-    n, bias = len(gammas), columns[0].chart._bias
-    top = bias.bit_length()  # a row's key: its pair's index b above a monomial key
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    scales = []
-    by_m: List[List[Tuple[int, int]]] = [[] for _ in range(n)]  # m -> shifted, scaled terms
-    for b, (i, j) in enumerate(pairs):
-        gs = [(m, gammas[m][i][j]) for m in range(n) if gammas[m][i][j]._nums]
-        scales.append(lcm(1, *[g._den for _, g in gs]))
-        for m, g in gs:
-            by_m[m] += [((b << top) + k - bias, v * (scales[b] // g._den))
-                        for k, v in g._nums.items()]
-    grads = [[Poly._raw(c.chart, c._nums, 1, c._bound).coord_diff(m) for m in range(n)]
-             for c in columns]
-    # every product of a gamma and a gradient must stay inside the fields
-    factors = ([g for p in gammas for r in p for g in r], [d for ds in grads for d in ds])
-    if sum(max([p._bound for p in ps], default=0) for ps in factors) >= _HALF:
-        reach = sum(max(map(_exact_bound, ps), default=0) for ps in factors)
-        if reach >= _HALF:
-            raise ExponentOverflow(f"a product exponent could reach {reach}")
-    for ds in grads:
-        acc: Dict[int, int] = {}
-        for b, (i, j) in enumerate(pairs):  # d_i d_j N = 0 once d_i N or d_j N is
-            if ds[i]._nums and ds[j]._nums:
-                acc.update(((b << top) + k, scales[b] * v)
-                           for k, v in ds[i].coord_diff(j)._nums.items())
-        for m in range(n):
-            for k1, a in ds[m]._nums.items():
-                for k2, c in by_m[m]:
-                    acc[k1 + k2] = acc.get(k1 + k2, 0) - a * c
-        yield acc
+class FlatnessRows:
+    """The integer rows of the flatness operator of one set of lowered
+    Christoffel symbols ``gammas`` (gammas[m][i][j] = gamma^m_{ij}).
+
+    Called on columns, it yields for the numerator polynomial N of each
+    column the integer rows of s_ij (d_i d_j N - sum_m gamma^m_{ij} d_m N)
+    over the pairs i <= j, with s_ij the lcm of the gamma^m_{ij}
+    denominators: a dict keyed by the pair's index stacked above the
+    monomial's packed key, so equal keys across columns name one equation.
+    d_i d_j of a term is a key shift and gamma^m_{ij} times a term of d_m N
+    shifts gamma's keys.  Gamma's terms are scaled and shifted, and its
+    exponent bound taken, once per instance, not once per call."""
+
+    def __init__(self, gammas: Sequence[Sequence[Sequence[Poly]]]):
+        self.gammas = gammas
+        n = len(gammas)
+        bias = gammas[0][0][0].chart._bias
+        self._top = top = bias.bit_length()  # a row's key: pair index b above a monomial key
+        self._pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        self._scales = []
+        self._by_m: List[List[Tuple[int, int]]] = [[] for _ in range(n)]  # shifted, scaled
+        for b, (i, j) in enumerate(self._pairs):
+            gs = [(m, gammas[m][i][j]) for m in range(n) if gammas[m][i][j]._nums]
+            self._scales.append(lcm(1, *[g._den for _, g in gs]))
+            for m, g in gs:
+                self._by_m[m] += [((b << top) + k - bias, v * (self._scales[b] // g._den))
+                                  for k, v in g._nums.items()]
+        self._all = [g for p in gammas for r in p for g in r]
+        self._bound = max(g._bound for g in self._all)
+
+    def __call__(self, columns: Sequence[Poly]) -> Iterable[Dict[int, int]]:
+        n, top, pairs, scales, by_m = len(self.gammas), self._top, self._pairs, \
+            self._scales, self._by_m
+        grads = [[Poly._raw(c.chart, c._nums, 1, c._bound).coord_diff(m) for m in range(n)]
+                 for c in columns]
+        # every product of a gamma and a gradient must stay inside the fields
+        flat = [d for ds in grads for d in ds]
+        if self._bound + max(d._bound for d in flat) >= _HALF:
+            _product_bound([self._all, flat])
+        for ds in grads:
+            acc: Dict[int, int] = {}
+            for b, (i, j) in enumerate(pairs):  # d_i d_j N = 0 once d_i N or d_j N is
+                if ds[i]._nums and ds[j]._nums:
+                    acc.update(((b << top) + k, scales[b] * v)
+                               for k, v in ds[i].coord_diff(j)._nums.items())
+            for m in range(n):
+                for k1, a in ds[m]._nums.items():
+                    for k2, c in by_m[m]:
+                        acc[k1 + k2] = acc.get(k1 + k2, 0) - a * c
+            yield acc
+
+
+def _same_chart(chart: Chart, p: Poly) -> None:
+    if p.chart is not chart and p.chart != chart:
+        raise ChartMismatch(f"{chart.name!r} vs {p.chart.name!r}")
+
+
+def _product_bound(factors: Sequence[Sequence[Poly]]) -> int:
+    """A bound of the exponents of any product of one Poly from each group
+    of ``factors``; the groups' exact bounds are taken when the cheap one
+    reaches the field bound, and ExponentOverflow if they still do."""
+    bound = sum(max([p._bound for p in ps], default=0) for ps in factors)
+    if bound >= _HALF:
+        bound = sum(max(map(_exact_bound, ps), default=0) for ps in factors)
+        if bound >= _HALF:
+            raise ExponentOverflow(f"a product exponent could reach {bound}")
+    return bound
+
+
+def transform_sum(chart: Chart, size: int, parts) -> List[List[List[Poly]]]:
+    """The size^3 tensor whose entry [i][j][m] is the sum over ``parts`` of
+    coeff * sum_{u,c,q} A[i][u] B[j][c] C[m][q] T[u][c][q].
+
+    A part is (coeff, entries, (A, B, C), bindings): an integer coeff; the
+    mapping ``entries`` from (u, c, q) to T[u][c][q], which holds the
+    nonzero entries of T; size x size matrices of Polys on ``chart``, each
+    None for the identity; and bindings that express the variables of the
+    entries' chart on ``chart`` (as ``substitute_all`` does), or None when
+    the entries live on ``chart``.  The loop runs over the nonzero entries
+    and matrix entries only and scatters their term products into one
+    integer accumulator per output entry, over one common denominator, so
+    no intermediate Poly is formed; each output entry is brought to
+    canonical form once.
+    """
+    bias = chart._bias
+    identity = [[(u, 0, 1)] for u in range(size)]
+    prepared, dens, bounds = [], [], []
+    for coeff, entries, matrices, bindings in parts:
+        if not entries:
+            continue
+        # each matrix by columns, one (row, offset, numerator) per term,
+        # over the lcm of its denominators
+        axes, den, groups = [], 1, []
+        for mat in matrices:
+            if mat is None:
+                axes.append(identity)
+                continue
+            d = lcm(1, *[e._den for row in mat for e in row])
+            cols: List[list] = [[] for _ in range(size)]
+            for i, row in enumerate(mat):
+                for u, e in enumerate(row):
+                    if e._nums:
+                        _same_chart(chart, e)
+                        cols[u] += [(i, k - bias, v * (d // e._den)) for k, v in e._nums.items()]
+            axes.append(cols)
+            den *= d
+            groups.append([e for row in mat for e in row])
+        # the entries' terms on ``chart``, as (offset, numerator, denominator):
+        # a term v x^k of an entry e is v / e.den times the image of x^k
+        image = None
+        if bindings is not None:
+            image = _monomial_images(next(iter(entries.values())).chart, bindings, chart)
+        raw, factors = [], []
+        for slot, e in entries.items():
+            if image:
+                ps = [(v, e._den, image(k)) for k, v in e._nums.items()]
+            else:
+                _same_chart(chart, e)
+                ps = [(1, 1, e)]
+            factors += [p for _, _, p in ps]
+            raw.append((slot, [(k - bias, v * n, d * p._den)
+                               for v, d, p in ps for k, n in p._nums.items()]))
+        d = lcm(1, *[dd for _, ts in raw for _, _, dd in ts])
+        groups.append(factors)
+        bounds.append(_product_bound(groups))
+        dens.append(den * d)
+        prepared.append((coeff, axes, [(slot, [(k, v * (d // dd)) for k, v, dd in ts])
+                                       for slot, ts in raw]))
+    common = lcm(1, *dens)
+    acc = [[[{} for _ in range(size)] for _ in range(size)] for _ in range(size)]
+    for (coeff, (A, B, C), terms), den in zip(prepared, dens):
+        scale = coeff * (common // den)
+        for (u, c, q), ts in terms:
+            ts = [(k + bias, v * scale) for k, v in ts]
+            for i, ka, va in A[u]:
+                acc_i = acc[i]
+                for j, kb, vb in B[c]:
+                    acc_ij, kab, vab = acc_i[j], ka + kb, va * vb
+                    for m, kc, vc in C[q]:
+                        a = acc_ij[m]
+                        get, k0, v0 = a.get, kab + kc, vab * vc
+                        for kt, vt in ts:
+                            key = k0 + kt
+                            a[key] = get(key, 0) + v0 * vt
+    bound = max(bounds, default=0)
+    zero = Poly._raw(chart, {}, 1, 0)
+    return [[[_canon(chart, a, common, bound) if a else zero for a in row] for row in plane]
+            for plane in acc]
 
 
 def substitute_all(polys: Sequence[Poly], bindings: Mapping[str, Poly],
                    target: Optional[Chart] = None) -> List[Poly]:
     """Exact composition of each of ``polys`` (all on one chart) with the
     bindings of its variables; unbound ones are carried over by name into
-    the target chart (by default the bindings' chart).  A monomial's image
-    is a smaller one's times one binding (its inverse, which must be a unit,
-    for a negative exponent), memoized in one table for the call; the
-    variables with the fewest binding terms are peeled first.
+    the target chart (by default the bindings' chart).  The monomial images
+    come from one ``_monomial_images`` table for the call.
     """
     if not polys:
         return []
     source = polys[0].chart
     target = target or (next(iter(bindings.values())).chart if bindings else source)
+    image = _monomial_images(source, bindings, target)
+    out = []
+    for p in polys:
+        if p.chart != source:
+            raise ChartMismatch("substitute_all takes polynomials of one chart")
+        images = sum_products(target, [(v, image(k)) for k, v in p._nums.items()])
+        out.append(_scale(images, 1, p._den))
+    return out
+
+
+def _monomial_images(source: Chart, bindings: Mapping[str, Poly], target: Chart):
+    """The image on ``target`` of a packed key of ``source`` under the
+    bindings, as a function.  A monomial's image is a smaller one's times
+    one binding (its inverse, which must be a unit, for a negative
+    exponent), memoized; the variables with the fewest binding terms are
+    peeled first."""
     # (term count of the binding, key step, field shift, name), cheapest first
     steps = sorted((len(bindings[v.name]._nums) if v.name in bindings else 1,
                     source._units[i], source._shifts[i], v.name)
@@ -728,13 +857,7 @@ def substitute_all(polys: Sequence[Poly], bindings: Mapping[str, Poly],
             got = table[key] = got * f
         return got
 
-    out = []
-    for p in polys:
-        if p.chart != source:
-            raise ChartMismatch("substitute_all takes polynomials of one chart")
-        images = sum_products(target, [(v, image(k)) for k, v in p._nums.items()])
-        out.append(_scale(images, 1, p._den))
-    return out
+    return image
 
 
 # ---------------------------------------------------------------------------

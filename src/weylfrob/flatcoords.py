@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import (INCONSISTENT, Matrix, Poly, contract, flatness_rows,
+from .exactalg import (INCONSISTENT, FlatnessRows, Matrix, Poly, contract,
                        mat_inverse_unit, monomials_of_weighted_degree, solve_linear,
                        sum_products)
 from .metrics import BilinearForm, assert_eta_pattern, transform_form
@@ -68,18 +68,19 @@ def lower_christoffels(form: BilinearForm,
 # Flatness PDE as an exact linear solve
 # ---------------------------------------------------------------------------
 
-def flat_candidate_solve(gammas: List[List[List[Poly]]], base: Poly,
+def flat_candidate_solve(flatness: FlatnessRows, base: Poly,
                          candidates: List[Poly], what: str) -> Poly:
     """The flat function base + sum c_q * candidate_q, solved on the integer
-    rows of ``flatness_rows`` with free parameters zero and its residual
-    verified exactly: AnsatzInsufficient when the system is inconsistent or
-    that residual is nonzero."""
+    rows of ``flatness`` with free parameters zero and its residual verified
+    exactly: AnsatzInsufficient when the system is inconsistent or that
+    residual is nonzero."""
     chart = base.chart
     n = chart.dim
+    gammas = flatness.gammas
     columns = [Poly.from_packed(chart, p.packed, 1) for p in candidates + [base]]
     unknowns = [f"c{q}" for q in range(len(candidates))]
     rows: Dict[int, Dict[Optional[str], int]] = {}  # None names base's column
-    for name, acc in zip(unknowns + [None], flatness_rows(gammas, columns)):
+    for name, acc in zip(unknowns + [None], flatness(columns)):
         for key, v in acc.items():
             if v:
                 rows.setdefault(key, {})[name] = v
@@ -108,14 +109,14 @@ def solve_p_block(spec: RootSystemSpec, eta_y: BilinearForm) -> List[Poly]:
     """The polynomials p_j (1 <= j <= k) with z^j = y^j + p_j flat for eta."""
     yc = eta_y.chart
     d = degrees(spec)
-    gammas = lower_christoffels(eta_y)
+    flatness = FlatnessRows(lower_christoffels(eta_y))
     out = []
     for j in range(1, spec.vertex + 1):
         names = [f"y{i}" for i in range(1, j)] + ["E"]
         basis = monomials_of_weighted_degree(yc, names, d[j - 1])
         candidates = [Poly.monomial(yc, mono) for mono in basis]
         base = Poly.variable(yc, f"y{j}")
-        tau = flat_candidate_solve(gammas, base, candidates, f"p_{j}")
+        tau = flat_candidate_solve(flatness, base, candidates, f"p_{j}")
         out.append(tau - base)
     return out
 
@@ -309,6 +310,7 @@ def solve_flat_chart(spec: RootSystemSpec, eta_w: BilinearForm,
     if n >= 1:
         forward[f"t{l}"] = Poly.variable(wc, f"w{l}")
     s = Poly.variable(wc, f"w{l}") if n >= 1 else None
+    flatness = FlatnessRows(gammas_w) if k + 1 < l else None  # for the h-block
     for j in range(k + 1, l):
         wj = Poly.variable(wc, f"w{j}")
         base = wj if j == k + 1 else s * wj
@@ -316,7 +318,7 @@ def solve_flat_chart(spec: RootSystemSpec, eta_w: BilinearForm,
         target = Fraction(k * (l - j), n)
         basis = monomials_of_weighted_degree(wc, arg_names, target)
         candidates = [s * Poly.monomial(wc, mono) for mono in basis]
-        tau = flat_candidate_solve(gammas_w, base, candidates, f"t^{j}")
+        tau = flat_candidate_solve(flatness, base, candidates, f"t^{j}")
         forward[f"t{j}"] = tau
         h = (tau - base).exact_div(s) if not (tau - base).is_zero() else Poly.const(wc, 0)
         h_polys[j] = h

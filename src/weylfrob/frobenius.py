@@ -531,21 +531,30 @@ def oracle_check(struct: FrobeniusStructure) -> str:
     by entry; for B_l that is the pullback identification with the recorded
     log scale.  Every pairing is a polynomial in the generators and E^{+-1};
     an entry with a negative power of a generator is not, so it is a mismatch
-    too (its expansion raises).  Returns ORACLE_AGREES."""
+    too (its expansion raises).  All entries are expanded through one
+    ``substitute_all``; when that raises, entry by entry, so the detail names
+    the first entry that fails.  Returns ORACLE_AGREES."""
     spec = struct.spec
     log_scale = struct.b_ident.log_scale if spec.family == "B" else Fraction(1)
     pairings, bindings = compute_g_direct(spec, log_scale)
     ochart = pairings[0][0].chart
-    for i, row in enumerate(struct.pencil.g.mat):
-        for j, entry in enumerate(row):
-            try:
-                matched = entry.substitute(bindings, ochart) == pairings[i][j]
-            except NonUnitLaurentSubstitution:
-                matched = False
-            if not matched:
-                raise OracleMismatch(
-                    f"{spec.label()}: g[{i + 1}][{j + 1}] differs from the "
-                    "first-principles pairing")
+    entries = [e for row in struct.pencil.g.mat for e in row]
+
+    def expand(entry: Poly) -> Optional[Poly]:
+        try:
+            return entry.substitute(bindings, ochart)
+        except NonUnitLaurentSubstitution:
+            return None
+
+    try:
+        expanded = substitute_all(entries, bindings, ochart)
+    except NonUnitLaurentSubstitution:
+        expanded = map(expand, entries)
+    for idx, got in enumerate(expanded):
+        i, j = divmod(idx, len(pairings))
+        if got is None or got != pairings[i][j]:
+            raise OracleMismatch(f"{spec.label()}: g[{i + 1}][{j + 1}] differs from the "
+                                 "first-principles pairing")
     return ORACLE_AGREES
 
 

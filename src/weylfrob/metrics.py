@@ -1,23 +1,45 @@
 """The intersection form, its connection, and the flat pencil.
 
-The fast path builds g and Gamma in the theta chart from the generating
-functions
+In the theta chart, with P(u) = sum_p theta^p u^(l-p), the entry (i, j) of
+g is the coefficient of u^(l-i) v^(l-j) in the generating function
 
-    (k-l) P(u) P(v) + (u^2+4u)/(u-v) P'(u) P(v) - (v^2+4v)/(u-v) P(u) P'(v)
+    (k-l) P(u) P(v) + ((u^2+4u) P'(u) P(v) - (v^2+4v) P(u) P'(v)) / (u-v)
 
-(and the corresponding one-form identity with (u-v)^2 denominators for the
-contravariant connection), performing all divisions exactly.  Contravariant
-tensors are transported between charts through exact inverse Jacobians.
+and that of the contravariant connection Gamma_m the same coefficient of
+the one-form identity with a (u-v)^2 denominator.  Their theta-coefficients
+are divided differences D(x, y) = (u^x v^y - u^y v^x) / (u-v), a signed sum
+of |x-y| monomials.  With a = l-p and b = l-q, the theta^p theta^q
+coefficient of g is (k-l+a) u^a v^a for p = q and
+
+    (k-l)(u^a v^b + u^b v^a) + a D(a+1, b) + b D(b+1, a) + 4(a-b) D(a, b)
+
+for p < q; with alpha = l-p and beta = l-m, the theta^p coefficient of
+Gamma_m is (k-l) u^alpha v^beta plus
+
+    (u^alpha v^beta (alpha(u+4) - beta(v+4)) - (2u+uv+2v) D(alpha, beta)) / (u-v),
+
+whose quotient, taken degree by degree as a prefix sum, has the
+coefficients that ``gamma_theta`` states.  So ``g_theta`` and
+``gamma_theta`` write integer tables and make one Poly per nonzero entry;
+no polynomial is divided (the generating functions are kept in the tests
+as the reference).
+
+Contravariant tensors are transported between charts through exact
+inverse Jacobians.  The connection's transport is one pass over the
+nonzero terms (``exactalg.transform_sum``): theta^0 = E^k, theta^p =
+y^p E^(k-p) for p < k and theta^p = y^p above, so from theta to y every
+entry of the Jacobian, of its inverse and of its derivatives is one term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from .exactalg import Chart, Matrix, Poly, contract, mat_det, mat_inverse_unit
-from .orbitspace import CoordMap, extend_with_uv, theta_chart, theta_map
+from .exactalg import (Chart, Matrix, Poly, contract, mat_det, mat_inverse_unit,
+                       transform_sum)
+from .orbitspace import CoordMap, theta_chart, theta_map
 from .rootdata import RootSystemSpec
 
 
@@ -67,76 +89,55 @@ class FlatPencil:
 
 
 # ---------------------------------------------------------------------------
-# Generating-function fast path in the theta chart
+# Closed-form coefficient tables in the theta chart
 # ---------------------------------------------------------------------------
 
-def _poly_P(chart: Chart, l: int, var: str) -> Poly:
-    u = Poly.variable(chart, var)
-    out = Poly.const(chart, 0)
-    for j in range(l + 1):
-        out = out + u ** (l - j) * Poly.variable(chart, f"th{j}")
-    return out
-
-
-def _extract_uv(gen: Poly, l: int, theta: Chart) -> Dict[Tuple[int, int], Poly]:
-    """Split a generating function by u^{l-i} v^{l-j} into theta-chart entries."""
-    iu = gen.chart.index["u"]
-    iv = gen.chart.index["v"]
-    unpack, pack = gen.chart.unpack, theta.pack
-    buckets: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for key, c in gen.packed.items():
-        exps = unpack(key)
-        i = l - exps[iu]
-        j = l - exps[iv]
-        if not (0 <= i <= l and 0 <= j <= l):
-            raise ArithmeticError("generating function has stray u/v powers")
-        rest = tuple(e for p, e in enumerate(exps) if p not in (iu, iv))
-        buckets.setdefault((i, j), {})[pack(rest)] = c
-    return {key: Poly.from_packed(theta, nums, gen.den) for key, nums in buckets.items()}
-
-
 def g_theta(spec: RootSystemSpec) -> BilinearForm:
-    """The metric in the theta chart; entries are quadratic in theta."""
+    """The metric in the theta chart; entries are quadratic in theta.
+
+    For p <= q the theta^p theta^q coefficient of g^{ij} is k-p at i+j = p+q
+    with i in {p, q}, q-p at i+j = p+q with p < i < q, and 4(q-p) at
+    i+j = p+q+1 with p < i <= q; no two of these share an entry."""
     l, k = spec.rank, spec.vertex
     tc = theta_chart(spec)
-    work = extend_with_uv(tc)
-    Pu = _poly_P(work, l, "u")
-    Pv = _poly_P(work, l, "v")
-    dPu = Pu.diff("u")
-    dPv = Pv.diff("v")
-    u = Poly.variable(work, "u")
-    v = Poly.variable(work, "v")
-    numerator = (u ** 2 + 4 * u) * dPu * Pv - (v ** 2 + 4 * v) * Pu * dPv
-    gen = Pu * Pv * (k - l) + numerator.exact_div(u - v)
-    entries = _extract_uv(gen, l, tc)
-    mat = [[entries.get((i, j), Poly.const(tc, 0)) for j in range(l + 1)]
-           for i in range(l + 1)]
-    return BilinearForm(tc, mat)
+    n = l + 1
+    tab: List[List[Dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for p in range(n):
+        for q in range(p, n):
+            key = tc.pack([(s == p) + (s == q) for s in range(n)])
+            for i in range(p, q + 1):
+                for j, c in ((p + q - i, k - p if i in (p, q) else q - p),
+                             (p + q + 1 - i, 4 * (q - p) if i > p else 0)):
+                    if c:
+                        tab[i][j][key] = c
+    return BilinearForm(tc, [[Poly.from_packed(tc, e, 1) for e in row] for row in tab])
 
 
 def gamma_theta(spec: RootSystemSpec) -> ChristoffelContra:
-    """The contravariant connection in the theta chart; entries linear in theta."""
+    """The contravariant connection in the theta chart; entries linear in theta.
+
+    With lo = min(p, m) and hi = max(p, m), the theta^p coefficient of
+    Gamma^{ij}_m is k-lo at (i, j) = (p, m), |m-i| at j = p+m-i for
+    lo < i < hi, and sgn(m-p) (4(m-i)+2) at j = p+m+1-i for lo < i <= hi;
+    no two of these share an entry."""
     l, k = spec.rank, spec.vertex
     tc = theta_chart(spec)
-    work = extend_with_uv(tc)
-    Pu = _poly_P(work, l, "u")
-    Pv = _poly_P(work, l, "v")
-    dPu = Pu.diff("u")
-    u = Poly.variable(work, "u")
-    v = Poly.variable(work, "v")
-    u_minus_v = u - v
-    uv_factor = 2 * u + u * v + 2 * v
-    arr = [[[Poly.const(tc, 0) for _ in range(l + 1)] for _ in range(l + 1)]
-           for _ in range(l + 1)]
-    for m in range(l + 1):
-        a = (u ** 2 + 4 * u) * dPu * v ** (l - m)
-        if m < l:
-            a = a - (v ** 2 + 4 * v) * Pu * (l - m) * v ** (l - m - 1)
-        b = uv_factor * (Pv * u ** (l - m) - Pu * v ** (l - m))
-        gen = Pu * v ** (l - m) * (k - l) + (a * u_minus_v + b).exact_div(u_minus_v ** 2)
-        for (i, j), poly in _extract_uv(gen, l, tc).items():
-            arr[i][j][m] = poly
-    return ChristoffelContra(tc, arr)
+    n = l + 1
+    tab: List[List[List[Dict[int, int]]]] = [[[{} for _ in range(n)] for _ in range(n)]
+                                             for _ in range(n)]
+    for p in range(n):
+        key = tc.pack([int(s == p) for s in range(n)])
+        for m in range(n):
+            lo, hi, sign = min(p, m), max(p, m), (m > p) - (m < p)
+            terms = ([(p, m, k - lo)]
+                     + [(i, p + m - i, abs(m - i)) for i in range(lo + 1, hi)]
+                     + [(i, p + m + 1 - i, sign * (4 * (m - i) + 2))
+                        for i in range(lo + 1, hi + 1)])
+            for i, j, c in terms:
+                if c:
+                    tab[i][j][m][key] = c
+    return ChristoffelContra(tc, [[[Poly.from_packed(tc, e, 1) for e in row] for row in plane]
+                                  for plane in tab])
 
 
 # ---------------------------------------------------------------------------
@@ -165,25 +166,31 @@ def transform_christoffel(gamma: ChristoffelContra, cmap: CoordMap,
 
     Gamma'^{ij}_m = J^i_u J^j_c K^q_m Gamma^{uc}_q - g'^{ia} J^j_c d_a(K^c_m),
     with K the pullback Jacobian, J its exact inverse and g' the transported
-    metric (all expressed over the target chart).
+    metric (all expressed over the target chart).  Both sums go through one
+    ``transform_sum``: Gamma's terms are composed with the pullback inside
+    it, and only the nonzero entries of Gamma and of d_a K^c_m are visited,
+    so a map whose Jacobian entries are single terms (theta -> y) costs a
+    few integer products per term of Gamma.
     """
     if gamma.chart != cmap.source:
         raise ValueError("connection does not live on the map's source chart")
     K = cmap.jacobian_pullback()
     J = mat_inverse_unit(K)
     n = gamma.dim
-    pushed = iter(cmap.push([e for plane in gamma.arr for row in plane for e in row]))
-    gsub = [[[next(pushed) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    K_t = [[K[q][m] for q in range(n)] for m in range(n)]
-    tens = contract(K_t, contract(J, contract(J, gsub, 0), 1), 2)
-    # inhomogeneous part; dK[a][c][m] = d_a K^c_m
-    dK = [[[K[c][m].coord_diff(a) for m in range(n)] for c in range(n)]
-          for a in range(n)]
-    inhom = contract(J, contract(g_target.mat, dK, 0), 1)
-    out = [[[t - h for t, h in zip(t_row, h_row)]
-            for t_row, h_row in zip(t_plane, h_plane)]
-           for t_plane, h_plane in zip(tens, inhom)]
-    return ChristoffelContra(cmap.target, out)
+    entries = {(u, c, q): e for u, plane in enumerate(gamma.arr)
+               for c, row in enumerate(plane) for q, e in enumerate(row) if not e.is_zero()}
+    dK = {}  # (a, c, m) -> d_a K^c_m, nonzero only
+    for c, row in enumerate(K):
+        for m, e in enumerate(row):
+            if not e.is_zero():
+                for a in range(n):
+                    d = e.coord_diff(a)
+                    if not d.is_zero():
+                        dK[a, c, m] = d
+    K_t = [list(col) for col in zip(*K)]
+    arr = transform_sum(cmap.target, n, [(1, entries, (J, J, K_t), cmap.pullback),
+                                         (-1, dK, (g_target.mat, J, None), None)])
+    return ChristoffelContra(cmap.target, arr)
 
 
 # ---------------------------------------------------------------------------

@@ -98,13 +98,6 @@ def oracle_chart(spec: RootSystemSpec) -> Chart:
     return Chart("oracle", varspecs)
 
 
-def extend_with_uv(chart: Chart) -> Chart:
-    """Clone a chart with two extra weight-0 variables u, v (for generating functions)."""
-    varspecs = list(chart.vars) + [VarSpec("u", Fraction(0)), VarSpec("v", Fraction(0))]
-    return Chart(f"{chart.name}_uv", varspecs, log_coord=chart.log_coord,
-                 exp_var=chart.exp_var)
-
-
 # ---------------------------------------------------------------------------
 # Coordinate maps
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from weylfrob.exactalg import (FIELD_BITS, Chart, ChartMismatch, ExponentOverflow,
                                LinearSolveResult, NonExactDivision,
                                NonUnitLaurentSubstitution, Poly, VarSpec, contract,
-                               flatness_rows, monomials_of_weighted_degree, rat,
-                               solve_linear, substitute_all, sum_products)
+                               FlatnessRows, monomials_of_weighted_degree, rat,
+                               solve_linear, substitute_all, sum_products, transform_sum)
 
 
 def simple_chart():
@@ -668,6 +668,59 @@ def test_contract_matches_explicit_loops():
                     loop_contract(matrix, tensor, shape, axis)
 
 
+def test_transform_sum_matches_contractions():
+    """Two parts, one with an identity axis and a coefficient, one composed
+    with bindings from another chart, against contract and substitute_all."""
+    rng = random.Random(2718)
+    c = laurent_matrix_chart()
+    src = Chart("pq", [VarSpec("p", Fraction(1)), VarSpec("q", Fraction(1), laurent=True)])
+    n = 3
+
+    def sparse(chart):
+        return random_laurent_poly(chart, rng, max_terms=2) if rng.random() < 0.6 \
+            else Poly.const(chart, 0)
+
+    def tensor(chart):
+        return [[[sparse(chart) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+    def matrix():
+        return [[sparse(c) for _ in range(n)] for _ in range(n)]
+
+    def nonzero(t):
+        return {(u, v, w): e for u, plane in enumerate(t) for v, row in enumerate(plane)
+                for w, e in enumerate(row) if not e.is_zero()}
+
+    bindings = {"p": random_laurent_poly(c, rng, max_terms=3),
+                "q": Poly.monomial(c, {"b": -2}, Fraction(-2, 3))}
+    for _ in range(4):
+        S, T = tensor(c), tensor(src)
+        A, B, C, D = matrix(), matrix(), matrix(), matrix()
+        got = transform_sum(c, n, [(-2, nonzero(S), (D, None, A), None),
+                                   (1, nonzero(T), (A, B, C), bindings)])
+        pushed = iter(substitute_all([e for p in T for r in p for e in r], bindings, c))
+        T_c = [[[next(pushed) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        first = contract(A, contract(D, S, 0), 2)
+        second = contract(C, contract(B, contract(A, T_c, 0), 1), 2)
+        assert got == [[[s2 - 2 * s1 for s1, s2 in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
+                       for p1, p2 in zip(first, second)]
+    zero = Poly.const(c, 0)
+    assert transform_sum(c, 2, [(1, {}, (None, None, None), None)]) == [[[zero] * 2] * 2] * 2
+
+
+def test_transform_sum_rejects_foreign_charts_and_overflow():
+    c = laurent_matrix_chart()
+    other = simple_chart()
+    one = [[Poly.const(c, 1)]]
+    entry = {(0, 0, 0): c.var("a")}
+    with pytest.raises(ChartMismatch):
+        transform_sum(c, 1, [(1, entry, ([[Poly.const(other, 1)]], None, None), None)])
+    with pytest.raises(ChartMismatch):
+        transform_sum(c, 1, [(1, {(0, 0, 0): other.var("u")}, (one, None, None), None)])
+    high = Poly.monomial(c, {"a": HALF // 2})
+    with pytest.raises(ExponentOverflow):
+        transform_sum(c, 1, [(1, {(0, 0, 0): high}, ([[high]], None, None), None)])
+
+
 # ---------------------------------------------------------------------------
 # The integer product-sum kernel against term-by-term Fraction references
 # ---------------------------------------------------------------------------
@@ -1118,6 +1171,20 @@ def test_exponents_at_the_field_bound_raise():
     assert shrunk == y and shrunk * x_below == Poly(c, {(top - 1, 1, 0): 1})
 
 
+def test_bounds_on_a_chart_without_laurent_variables_are_exact():
+    # every exponent is >= 0, so the bound is the largest total degree
+    c = simple_chart()
+    top = HALF - 1
+    x_top = Poly(c, {(top, 0): 1})
+    split = Poly.from_packed(c, {c.pack((top // 2, top - top // 2)): 3, c.pack((1, 0)): 1}, 2)
+    for p in (x_top, split):
+        with pytest.raises(ExponentOverflow):
+            p * c.var("v")
+    # a bound loosened by cancellation is made exact before raising
+    shrunk = split - Poly(c, {(top // 2, top - top // 2): Fraction(3, 2)})
+    assert shrunk * Poly(c, {(top - 1, 0): 1}) == Poly(c, {(top, 0): Fraction(1, 2)})
+
+
 def largest(p):
     """The largest |exponent| or |total degree| over the terms of p."""
     return max((max(abs(sum(e)), *map(abs, e)) for e in p.terms), default=0)
@@ -1353,7 +1420,7 @@ def test_unit_determinant_without_unit_entries_takes_the_fallback(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# flatness_rows: the integer rows of the flatness operator
+# FlatnessRows: the integer rows of the flatness operator
 # ---------------------------------------------------------------------------
 
 def scaled_residuals(gammas, col):
@@ -1379,7 +1446,7 @@ def test_flatness_rows_are_the_scaled_residual_numerators():
               [[y ** 2 * Fraction(-1, 6), x ** 2 + Fraction(2, 9)],
                [x ** 2 + Fraction(2, 9), Poly.const(c, 7)]]]
     cols = [x ** 3 * y ** -2 * 4 - x * y, x ** 2 + y ** 3 * 3, Poly.const(c, 5)]
-    rows = list(flatness_rows(gammas, cols + [cols[0] * Fraction(-2, 3)]))
+    rows = list(FlatnessRows(gammas)(cols + [cols[0] * Fraction(-2, 3)]))
     for col, row in zip(cols, rows):
         residuals = scaled_residuals(gammas, col)
         assert all(r.den == 1 for r in residuals)
@@ -1398,7 +1465,7 @@ def test_flatness_rows_guard_the_packed_fields():
     gammas = [[[zero, zero], [zero, zero]] for _ in range(2)]
     gammas[0][0][0] = Poly.monomial(c, {"u": HALF - 3})
     # u^(HALF-3) * d_u u^3 = 3 u^(HALF-1) still fits; d_u u^4 would not
-    (row,) = flatness_rows(gammas, [c.var("u") ** 3])
+    (row,) = FlatnessRows(gammas)([c.var("u") ** 3])
     assert sorted(row.values()) == [-3, 6]
     with pytest.raises(ExponentOverflow, match=r"^a product exponent could reach"):
-        list(flatness_rows(gammas, [c.var("u") ** 4]))
+        list(FlatnessRows(gammas)([c.var("u") ** 4]))

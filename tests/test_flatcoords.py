@@ -6,7 +6,8 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from weylfrob import exactalg, flatcoords, frobenius
-from weylfrob.exactalg import Poly, mat_det, monomials_of_weighted_degree, solve_linear
+from weylfrob.exactalg import (FlatnessRows, Poly, mat_det, monomials_of_weighted_degree,
+                               solve_linear)
 from weylfrob.flatcoords import (AnsatzInsufficient, BSeries, b_coefficients,
                                  build_w_chart, build_z_chart, flat_candidate_solve,
                                  flat_pipeline, gamma_w, lower_christoffels,
@@ -313,11 +314,11 @@ def test_perturbed_gamma_makes_the_flatness_system_inconsistent():
     eta = build_pencil(spec).eta
     gammas = lower_christoffels(eta)
     base, candidates = p_block_inputs(spec, eta, 2)
-    assert flat_candidate_solve(gammas, base, candidates, "p_2") != base
+    assert flat_candidate_solve(FlatnessRows(gammas), base, candidates, "p_2") != base
     gammas[1][0][0] = gammas[1][0][0] * 2
     with pytest.raises(AnsatzInsufficient,
                        match=r"^flatness system for p_2 is inconsistent$"):
-        flat_candidate_solve(gammas, base, candidates, "p_2")
+        flat_candidate_solve(FlatnessRows(gammas), base, candidates, "p_2")
 
 
 def test_equations_dropped_for_one_candidate_leave_a_nonzero_residual(monkeypatch):
@@ -328,7 +329,7 @@ def test_equations_dropped_for_one_candidate_leave_a_nonzero_residual(monkeypatc
     eta = build_pencil(spec).eta
     gammas = lower_christoffels(eta)
     base, candidates = p_block_inputs(spec, eta, 3)
-    tau = flat_candidate_solve(gammas, base, candidates, "p_3")
+    tau = flat_candidate_solve(FlatnessRows(gammas), base, candidates, "p_3")
     q = next(q for q, c in enumerate(candidates)
              if next(iter(c.packed)) in tau.packed)
     solve = flatcoords.solve_linear
@@ -342,7 +343,7 @@ def test_equations_dropped_for_one_candidate_leave_a_nonzero_residual(monkeypatc
     monkeypatch.setattr(flatcoords, "solve_linear", blind_solve)
     with pytest.raises(AnsatzInsufficient,
                        match=r"^flatness residual \(\d+, \d+\) nonzero for p_3$"):
-        flat_candidate_solve(gammas, base, candidates, "p_3")
+        flat_candidate_solve(FlatnessRows(gammas), base, candidates, "p_3")
     assert seen
 
 
@@ -354,10 +355,11 @@ def test_flat_solve_accepts_scaled_and_mixed_candidates():
     eta = build_pencil(spec).eta
     gammas = lower_christoffels(eta)
     base, candidates = p_block_inputs(spec, eta, 4)
-    tau = flat_candidate_solve(gammas, base, candidates, "p_4")
+    flatness = FlatnessRows(gammas)
+    tau = flat_candidate_solve(flatness, base, candidates, "p_4")
     mixed = [candidates[0] * Fraction(3, 7) + candidates[1]] + \
         [c * Fraction(5, 2) for c in candidates[1:]]
-    scaled = flat_candidate_solve(gammas, base * Fraction(2, 9), mixed, "p_4")
+    scaled = flat_candidate_solve(flatness, base * Fraction(2, 9), mixed, "p_4")
     assert scaled == tau * Fraction(2, 9)
 
 
@@ -366,7 +368,7 @@ def test_flat_candidate_solve_makes_fractions_only_for_its_unknowns(monkeypatch)
     solution values), however many rows its system has."""
     spec = RootSystemSpec("C", 6, 6)
     eta = build_pencil(spec).eta
-    gammas = lower_christoffels(eta)
+    flatness = FlatnessRows(lower_christoffels(eta))
     inputs = [p_block_inputs(spec, eta, j) for j in range(1, 7)]
     solve = flatcoords.solve_linear
     rows = []
@@ -388,11 +390,36 @@ def test_flat_candidate_solve_makes_fractions_only_for_its_unknowns(monkeypatch)
     counts = []
     for base, candidates in inputs:
         made[0] = 0
-        flat_candidate_solve(gammas, base, candidates, "p")
+        flat_candidate_solve(flatness, base, candidates, "p")
         counts.append((made[0], len(candidates)))
     monkeypatch.undo()
     assert all(n_made <= n_unknowns for n_made, n_unknowns in counts), counts
     assert rows[-1] > 2 * counts[-1][1]
+
+
+@pytest.mark.parametrize("l,k,p_solves,h_solves", [(5, 3, 3, 1), (6, 1, 1, 4), (4, 4, 4, 0)])
+def test_each_gamma_set_is_prepared_once(monkeypatch, l, k, p_solves, h_solves):
+    """The p-block and the h-block each scale their gamma terms once
+    (one FlatnessRows), however many candidate solves they run; an empty
+    h-block prepares none."""
+    made, solves = [], []
+    rows_init = FlatnessRows.__init__
+    candidate_solve = flatcoords.flat_candidate_solve
+
+    def counting_init(self, gammas):
+        made.append(len(solves))
+        rows_init(self, gammas)
+
+    def counting_solve(flatness, *args):
+        solves.append(flatness)
+        return candidate_solve(flatness, *args)
+
+    monkeypatch.setattr(FlatnessRows, "__init__", counting_init)
+    monkeypatch.setattr(flatcoords, "flat_candidate_solve", counting_solve)
+    flat_pipeline(RootSystemSpec("C", l, k), build_pencil(RootSystemSpec("C", l, k)).eta)
+    assert made == [0, p_solves][:1 + (h_solves > 0)]
+    assert len(solves) == p_solves + h_solves
+    assert len(set(map(id, solves))) == 1 + (h_solves > 0)
 
 
 @pytest.mark.parametrize("l,k", [(4, 1), (6, 1), (7, 3)])

@@ -20,6 +20,8 @@ from weylfrob.metrics import BilinearForm, build_pencil, transform_christoffel
 from weylfrob.rootdata import RootSystemSpec, flat_degrees
 from weylfrob.serialize import structure_document
 
+from test_metrics import reference_transform_christoffel
+
 ALL_SMALL = [(l, k) for l in range(1, 4) for k in range(1, l + 1)]
 ALL_RANK5 = [(l, k) for l in range(1, 6) for k in range(1, l + 1)]
 
@@ -151,7 +153,8 @@ def reference_connection_identity(struct):
     spec = struct.cspec
     l, k = spec.rank, spec.vertex
     dim, last = l + 1, l
-    gamma_t = transform_christoffel(struct.pencil.gamma_g, struct.flat.y_to_t, struct.g_t)
+    gamma_t = reference_transform_christoffel(struct.pencil.gamma_g, struct.flat.y_to_t,
+                                              struct.g_t)
     fup = raised_hessian(struct.potential, struct.eta_up)
     dt = flat_degrees(l, k)
     zero = Poly.const(struct.potential.chart, 0)
@@ -302,6 +305,30 @@ def test_oracle_check_takes_no_linear_solve(monkeypatch):
     for struct in structs:
         oracle_check(struct)
     assert calls[0] == 0
+
+
+def test_oracle_check_expands_g_in_one_batch(monkeypatch):
+    """One substitute_all call over all (l+1)^2 entries of g, and no
+    entry-by-entry expansion, on every spec the oracle reaches."""
+    structs = [build_structure(RootSystemSpec(family, l, k))
+               for family in ("C", "B") for l, k in ALL_SMALL]
+    batch, single = frobenius.substitute_all, Poly.substitute
+    sizes, singles = [], [0]
+
+    def counting_batch(polys, bindings, target=None):
+        sizes.append(len(polys))
+        return batch(polys, bindings, target)
+
+    def counting_single(self, bindings, target=None):
+        singles[0] += 1
+        return single(self, bindings, target)
+
+    monkeypatch.setattr(frobenius, "substitute_all", counting_batch)
+    monkeypatch.setattr(Poly, "substitute", counting_single)
+    for struct in structs:
+        oracle_check(struct)
+    assert sizes == [(struct.spec.rank + 1) ** 2 for struct in structs]
+    assert singles == [0]
 
 
 def test_build_transports_only_the_metric_to_the_flat_chart(monkeypatch):

@@ -1,26 +1,124 @@
-"""Generating-function metric/connection, transports, eta and its closed forms."""
+"""Closed-form metric/connection, transports, eta and its closed forms."""
 
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Tuple
 
 import pytest
 
-from weylfrob.exactalg import Chart, Poly
-from weylfrob.metrics import (BilinearForm, BlockFormMismatch, build_pencil, det_eta_check,
-                              DetMismatch, assert_eta_pattern, eta_pattern, g_theta,
-                              gamma_theta, linearity_check, theta_map,
-                              transform_christoffel, transform_form)
-from weylfrob.orbitspace import (CoordMap, elementary_symmetric, extend_with_uv,
-                                 generator_map, y_chart, zeta_chart)
+from weylfrob.exactalg import Chart, Poly, contract, mat_inverse_unit
+from weylfrob.metrics import (BilinearForm, BlockFormMismatch, ChristoffelContra,
+                              build_pencil, det_eta_check, DetMismatch, assert_eta_pattern,
+                              eta_from_g, eta_pattern, g_theta, gamma_theta,
+                              linearity_check, theta_map, transform_christoffel,
+                              transform_form)
+from weylfrob.orbitspace import (CoordMap, elementary_symmetric, generator_map, theta_chart,
+                                 y_chart, zeta_chart)
 from weylfrob.rootdata import RootSystemSpec, degrees, flat_degrees
 
 from test_exactalg import weighted_degree
-from test_orbitspace import inject, reference_g_direct
+from test_orbitspace import extend_with_uv, inject, reference_g_direct
 
 
 def identity_map(chart: Chart) -> CoordMap:
     ident = {v.name: Poly.variable(chart, v.name) for v in chart.vars}
     return CoordMap(chart, chart, pullback=dict(ident), forward=dict(ident))
+
+
+# ---------------------------------------------------------------------------
+# Reference pencil: generating functions in (theta, u, v), three contractions
+# ---------------------------------------------------------------------------
+
+def _poly_P(chart: Chart, l: int, var: str) -> Poly:
+    u = Poly.variable(chart, var)
+    out = Poly.const(chart, 0)
+    for j in range(l + 1):
+        out = out + u ** (l - j) * Poly.variable(chart, f"th{j}")
+    return out
+
+
+def _extract_uv(gen: Poly, l: int, theta: Chart) -> Dict[Tuple[int, int], Poly]:
+    """Split a generating function by u^{l-i} v^{l-j} into theta-chart entries."""
+    iu = gen.chart.index["u"]
+    iv = gen.chart.index["v"]
+    buckets: Dict[Tuple[int, int], Dict[Tuple[int, ...], Fraction]] = {}
+    for exps, c in gen.terms.items():
+        i = l - exps[iu]
+        j = l - exps[iv]
+        if not (0 <= i <= l and 0 <= j <= l):
+            raise ArithmeticError("generating function has stray u/v powers")
+        rest = tuple(e for p, e in enumerate(exps) if p not in (iu, iv))
+        buckets.setdefault((i, j), {})[rest] = c
+    return {key: Poly(theta, terms) for key, terms in buckets.items()}
+
+
+def reference_g_theta(spec: RootSystemSpec) -> BilinearForm:
+    """g in the theta chart from the generating function
+
+        (k-l) P(u) P(v) + ((u^2+4u) P'(u) P(v) - (v^2+4v) P(u) P'(v)) / (u-v),
+
+    P(u) = sum_p theta^p u^(l-p), with the division done exactly."""
+    l, k = spec.rank, spec.vertex
+    tc = theta_chart(spec)
+    work = extend_with_uv(tc)
+    Pu = _poly_P(work, l, "u")
+    Pv = _poly_P(work, l, "v")
+    dPu = Pu.diff("u")
+    dPv = Pv.diff("v")
+    u = Poly.variable(work, "u")
+    v = Poly.variable(work, "v")
+    numerator = (u ** 2 + 4 * u) * dPu * Pv - (v ** 2 + 4 * v) * Pu * dPv
+    gen = Pu * Pv * (k - l) + numerator.exact_div(u - v)
+    entries = _extract_uv(gen, l, tc)
+    mat = [[entries.get((i, j), Poly.const(tc, 0)) for j in range(l + 1)]
+           for i in range(l + 1)]
+    return BilinearForm(tc, mat)
+
+
+def reference_gamma_theta(spec: RootSystemSpec) -> ChristoffelContra:
+    """Gamma in the theta chart from the one-form generating function with
+    its (u-v)^2 denominator, the division done exactly."""
+    l, k = spec.rank, spec.vertex
+    tc = theta_chart(spec)
+    work = extend_with_uv(tc)
+    Pu = _poly_P(work, l, "u")
+    Pv = _poly_P(work, l, "v")
+    dPu = Pu.diff("u")
+    u = Poly.variable(work, "u")
+    v = Poly.variable(work, "v")
+    u_minus_v = u - v
+    uv_factor = 2 * u + u * v + 2 * v
+    arr = [[[Poly.const(tc, 0) for _ in range(l + 1)] for _ in range(l + 1)]
+           for _ in range(l + 1)]
+    for m in range(l + 1):
+        a = (u ** 2 + 4 * u) * dPu * v ** (l - m)
+        if m < l:
+            a = a - (v ** 2 + 4 * v) * Pu * (l - m) * v ** (l - m - 1)
+        b = uv_factor * (Pv * u ** (l - m) - Pu * v ** (l - m))
+        gen = Pu * v ** (l - m) * (k - l) + (a * u_minus_v + b).exact_div(u_minus_v ** 2)
+        for (i, j), poly in _extract_uv(gen, l, tc).items():
+            arr[i][j][m] = poly
+    return ChristoffelContra(tc, arr)
+
+
+def reference_transform_christoffel(gamma: ChristoffelContra, cmap: CoordMap,
+                                    g_target: BilinearForm) -> ChristoffelContra:
+    """Gamma'^{ij}_m = J^i_u J^j_c K^q_m Gamma^{uc}_q - g'^{ia} J^j_c d_a(K^c_m)
+    by three contractions of the pushed connection, two for the
+    inhomogeneous term, and one subtraction pass."""
+    K = cmap.jacobian_pullback()
+    J = mat_inverse_unit(K)
+    n = gamma.dim
+    pushed = iter(cmap.push([e for plane in gamma.arr for row in plane for e in row]))
+    gsub = [[[next(pushed) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    K_t = [[K[q][m] for q in range(n)] for m in range(n)]
+    tens = contract(K_t, contract(J, contract(J, gsub, 0), 1), 2)
+    dK = [[[K[c][m].coord_diff(a) for m in range(n)] for c in range(n)]
+          for a in range(n)]
+    inhom = contract(J, contract(g_target.mat, dK, 0), 1)
+    out = [[[t - h for t, h in zip(t_row, h_row)]
+            for t_row, h_row in zip(t_plane, h_plane)]
+           for t_plane, h_plane in zip(tens, inhom)]
+    return ChristoffelContra(cmap.target, out)
 
 
 # ---------------------------------------------------------------------------
@@ -343,3 +441,74 @@ def test_g_degrees_in_y_chart(l, k):
             entry = pen.g.mat[i][j]
             if not entry.is_zero():
                 assert weighted_degree(entry) == d[i] + d[j]
+
+
+# ---------------------------------------------------------------------------
+# Closed-form tables and the one-pass transport against the references
+# ---------------------------------------------------------------------------
+
+PENCIL_SPECS = [(l, k) for l in range(1, 7) for k in range(1, l + 1)] + [(7, 1), (7, 7)]
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_same, got, want))
+    return got == want
+
+
+@pytest.mark.parametrize("l,k", PENCIL_SPECS)
+def test_closed_form_pencil_equals_the_generating_functions(l, k):
+    spec = RootSystemSpec("C", l, k)
+    g_th, gam_th = reference_g_theta(spec), reference_gamma_theta(spec)
+    assert _same(g_theta(spec).mat, g_th.mat)
+    assert _same(gamma_theta(spec).arr, gam_th.arr)
+    tmap = theta_map(spec)
+    g_y = transform_form(g_th, tmap)
+    pen = build_pencil(spec)
+    assert _same(pen.g.mat, g_y.mat)
+    assert _same(pen.gamma_g.arr, reference_transform_christoffel(gam_th, tmap, g_y).arr)
+    assert _same(pen.eta.mat, eta_from_g(g_y, spec).mat)
+
+
+@pytest.mark.parametrize("l,k", [(2, 1), (3, 2), (4, 1), (4, 4)])
+def test_transport_to_the_flat_chart_equals_the_three_contractions(l, k):
+    # y -> t has Jacobian entries of many terms and Laurent images
+    from weylfrob.frobenius import build_structure
+
+    struct = build_structure(RootSystemSpec("C", l, k))
+    args = (struct.pencil.gamma_g, struct.flat.y_to_t, struct.g_t)
+    assert _same(transform_christoffel(*args).arr, reference_transform_christoffel(*args).arr)
+
+
+def test_pencil_uses_no_generating_function(monkeypatch):
+    """Building the C5k3 pencil divides no polynomial exactly and makes no
+    Poly on a chart with u and v, while the reference does both (so the
+    counters see what they guard against)."""
+    spec = RootSystemSpec("C", 5, 3)
+    seen = {"uv_polys": 0, "exact_div": 0}
+    raw, init, exact_div = Poly._raw.__func__, Poly.__init__, Poly.exact_div
+
+    def note(chart):
+        if "u" in chart.index and "v" in chart.index:
+            seen["uv_polys"] += 1
+
+    def counting_raw(cls, chart, *args):
+        note(chart)
+        return raw(cls, chart, *args)
+
+    def counting_init(self, chart, terms):
+        note(chart)
+        init(self, chart, terms)
+
+    def counting_exact_div(self, q):
+        seen["exact_div"] += 1
+        return exact_div(self, q)
+
+    # every Poly is made by __init__ or _raw
+    monkeypatch.setattr(Poly, "_raw", classmethod(counting_raw))
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    monkeypatch.setattr(Poly, "exact_div", counting_exact_div)
+    build_pencil(spec)
+    assert seen == {"uv_polys": 0, "exact_div": 0}
+    reference_gamma_theta(spec)
+    assert seen["uv_polys"] > 0 and seen["exact_div"] == 6

@@ -10,7 +10,7 @@ from weylfrob.exactalg import (Chart, Poly, VarSpec, monomials_of_weighted_degre
                                solve_linear)
 from weylfrob.metrics import BilinearForm
 from weylfrob.orbitspace import (CoordMap, compute_g_direct, elementary_symmetric,
-                                 extend_with_uv, generator_exprs, generator_map,
+                                 generator_exprs, generator_map,
                                  oracle_chart, oracle_pairing, theta_chart, theta_map,
                                  y_chart, zeta_chart)
 from weylfrob.rootdata import RootSystemSpec, build, degrees
@@ -38,6 +38,13 @@ class GenPolyP:
     spec: RootSystemSpec
     chart: Chart
     thetas: List[Poly]
+
+
+def extend_with_uv(chart: Chart) -> Chart:
+    """Clone a chart with two extra weight-0 variables u, v (for generating functions)."""
+    varspecs = list(chart.vars) + [VarSpec("u", Fraction(0)), VarSpec("v", Fraction(0))]
+    return Chart(f"{chart.name}_uv", varspecs, log_coord=chart.log_coord,
+                 exp_var=chart.exp_var)
 
 
 def assemble_P(spec: RootSystemSpec) -> GenPolyP:
