@@ -156,7 +156,7 @@ def _main(argv: Optional[List[str]]) -> int:
         spec = RootSystemSpec(fixture.family, fixture.rank, fixture.vertex)
         try:
             struct = build_structure(spec)
-        except ArithmeticError as exc:
+        except (ArithmeticError, ValueError) as exc:
             print(f"construction failed: {exc}", file=sys.stderr)
             return 1
         problems = compare_fixture(struct, fixture)
@@ -212,10 +212,10 @@ def _main(argv: Optional[List[str]]) -> int:
             return 2
         try:
             struct = build_structure(spec)
+            report = run_checks(struct, wanted, ORACLE_MAX_RANK)
         except (ArithmeticError, ValueError) as exc:
             print(f"construction failed: {exc}", file=sys.stderr)
             return 1
-        report = run_checks(struct, wanted, ORACLE_MAX_RANK)
         print(json.dumps({"spec": {"family": spec.family, "rank": spec.rank,
                                    "vertex": spec.vertex},
                           "checks": report}, indent=2))

@@ -30,12 +30,14 @@ composes a batch of polynomials through one table of monomial images.
 
 The module also provides the exact linear algebra the rest of the package
 leans on: a fraction-free integer-row linear solver, the determinant and
-adjugate of Poly matrices, and the two primitives every tensor computation
-goes through: ``mat_inverse_unit`` (the one exact inverse) and ``contract``
-(the one index contraction).  Determinants and inverses eliminate on unit
-pivots (single terms in the chart's Laurent variables) of least Markowitz
-cost, so each division is a monomial shift; fraction-free (Bareiss)
-elimination is the fallback for a submatrix with no unit entry left.
+adjugate of Poly matrices, and the primitives every tensor computation goes
+through: ``mat_inverse_unit`` (the one exact inverse), and ``contract`` and
+``transform_sum`` (index contraction, and the fused transport of a
+three-index tensor).  Determinants and inverses eliminate on unit pivots
+(single terms in the chart's Laurent variables) of least Markowitz cost, so
+each division is a monomial shift; the only polynomial division anywhere is
+by a unit.  A matrix with no unit pivot left and a nonzero remainder raises
+NonInvertibleMatrix.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import mul
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -62,7 +63,8 @@ class ChartMismatch(ValueError):
 
 
 class NonExactDivision(ArithmeticError):
-    """poly_exact_div was asked for a quotient that does not exist."""
+    """A quotient that does not exist was asked for: the inverse of a
+    non-unit, or an antiderivative that needs a logarithm."""
 
 
 class NonUnitLaurentSubstitution(ValueError):
@@ -70,7 +72,8 @@ class NonUnitLaurentSubstitution(ValueError):
 
 
 class NonInvertibleMatrix(ArithmeticError):
-    """A matrix expected to have a unit (monomial) determinant does not."""
+    """A matrix expected to have a unit (monomial) determinant does not, or
+    its elimination ran out of unit pivots before the remainder was zero."""
 
 
 class ExponentOverflow(OverflowError):
@@ -307,10 +310,6 @@ class Poly:
     def exponents_as_dict(self, exps: Exponents) -> Dict[str, int]:
         return {v.name: e for v, e in zip(self.chart.vars, exps) if e != 0}
 
-    def _check_chart(self, other: "Poly"):
-        if self.chart != other.chart:
-            raise ChartMismatch(f"{self.chart.name!r} vs {other.chart.name!r}")
-
     # ---- ring operations ----
 
     def __add__(self, other) -> "Poly":
@@ -417,68 +416,6 @@ class Poly:
         """Exact composition: replace each chart variable by its binding
         (``substitute_all`` of this one polynomial)."""
         return substitute_all([self], bindings, target)[0]
-
-    # ---- exact division ----
-
-    def exact_div(self, q: "Poly") -> "Poly":
-        """Return r with r*q == self exactly, else raise NonExactDivision."""
-        self._check_chart(q)
-        if not q._nums:
-            raise ZeroDivisionError("exact division by zero polynomial")
-        chart = self.chart
-        if not self._nums:
-            return Poly._raw(chart, {}, 1, 0)
-        # remove the full monomial content of both operands: the quotient of
-        # the content-free parts is then an honest polynomial (minimal degrees
-        # are additive under multiplication), so the leading-term test below
-        # is sound and complete for exact division.  Its keys stay in range:
-        # every field lies between 0 and the dividend's largest degree.
-        lo_p, lo_q = self.exponent_range()[0], q.exponent_range()[0]
-        unpack, pack = chart.unpack, chart.pack
-        rem = {pack(tuple(map(sub, unpack(k), lo_p))): v for k, v in self._nums.items()}
-        # self = P / dp and q = content * Q / dq with P, Q integral and Q
-        # primitive; by Gauss's lemma P / Q is integral whenever it exists,
-        # so every leading-coefficient quotient below must be exact
-        content = gcd(*q._nums.values())
-        q_terms = [(pack(tuple(map(sub, unpack(k), lo_q))) - chart._bias, v // content)
-                   for k, v in q._nums.items()]
-        lead_q, cq = max(q_terms)
-        bias = chart._bias
-        heap = [-k for k in rem]
-        heapify(heap)
-        quot: Dict[int, int] = {}
-        while rem:
-            lead_r = -heappop(heap)
-            c = rem.get(lead_r)
-            if c is None:
-                continue  # cancelled, or a repeat of a key already divided
-            # d = lead_r / lead_q in the packed form; every field of both
-            # lies in [0, B), so no field borrows and d's fields are >= 0
-            # exactly when their top bits are set
-            d = lead_r - lead_q
-            if d & bias != bias:
-                raise NonExactDivision("division left a nonzero remainder")
-            c, r = divmod(c, cq)
-            if r:
-                raise NonExactDivision("division left a nonzero remainder")
-            # the leading term strictly falls, so each d is new
-            quot[d] = c
-            for e2, c2 in q_terms:
-                key = d + e2
-                s = rem.pop(key, 0) - c * c2
-                if s:
-                    rem[key] = s
-                    heappush(heap, -key)
-        correction = tuple(map(sub, lo_p, lo_q))
-        fixed = chart._fixed_half
-        out = {}
-        for k, c in quot.items():
-            key = pack(tuple(map(add, unpack(k), correction)))
-            if key & fixed != fixed:
-                raise NonExactDivision("quotient needs a negative exponent "
-                                       "on a non-laurent variable")
-            out[key] = c * q._den
-        return Poly.from_packed(chart, out, self._den * content)
 
     # ---- grading ----
 
@@ -1071,9 +1008,9 @@ def mat_det(matrix: Matrix) -> Poly:
     Each pivot is a unit of the chart's ring (a monomial shift to divide
     by), picked by least Markowitz cost on the remaining submatrix, and the
     rows not yet pivoted are cleared with no other division.  det = sign *
-    (product of the pivots) * det(S), with the sign of the pivot permutation
-    and S the Schur complement left when no unit remains; det(S) is taken by
-    fraction-free Bareiss elimination (S is empty on the package's matrices).
+    (product of the pivots), with the sign of the pivot permutation.  When
+    no unit is left, a zero Schur complement gives det 0 (every singular
+    constant matrix ends so); any other remainder raises NonInvertibleMatrix.
     """
     n = len(matrix)
     if n == 0:
@@ -1081,7 +1018,9 @@ def mat_det(matrix: Matrix) -> Poly:
     m = [row[:] for row in matrix]
     det, _, rows, cols = _unit_elimination(m, n, jordan=False)
     if rows:
-        det = det * _bareiss_det([[m[r][c] for c in cols] for r in rows])
+        if any(m[r][c]._nums for r in rows for c in cols):
+            raise NonInvertibleMatrix("no unit pivot left")
+        return Poly.const(det.chart, 0)
     return det
 
 
@@ -1093,13 +1032,10 @@ def mat_adjugate(matrix: Matrix, inverse: bool = False):
     n pivots (r, c) the row r of the right half is row c of A^-1, and
     adj(A) = det(A) * A^-1 with det(A) = sign * (product of the pivots).
     With ``inverse`` set it returns (det(A), A^-1) instead, the right half
-    as it stands, and requires det(A) to be a unit.  When no unit pivot
-    remains (the determinant may still be a unit, e.g. [[1+x, x], [2+x, 1+x]]
-    with x not Laurent) the adjugate is taken by the fraction-free sweep over
-    the whole matrix instead, and det(A) read off it as row 0 of A times
-    column 0 of adj(A).  A singular matrix of size n >= 2 raises
-    NonInvertibleMatrix, and so does a determinant that is no unit when
-    ``inverse`` is set; the 1x1 adjugate is [[1]].
+    as it stands (det(A), a product of units, is one).  When no unit pivot is
+    left before n steps (a singular matrix, or one like [[1+x, x], [2+x, 1+x]]
+    with x not Laurent, whose determinant 1 no entry shows) it raises
+    NonInvertibleMatrix; the 1x1 adjugate is [[1]].
     """
     n = len(matrix)
     chart = matrix[0][0].chart
@@ -1111,103 +1047,31 @@ def mat_adjugate(matrix: Matrix, inverse: bool = False):
          for r, row in enumerate(matrix)]
     det, pivots, rows, _ = _unit_elimination(m, n, jordan=True)
     if rows:
-        adj = _bareiss_adjugate(matrix)
-        if not inverse:
-            return adj
-        det = _require_unit(sum_products(chart, zip(matrix[0], [row[0] for row in adj])))
-        inv_det = det.unit_inverse()
-        return det, [[e * inv_det for e in row] for row in adj]
+        raise NonInvertibleMatrix("no unit pivot left")
     right: Matrix = [None] * n
     for r, c in pivots:
         right[c] = m[r][n:]
     if inverse:
-        return _require_unit(det), right
+        return det, right
     return [[e * det for e in row] for row in right]
-
-
-def _fraction_free_step(m: Matrix, p: int, prev: Poly, rows: Iterable[int],
-                        width: int) -> None:
-    """One Bareiss step on the pivot m[p][p]: every row r of ``rows`` becomes
-    (pivot * a - a_col * a_row) / prev on the columns p+1..width-1, an exact
-    division because each entry is a minor (Bareiss, Math. Comp. 22, 1968)."""
-    chart = prev.chart
-    pivot_row = m[p]
-    piv = pivot_row[p]
-    for r in rows:
-        row = m[r]
-        minus_f = -row[p]
-        for c in range(p + 1, width):
-            num = sum_products(chart, ((piv, row[c]), (minus_f, pivot_row[c])))
-            row[c] = num.exact_div(prev)
-        row[p] = Poly.const(chart, 0)
-
-
-def _bareiss_det(m: Matrix) -> Poly:
-    """Determinant by natural-order fraction-free elimination (mutates m)."""
-    n = len(m)
-    prev = Poly.const(m[0][0].chart, 1)
-    sign = 1
-    for p in range(n - 1):
-        if m[p][p].is_zero():
-            for r in range(p + 1, n):
-                if not m[r][p].is_zero():
-                    m[p], m[r] = m[r], m[p]
-                    sign = -sign
-                    break
-            else:
-                return Poly.const(prev.chart, 0)
-        _fraction_free_step(m, p, prev, range(p + 1, n), n)
-        prev = m[p][p]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def _bareiss_adjugate(matrix: Matrix) -> Matrix:
-    """Adjugate by one fraction-free Gauss-Jordan sweep on [A | I] (for n = 1, [[1]]).
-
-    The sweep ends at [d I | T] with d = sign * det(A), so adj(A) = sign * T,
-    where sign counts the row swaps; a singular matrix raises
-    NonInvertibleMatrix."""
-    n = len(matrix)
-    chart = matrix[0][0].chart
-    zero = Poly.const(chart, 0)
-    one = Poly.const(chart, 1)
-    m = [list(row) + [one if c == r else zero for c in range(n)]
-         for r, row in enumerate(matrix)]
-    sign = 1
-    prev = one
-    for p in range(n):
-        for r in range(p, n):
-            if not m[r][p].is_zero():
-                break
-        else:
-            raise NonInvertibleMatrix("matrix is singular")
-        if r != p:
-            m[p], m[r] = m[r], m[p]
-            sign = -sign
-        _fraction_free_step(m, p, prev, [r for r in range(n) if r != p], 2 * n)
-        prev = m[p][p]
-    return [[-e if sign < 0 else e for e in row[n:]] for row in m]
 
 
 def unit_det(matrix: Matrix) -> Poly:
     """The determinant, required to be a unit of the chart's ring (so the
-    matrix is invertible over it); raises NonInvertibleMatrix otherwise."""
-    return _require_unit(mat_det(matrix))
-
-
-def _require_unit(det: Poly) -> Poly:
+    matrix is invertible over it); raises NonInvertibleMatrix otherwise.
+    A completed unit elimination gives a product of units, so the only
+    other outcome of ``mat_det`` to reject is 0."""
+    det = mat_det(matrix)
     if det.is_zero():
         raise NonInvertibleMatrix("determinant is zero")
-    if not det.is_unit_monomial():
-        raise NonInvertibleMatrix(f"determinant is not a unit: {det!r}")
     return det
 
 
 def mat_inverse_unit(matrix: Matrix) -> Matrix:
     """Exact inverse of a matrix whose determinant is a unit of its chart's
-    ring, read off the elimination of ``mat_adjugate``; a determinant that is
-    no unit raises NonInvertibleMatrix."""
+    ring, read off the elimination of ``mat_adjugate``; a matrix on which
+    that runs out of unit pivots (every one whose determinant is no unit
+    among them) raises NonInvertibleMatrix."""
     return mat_adjugate(matrix, inverse=True)[1]
 
 

@@ -320,8 +320,7 @@ def solve_flat_chart(spec: RootSystemSpec, eta_w: BilinearForm,
         candidates = [s * Poly.monomial(wc, mono) for mono in basis]
         tau = flat_candidate_solve(flatness, base, candidates, f"t^{j}")
         forward[f"t{j}"] = tau
-        h = (tau - base).exact_div(s) if not (tau - base).is_zero() else Poly.const(wc, 0)
-        h_polys[j] = h
+        h_polys[j] = (tau - base) * s.unit_inverse()
 
     pullback: Dict[str, Poly] = {"E": Poly.variable(tc, "E")}
     for i in range(1, k + 1):

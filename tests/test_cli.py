@@ -165,6 +165,26 @@ def test_internal_error_exits_3(monkeypatch, capsys, command):
     assert capsys.readouterr().err == "internal error: KeyError: 'injected'\n"
 
 
+@pytest.mark.parametrize("command,where", [("construct", "build"), ("construct", "check"),
+                                           ("verify", "build"), ("verify", "check"),
+                                           ("compare", "build")])
+def test_value_error_in_a_construction_step_exits_1(monkeypatch, capsys, command, where):
+    # a ValueError from the build or from a check is a failed construction
+    # step on every command, not an internal error
+    def broken(*args):
+        raise ValueError("injected")
+
+    if where == "build":
+        monkeypatch.setattr(cli, "build_structure", broken)
+    else:
+        monkeypatch.setitem(frobenius.CHECKS, "det", broken)
+    args = ["--fixture", "c3k1"] if command == "compare" else \
+        ["--family", "C", "--rank", "2", "--vertex", "1"]
+    assert run([command] + args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "construction failed: injected\n"
+
+
 # ---------------------------------------------------------------------------
 # Mutation suite: each check must fail on a structure with one entry corrupted
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def test_chart_mismatch_raises():
 def test_exact_div_difference_of_squares():
     c = simple_chart()
     u, v = c.var("u"), c.var("v")
-    assert (u ** 2 - v ** 2).exact_div(u - v) == u + v
+    assert reference_exact_div(u ** 2 - v ** 2, u - v) == u + v
 
 
 def test_exact_div_rank_one_metric_generating_function():
@@ -71,23 +71,23 @@ def test_exact_div_rank_one_metric_generating_function():
     Pu = u * th0 + th1
     Pv = v * th0 + th1
     num = (u ** 2 + 4 * u) * th0 * Pv - (v ** 2 + 4 * v) * Pu * th0
-    got = num.exact_div(u - v)
+    got = reference_exact_div(num, u - v)
     assert got == th0 * (u * v * th0 + (u + v + 4) * th1)
 
 
 def test_exact_div_laurent_unit():
     c = laurent_chart()
     x, y = c.var("x"), c.var("y")
-    assert x.exact_div(y) == Poly.monomial(c, {"x": 1, "y": -1})
+    assert reference_exact_div(x, y) == Poly.monomial(c, {"x": 1, "y": -1})
 
 
 def test_exact_div_failure_is_reported():
     c = simple_chart()
     u, v = c.var("u"), c.var("v")
     with pytest.raises(NonExactDivision):
-        (u ** 2 + v).exact_div(u - v)
+        reference_exact_div(u ** 2 + v, u - v)
     with pytest.raises(NonExactDivision):
-        u.exact_div(v)  # v is not laurent here
+        reference_exact_div(u, v)  # v is not laurent here
 
 
 def test_substitute_rank_one_flat_coordinates():
@@ -205,7 +205,7 @@ def test_exact_div_roundtrip_property():
         q = random_poly(c, rng)
         if q.is_zero():
             continue
-        assert (p * q).exact_div(q) == p
+        assert reference_exact_div(p * q, q) == p
 
 
 def test_substitute_respects_composition():
@@ -263,7 +263,7 @@ def test_exact_div_roundtrip_with_negative_exponents():
         b = random_laurent_poly(c, rng)
         if b.is_zero():
             continue
-        assert (a * b).exact_div(b) == a
+        assert reference_exact_div(a * b, b) == a
 
 
 def mat_mul(a, b):
@@ -297,22 +297,43 @@ def naive_det(m):
     return acc
 
 
-def test_bareiss_det_and_adjugate_against_cofactors():
-    from weylfrob.exactalg import mat_adjugate, mat_det
+def against_cofactors(m) -> bool:
+    """Check mat_det and mat_adjugate on m against naive_det and
+    cofactor_adjugate when the unit elimination completes, or ends in a zero
+    Schur complement (det 0, and an adjugate of size >= 2 raises); returns
+    whether it did.  When it stalls on a nonzero remainder, both raise
+    NonInvertibleMatrix: they eliminate on the same pivots."""
+    from weylfrob.exactalg import NonInvertibleMatrix, mat_adjugate, mat_det
 
+    n = len(m)
+    try:
+        det = mat_det(m)
+    except NonInvertibleMatrix:
+        completed = False
+    else:
+        assert det == naive_det(m)
+        completed = True
+    if n == 1:
+        assert mat_adjugate(m) == cofactor_adjugate(m)
+    elif completed and not det.is_zero():
+        adj = mat_adjugate(m)
+        assert adj == cofactor_adjugate(m)
+        assert mat_mul(m, adj) == [[det if i == j else Poly.const(det.chart, 0)
+                                    for j in range(n)] for i in range(n)]
+    else:
+        with pytest.raises(NonInvertibleMatrix):
+            mat_adjugate(m)
+    return completed
+
+
+def test_bareiss_det_and_adjugate_against_cofactors():
     rng = random.Random(55)
     c = Chart("ab", [VarSpec("a", Fraction(1)), VarSpec("b", Fraction(1), laurent=True)])
     for trial in range(25):
         n = rng.randint(1, 4)
         m = [[random_laurent_poly(c, rng, max_terms=2) for _ in range(n)]
              for _ in range(n)]
-        det = mat_det(m)
-        assert det == naive_det(m)
-        adj = mat_adjugate(m)
-        prod = mat_mul(m, adj)
-        for i in range(n):
-            for j in range(n):
-                assert prod[i][j] == (det if i == j else Poly.const(c, 0))
+        against_cofactors(m)
 
 
 def test_solve_linear_parametric_fuzz():
@@ -534,20 +555,25 @@ def test_adjugate_sweep_matches_cofactor_reference():
             with pytest.raises(NonInvertibleMatrix):
                 mat_adjugate(m)
             continue
-        assert mat_adjugate(m) == cofactor_adjugate(m)
+        against_cofactors(m)
         checked += 1
     assert checked >= 24
 
 
 def test_adjugate_row_swap_flips_the_sign():
-    from weylfrob.exactalg import mat_adjugate
+    from weylfrob.exactalg import NonInvertibleMatrix, mat_adjugate, mat_det
 
     c = laurent_matrix_chart()
     a, b = c.var("a"), c.var("b")
     zero = Poly.const(c, 0)
-    m = [[zero, a], [b, a + b]]
+    # the pivots b (row 0, column 1), then 1/b: an odd pivot order
+    m = [[zero, b], [b ** -1, a + b]]
+    assert mat_det(m) == Poly.const(c, -1)
     # adj [[p, q], [r, s]] = [[s, -q], [-r, p]]
-    assert mat_adjugate(m) == [[a + b, -a], [-b, zero]]
+    assert mat_adjugate(m) == [[a + b, -b], [-(b ** -1), zero]]
+    # with a (not Laurent) in place of b, no unit is left after the pivot b
+    with pytest.raises(NonInvertibleMatrix):
+        mat_adjugate([[zero, a], [b, a + b]])
 
 
 def test_adjugate_one_by_one_and_singular():
@@ -987,16 +1013,16 @@ def reference_term_weight(chart, exps):
 
 @settings(max_examples=120, deadline=None)
 @given(laurent_polys, laurent_polys)
-def test_exact_div_matches_the_fraction_reference(p, q):
+def test_reference_exact_div_inverts_multiplication(p, q):
+    # the reference is the one exact division left; the generating-function
+    # and Bareiss references lean on it
     assume(not q.is_zero())
-    assert (p * q).exact_div(q) == reference_exact_div(p * q, q) == p
+    assert reference_exact_div(p * q, q) == p
     try:
-        expected = reference_exact_div(p, q)
+        quotient = reference_exact_div(p, q)
     except NonExactDivision:
-        with pytest.raises(NonExactDivision):
-            p.exact_div(q)
-    else:
-        assert p.exact_div(q) == expected
+        return
+    assert quotient * q == p
 
 
 def test_exact_div_integer_remainder_and_negative_exponent_raise():
@@ -1004,13 +1030,14 @@ def test_exact_div_integer_remainder_and_negative_exponent_raise():
     x, y = chart.var("x"), chart.var("y")
     # 2x + 1 over x + 1: the leading quotient 2 leaves the remainder -1
     with pytest.raises(NonExactDivision):
-        (2 * x + 1).exact_div(x + 1)
+        reference_exact_div(2 * x + 1, x + 1)
     # (y + 1) / (x y + x) = 1 / x, but x is not laurent
     with pytest.raises(NonExactDivision):
-        (y + 1).exact_div(x * y + x)
-    assert (x * y + x).exact_div(y + 1) == x
-    assert (Fraction(3, 4) * x * y - Fraction(3, 2)).exact_div(
-        Fraction(1, 6) * x * y - Fraction(1, 3)) == Poly.const(chart, Fraction(9, 2))
+        reference_exact_div(y + 1, x * y + x)
+    assert reference_exact_div(x * y + x, y + 1) == x
+    assert reference_exact_div(Fraction(3, 4) * x * y - Fraction(3, 2),
+                               Fraction(1, 6) * x * y - Fraction(1, 3)) == \
+        Poly.const(chart, Fraction(9, 2))
 
 
 small_kernel_polys = st.dictionaries(laurent_exponents, small_rationals, max_size=4).map(
@@ -1241,7 +1268,7 @@ def reference_bareiss_det(matrix):
         for r in range(p + 1, n):
             f = m[r][p]
             for c in range(p + 1, n):
-                m[r][c] = (piv * m[r][c] - f * m[p][c]).exact_div(prev)
+                m[r][c] = reference_exact_div(piv * m[r][c] - f * m[p][c], prev)
             m[r][p] = Poly.const(chart, 0)
         prev = piv
     det = m[n - 1][n - 1]
@@ -1277,7 +1304,7 @@ def reference_bareiss_adjugate(matrix):
                 continue
             f = m[r][p]
             for c in range(p + 1, 2 * n):
-                m[r][c] = (piv * m[r][c] - f * m[p][c]).exact_div(prev)
+                m[r][c] = reference_exact_div(piv * m[r][c] - f * m[p][c], prev)
             m[r][p] = zero
         prev = piv
     return [[-e if sign < 0 else e for e in row[n:]] for row in m]
@@ -1296,17 +1323,29 @@ def permutation_sign(perm):
     return sign
 
 
-def check_against_references(m, det):
-    from weylfrob.exactalg import mat_adjugate, mat_det, mat_inverse_unit
+def check_against_references(m, det) -> bool:
+    """Check det and the Bareiss references, and, when the unit elimination
+    completes, mat_det, mat_adjugate and mat_inverse_unit against them;
+    returns whether it did.  When it stalls all three raise
+    NonInvertibleMatrix."""
+    from weylfrob.exactalg import NonInvertibleMatrix, mat_adjugate, mat_det, mat_inverse_unit
 
     chart = m[0][0].chart
     n = len(m)
-    assert mat_det(m) == det == reference_bareiss_det(m)
+    assert det == reference_bareiss_det(m)
+    try:
+        assert mat_det(m) == det
+    except NonInvertibleMatrix:
+        for f in (mat_adjugate, mat_inverse_unit):
+            with pytest.raises(NonInvertibleMatrix):
+                f(m)
+        return False
     adj = mat_adjugate(m)
     assert adj == reference_bareiss_adjugate(m)
     inv = mat_inverse_unit(m)
     assert inv == [[e * det.unit_inverse() for e in row] for row in adj]
     assert mat_mul(m, inv) == identity(chart, n) == mat_mul(inv, m)
+    return True
 
 
 UNIMODULAR_CHART = Chart("xb", [VarSpec("x", Fraction(1)),
@@ -1365,7 +1404,7 @@ def test_unit_pivot_permutation_sign(perm):
         m[i][j] = (i + 2) * b ** (i - 1)
         det = det * m[i][j]
     assert naive_det(m) == det
-    check_against_references(m, det)
+    assert check_against_references(m, det)
 
 
 def test_non_laurent_single_term_is_not_a_unit():
@@ -1387,36 +1426,44 @@ def test_non_laurent_single_term_is_not_a_unit():
         x.unit_inverse()
 
 
-def test_unit_determinant_without_unit_entries_takes_the_fallback(monkeypatch):
-    from weylfrob import exactalg
-    from weylfrob.exactalg import mat_adjugate, mat_det
+def test_a_zero_schur_complement_gives_det_zero():
+    from weylfrob.exactalg import NonInvertibleMatrix, mat_det, mat_inverse_unit, unit_det
 
-    calls = {"fraction_free": 0}
-    step = exactalg._fraction_free_step
-
-    def counted(*args):
-        calls["fraction_free"] += 1
-        return step(*args)
-
-    monkeypatch.setattr(exactalg, "_fraction_free_step", counted)
+    point = Chart("point", [])
     c = UNIMODULAR_CHART
     x, b = c.var("x"), c.var("b")
-    one = Poly.const(c, 1)
+    # rank 2 in integers, as a Krylov matrix at a point may be; and a
+    # Laurent matrix whose pivot b leaves the complement x - (x b) b^-1 = 0
+    constant = [[Poly.const(point, v) for v in row] for row in ((1, 2, 3), (2, 4, 6), (0, 1, 5))]
+    laurent = [[b, x * b], [Poly.const(c, 1), x]]
+    for m in (constant, laurent):
+        assert naive_det(m).is_zero()
+        det = mat_det(m)
+        assert det.is_zero() and det.chart == m[0][0].chart
+        for f in (unit_det, mat_inverse_unit):
+            with pytest.raises(NonInvertibleMatrix):
+                f(m)
+
+
+def test_elimination_without_a_unit_pivot_raises():
+    from weylfrob.exactalg import NonInvertibleMatrix, mat_adjugate, mat_det, mat_inverse_unit
+
+    c = UNIMODULAR_CHART
+    x, b = c.var("x"), c.var("b")
     # det = (1+x)^2 - x(2+x) = 1, and x, the one single-term entry, is no unit
     m = [[1 + x, x], [2 + x, 1 + x]]
-    check_against_references(m, one)
-    assert calls["fraction_free"] > 0
     # one unit pivot (2b) first leaves the Schur complement
-    # [[1+x, x], [2+x, 1+x]], on which mat_det continues with Bareiss
+    # [[1+x, x], [2+x, 1+x]], on which the elimination stalls
     big = [[2 * b, b, Poly.const(c, 0)],
            [x * b, 1 + x + Fraction(1, 2) * x * b, x],
            [Poly.const(c, 0), 2 + x, 1 + x]]
-    for perm in itertools.permutations(range(3)):
-        rows = [big[p] for p in perm]
-        calls["fraction_free"] = 0
-        assert mat_det(rows) == naive_det(rows) == permutation_sign(perm) * 2 * b
-        assert calls["fraction_free"] > 0
-        assert mat_adjugate(rows) == cofactor_adjugate(rows)
+    cases = [(m, Poly.const(c, 1))] + [([big[p] for p in perm], permutation_sign(perm) * 2 * b)
+                                       for perm in itertools.permutations(range(3))]
+    for case, det in cases:
+        assert naive_det(case) == det
+        for f in (mat_det, mat_adjugate, mat_inverse_unit):
+            with pytest.raises(NonInvertibleMatrix, match="no unit pivot left"):
+                f(case)
 
 
 # ---------------------------------------------------------------------------

@@ -352,42 +352,27 @@ def test_build_transports_only_the_metric_to_the_flat_chart(monkeypatch):
     assert sources == ["theta"]
 
 
-def test_package_matrices_never_take_the_fraction_free_fallback(monkeypatch):
+def test_package_matrices_eliminate_on_unit_pivots(monkeypatch):
     """Every matrix the package inverts or takes the determinant of has a
-    unit pivot at each step, so building every C spec up to rank 5 and C6k1,
-    with the `pencil` and `det` checks, runs no fraction-free step and no
-    exact_div from inside the matrix routines (patched where exactalg looks
-    them up)."""
+    unit pivot at each step (else NonInvertibleMatrix would fail the build
+    or the check), so every C spec through rank 8 builds and passes the
+    `pencil` and `det` checks, with unit steps taken."""
     from weylfrob.cli import run_check
 
-    calls = {"unit": 0, "fraction_free": 0, "exact_div": 0}
+    calls = {"unit": 0}
     unit_step = exactalg._unit_step
-    fraction_free_step = exactalg._fraction_free_step
-    exact_div = Poly.exact_div
 
     def counting_unit_step(*args):
         calls["unit"] += 1
         return unit_step(*args)
 
-    def counting_fraction_free_step(*args):
-        calls["fraction_free"] += 1
-        return fraction_free_step(*args)
-
-    def counting_exact_div(p, q):
-        if sys._getframe(1).f_code.co_filename == exactalg.__file__:
-            calls["exact_div"] += 1
-        return exact_div(p, q)
-
     monkeypatch.setattr(exactalg, "_unit_step", counting_unit_step)
-    monkeypatch.setattr(exactalg, "_fraction_free_step", counting_fraction_free_step)
-    monkeypatch.setattr(Poly, "exact_div", counting_exact_div)
-    monkeypatch.setattr(frobenius, "_CACHE", {})
-    for l, k in ALL_RANK5 + [(6, 1)]:
-        struct = build_structure(RootSystemSpec("C", l, k))
-        for check in ("pencil", "det"):
-            assert run_check(check, struct, 3)["passed"], (l, k, check)
+    for l in range(1, 9):
+        for k in range(1, l + 1):
+            struct = build_structure(RootSystemSpec("C", l, k))
+            for check in ("pencil", "det"):
+                assert run_check(check, struct, 3)["passed"], (l, k, check)
     assert calls["unit"] > 0
-    assert calls["fraction_free"] == calls["exact_div"] == 0
 
 
 def test_mixed_degree_potential_raises_shape_mismatch():

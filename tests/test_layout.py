@@ -1,8 +1,11 @@
-"""Layout lint: every function, class and method of the package is used in it.
+"""Layout lint: every function, class and method of the package is used in
+it, and every module uses what it imports.
 
 A name defined in ``src/weylfrob`` (dunder methods aside) must occur as an
 ``ast.Name`` or ``ast.Attribute`` somewhere in the package outside its own
-definition; code that only the tests reach belongs in the tests.
+definition; code that only the tests reach belongs in the tests.  A name a
+module imports must occur as an ``ast.Name`` in that module; ``__init__.py``
+re-exports, and ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -43,3 +46,25 @@ def unused_definitions():
 
 def test_every_definition_is_used_in_the_package():
     assert unused_definitions() == []
+
+
+def unused_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    return unused
+
+
+def test_every_import_is_used_in_its_module():
+    assert unused_imports() == []
