@@ -7,9 +7,8 @@ entry point is :func:`weylfrob.frobenius.build_structure`; the CLI lives in
 :mod:`weylfrob.cli`.
 """
 
-from .exactalg import (Chart, ChartMismatch, ExponentOverflow, LinearSolveResult,
-                       NonExactDivision, NonUnitLaurentSubstitution, Poly, Rational,
-                       VarSpec, solve_linear)
+from .exactalg import (Chart, ChartMismatch, ExponentOverflow, NonExactDivision,
+                       NonUnitLaurentSubstitution, Poly, Rational, VarSpec, solve_linear)
 from .frobenius import (CheckFailed, EulerField, FrobeniusStructure, Inconsistent,
                         NoCyclicDirection, OracleMismatch, PotentialF, ShapeMismatch,
                         SymmetryViolation, build_structure, oracle_check,
@@ -18,7 +17,7 @@ from .metrics import BilinearForm, ChristoffelContra, FlatPencil, build_pencil
 from .rootdata import ExtendedMetric, InvalidSpec, RootSystemSpec, build, dual_index
 
 __all__ = [
-    "Chart", "ChartMismatch", "ExponentOverflow", "LinearSolveResult", "NonExactDivision",
+    "Chart", "ChartMismatch", "ExponentOverflow", "NonExactDivision",
     "NonUnitLaurentSubstitution", "Poly", "Rational", "VarSpec",
     "solve_linear", "ExtendedMetric", "InvalidSpec",
     "RootSystemSpec", "build", "dual_index", "BilinearForm", "ChristoffelContra",

@@ -48,7 +48,7 @@ from functools import cache
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Rational = Fraction
 Exponents = Tuple[int, ...]
@@ -411,8 +411,7 @@ class Poly:
 
     # ---- substitution ----
 
-    def substitute(self, bindings: Mapping[str, "Poly"],
-                   target: Optional[Chart] = None) -> "Poly":
+    def substitute(self, bindings: Mapping[str, "Poly"], target: Chart) -> "Poly":
         """Exact composition: replace each chart variable by its binding
         (``substitute_all`` of this one polynomial)."""
         return substitute_all([self], bindings, target)[0]
@@ -736,16 +735,15 @@ def transform_sum(chart: Chart, size: int, parts) -> List[List[List[Poly]]]:
 
 
 def substitute_all(polys: Sequence[Poly], bindings: Mapping[str, Poly],
-                   target: Optional[Chart] = None) -> List[Poly]:
+                   target: Chart) -> List[Poly]:
     """Exact composition of each of ``polys`` (all on one chart) with the
     bindings of its variables; unbound ones are carried over by name into
-    the target chart (by default the bindings' chart).  The monomial images
-    come from one ``_monomial_images`` table for the call.
+    the target chart.  The monomial images come from one
+    ``_monomial_images`` table for the call.
     """
     if not polys:
         return []
     source = polys[0].chart
-    target = target or (next(iter(bindings.values())).chart if bindings else source)
     image = _monomial_images(source, bindings, target)
     out = []
     for p in polys:
@@ -801,55 +799,29 @@ def _monomial_images(source: Chart, bindings: Mapping[str, Poly], target: Chart)
 # Exact linear solving over the rationals
 # ---------------------------------------------------------------------------
 
-UNIQUE = "unique"
-PARAMETRIC = "parametric"
-INCONSISTENT = "inconsistent"
+def solve_linear(rows: Collection[Mapping[int, int]],
+                 unknowns: Sequence) -> Optional[List[Fraction]]:
+    """A solution of the integer rows, free unknowns 0, or None when they
+    are inconsistent.
 
-
-@dataclass
-class LinearSolveResult:
-    """Outcome of an exact linear solve.
-
-    ``solution`` is the unique solution when kind == UNIQUE, and the
-    particular solution with all free unknowns set to zero when kind ==
-    PARAMETRIC.  ``nullspace`` is a basis of the homogeneous solutions.
+    Columns 0..n-1 of a row are the n = len(unknowns) unknowns and column n
+    its constant term: the row reads sum_c row[c] x_c + row[n] = 0, and any
+    other column is a ValueError.  Rows are eliminated sparsest first by
+    fraction-free steps, one gcd pass per row, each pivoting on its
+    lowest-index column; those are the pivots of the reduced echelon form in
+    any row order, so the solution is too.  Once every unknown has a pivot,
+    the rows left are only checked against the solution.
     """
-
-    kind: str
-    solution: Optional[Dict[str, Fraction]]
-    nullspace: List[Dict[str, Fraction]]
-
-
-def solve_linear(equations: Iterable[Tuple[Mapping[str, Fraction], Fraction]],
-                 unknowns: Sequence[str]) -> LinearSolveResult:
-    """Solve a rational linear system given as (coeffs-by-unknown, rhs) pairs.
-
-    Each equation becomes a primitive integer row over the columns of
-    ``unknowns`` and one rhs column (ValueError for an unlisted unknown).
-    Rows are eliminated sparsest first by fraction-free steps, one gcd pass
-    per row, each pivoting on its lowest-index column; those are the pivots
-    of the reduced echelon form in any row order, so the particular solution
-    (free unknowns 0) and the nullspace are too.  Once every unknown has a
-    pivot, the rows left are only checked against the solution.
-    """
-    order = {u: i for i, u in enumerate(unknowns)}
-    rhs_col = len(order)
-    rows: List[Dict[int, int]] = []
-    for coeffs, rhs in equations:
-        for u in coeffs:
-            if u not in order:
-                raise ValueError(f"equation names {u!r}, which is not an unknown")
-        parts = [(order[u], *_parts(c)) for u, c in coeffs.items()]
-        parts.append((rhs_col, *_parts(rhs)))
-        den = lcm(1, *[d for _, n, d in parts if n])
-        row = _primitive({col: n * (den // d) for col, n, d in parts if n})
-        if row:
-            rows.append(row)
-    rows.sort(key=len)
+    rhs_col = len(unknowns)
+    stray = {c for row in rows for c in row}.difference(range(rhs_col + 1))
+    if stray:
+        raise ValueError(f"rows name columns {stray} outside 0..{rhs_col}")
+    eqs = sorted(filter(None, [_primitive({c: v for c, v in row.items() if v})
+                               for row in rows]), key=len)
     # pivot column -> its row, in the order found; a pivot row holds no
     # earlier pivot column, so one pass in that order clears them all
     pivots: Dict[int, Dict[int, int]] = {}
-    for at, row in enumerate(rows):
+    for at, row in enumerate(eqs):
         if len(pivots) == rhs_col:
             break
         for p, prow in pivots.items():
@@ -858,36 +830,26 @@ def solve_linear(equations: Iterable[Tuple[Mapping[str, Fraction], Fraction]],
         if row:
             lead = min(row)
             if lead == rhs_col:
-                return LinearSolveResult(INCONSISTENT, None, [])
+                return None
             pivots[lead] = _primitive(row)
     else:
-        at = len(rows)
+        at = len(eqs)
     # back-substitute: each row then holds its pivot, free columns and rhs
     for p in reversed(list(pivots)):
         row = pivots[p]
         for c in [c for c in row if c != p and c in pivots]:
             _eliminate(row, c, pivots[c])
         pivots[p] = _primitive(row)
-    if at < len(rows):
-        # every unknown has a pivot: x_p = X_p / den
+    if at < len(eqs):
+        # every unknown has a pivot: x_p = -X_p / den
         den = lcm(1, *[row[p] for p, row in pivots.items()])
         xs = {p: row.get(rhs_col, 0) * (den // row[p]) for p, row in pivots.items()}
-        for row in rows[at:]:
+        for row in eqs[at:]:
             if sum(v * xs[c] for c, v in row.items() if c != rhs_col) != \
                     row.get(rhs_col, 0) * den:
-                return LinearSolveResult(INCONSISTENT, None, [])
-    free = [c for c in range(rhs_col) if c not in pivots]
-    solution = {unknowns[c]: Fraction(0) for c in free}
-    for p, row in pivots.items():
-        solution[unknowns[p]] = Fraction(row.get(rhs_col, 0), row[p])
-    basis = []
-    for f in free:
-        vec = {unknowns[f]: Fraction(1)}
-        for p, row in pivots.items():
-            if f in row:
-                vec[unknowns[p]] = Fraction(-row[f], row[p])
-        basis.append(vec)
-    return LinearSolveResult(PARAMETRIC if free else UNIQUE, solution, basis)
+                return None
+    return [Fraction(-pivots[c].get(rhs_col, 0), pivots[c][c]) if c in pivots else Fraction(0)
+            for c in range(rhs_col)]
 
 
 def _primitive(row: Dict[int, int]) -> Dict[int, int]:

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import (INCONSISTENT, FlatnessRows, Matrix, Poly, contract,
-                       mat_inverse_unit, monomials_of_weighted_degree, solve_linear,
-                       sum_products)
+from .exactalg import (FlatnessRows, Matrix, Poly, contract, mat_inverse_unit,
+                       monomials_of_weighted_degree, solve_linear, sum_products)
 from .metrics import BilinearForm, assert_eta_pattern, transform_form
 from .orbitspace import CoordMap, t_chart, w_chart, z_chart
 from .rootdata import RootSystemSpec, degrees
@@ -78,18 +77,15 @@ def flat_candidate_solve(flatness: FlatnessRows, base: Poly,
     n = chart.dim
     gammas = flatness.gammas
     columns = [Poly.from_packed(chart, p.packed, 1) for p in candidates + [base]]
-    unknowns = [f"c{q}" for q in range(len(candidates))]
-    rows: Dict[int, Dict[Optional[str], int]] = {}  # None names base's column
-    for name, acc in zip(unknowns + [None], flatness(columns)):
+    rows: Dict[int, Dict[int, int]] = {}  # base's column is the constant term
+    for q, acc in enumerate(flatness(columns)):
         for key, v in acc.items():
-            if v:
-                rows.setdefault(key, {})[name] = v
-    result = solve_linear([(row, -row.pop(None, 0)) for row in rows.values()], unknowns)
-    if result.kind == INCONSISTENT:
+            rows.setdefault(key, {})[q] = v
+    coeffs = solve_linear(rows.values(), candidates)
+    if coeffs is None:
         raise AnsatzInsufficient(f"flatness system for {what} is inconsistent")
     # the solved coefficients multiply the numerators: divide by base's den
-    total = sum_products(chart, [(1, columns[-1])] + [
-        (result.solution[u], col) for u, col in zip(unknowns, columns)])
+    total = sum_products(chart, [(1, columns[-1])] + list(zip(coeffs, columns)))
     solution = Poly.from_packed(chart, total.packed, total.den * base.den)
     grads = [solution.coord_diff(m) for m in range(n)]
     minus = [(m, -grads[m]) for m in range(n) if not grads[m].is_zero()]
@@ -121,22 +117,6 @@ def solve_p_block(spec: RootSystemSpec, eta_y: BilinearForm) -> List[Poly]:
     return out
 
 
-@dataclass
-class BSeries:
-    """Triangular constants B^i_j of the shear stage (B^i_i = 1)."""
-
-    n: int
-    table: Dict[Tuple[int, int], Fraction]
-
-    def __getitem__(self, ij: Tuple[int, int]) -> Fraction:
-        i, j = ij
-        if i == j:
-            return Fraction(1)
-        if i > j:
-            return Fraction(0)
-        return self.table[(i, j)]
-
-
 def _series_mul(a: List[Fraction], b: List[Fraction], order: int) -> List[Fraction]:
     out = [Fraction(0)] * (order + 1)
     for i, ai in enumerate(a):
@@ -161,8 +141,8 @@ def _f_series(i: int, order: int) -> List[Fraction]:
     return out
 
 
-def b_coefficients(n: int) -> BSeries:
-    """B^i_j (1 <= i <= j <= n), read off the closed-form series.
+def b_coefficients(n: int) -> Dict[Tuple[int, int], Fraction]:
+    """{(i, j): B^i_j} for 1 <= i <= j <= n, read off the closed-form series.
 
     B^i_{i+alpha} is the t^alpha coefficient of ``_f_series(i, n - i)``.  These
     constants solve the shear recursion 4(i+j-1) B^{i+j-1}_m + (i+j) B^{i+j}_m
@@ -173,9 +153,9 @@ def b_coefficients(n: int) -> BSeries:
     table: Dict[Tuple[int, int], Fraction] = {}
     for i in range(1, n + 1):
         f = _f_series(i, n - i)
-        for alpha in range(1, n - i + 1):
+        for alpha in range(n - i + 1):
             table[(i, i + alpha)] = f[alpha]
-    return BSeries(n, table)
+    return table
 
 
 def build_z_chart(spec: RootSystemSpec, eta_y: BilinearForm):
@@ -185,7 +165,7 @@ def build_z_chart(spec: RootSystemSpec, eta_y: BilinearForm):
     yc = eta_y.chart
     zc = z_chart(spec)
     p_list = solve_p_block(spec, eta_y)
-    bseries = b_coefficients(n)
+    b = b_coefficients(n)
 
     forward: Dict[str, Poly] = {"E": Poly.variable(yc, "E")}
     for j in range(1, k + 1):
@@ -195,18 +175,11 @@ def build_z_chart(spec: RootSystemSpec, eta_y: BilinearForm):
         expr = Poly.variable(zc, f"z{j}") - p_list[j - 1].substitute(pullback, zc)
         pullback[f"y{j}"] = expr
     for i in range(1, n + 1):
-        acc = Poly.const(zc, 0)
-        for alpha in range(0, n - i + 1):
-            acc = acc + bseries[(i, i + alpha)] * Poly.variable(zc, f"z{k + i + alpha}")
-        pullback[f"y{k + i}"] = acc
-    fz: Dict[int, Poly] = {}
-    for i in range(n, 0, -1):
-        expr = Poly.variable(yc, f"y{k + i}")
-        for alpha in range(1, n - i + 1):
-            expr = expr - bseries[(i, i + alpha)] * fz[k + i + alpha]
-        fz[k + i] = expr
-    for idx, expr in fz.items():
-        forward[f"z{idx}"] = expr
+        pullback[f"y{k + i}"] = sum_products(zc, [
+            (b[(i, j)], Poly.variable(zc, f"z{k + j}")) for j in range(i, n + 1)])
+    for i in range(n, 0, -1):  # y^{k+i} = sum_{j>=i} B^i_j z^{k+j}, B^i_i = 1
+        forward[f"z{k + i}"] = Poly.variable(yc, f"y{k + i}") - sum_products(yc, [
+            (b[(i, j)], forward[f"z{k + j}"]) for j in range(i + 1, n + 1)])
 
     cmap = CoordMap(yc, zc, pullback=pullback, forward=forward)
     cmap.verify()

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weylfrob.exactalg import (FIELD_BITS, Chart, ChartMismatch, ExponentOverflow,
-                               LinearSolveResult, NonExactDivision,
+                               NonExactDivision,
                                NonUnitLaurentSubstitution, Poly, VarSpec, contract,
                                FlatnessRows, monomials_of_weighted_degree, rat,
                                solve_linear, substitute_all, sum_products, transform_sum)
@@ -160,21 +161,18 @@ def test_weighted_degree_cases():
 
 
 def test_solve_linear_unique_and_spot_value():
-    res = solve_linear([({"x": Fraction(2)}, Fraction(1))], ["x"])
-    assert res.kind == "unique" and res.solution["x"] == Fraction(1, 2)
+    # 2x - 1 = 0; the rhs sits in the last column, on the left-hand side
+    assert solve_linear([{0: 2, 1: -1}], ["x"]) == [Fraction(1, 2)]
     # the m = 2 instance of the triangular recursion: 12 B = 2
-    res = solve_linear([({"B": Fraction(12)}, Fraction(2))], ["B"])
-    assert res.solution["B"] == Fraction(1, 6)
+    assert solve_linear([{0: 12, 1: -2}], ["B"]) == [Fraction(1, 6)]
 
 
 def test_solve_linear_inconsistent_and_parametric():
-    res = solve_linear([({"x": 1, "y": 1}, 1), ({"x": 1, "y": 1}, 2)], ["x", "y"])
-    assert res.kind == "inconsistent"
-    res = solve_linear([({"x": 1, "y": 1}, 3)], ["x", "y"])
-    assert res.kind == "parametric"
-    assert res.solution["x"] + res.solution["y"] == 3
-    (vec,) = res.nullspace
-    assert vec["x"] + vec["y"] == 0 or vec["y"] + vec.get("x", 0) == 0
+    assert solve_linear([{0: 1, 1: 1, 2: -1}, {0: 1, 1: 1, 2: -2}], ["x", "y"]) is None
+    # x + y = 3: y is free and set to 0
+    assert solve_linear([{0: 1, 1: 1, 2: -3}], ["x", "y"]) == [3, 0]
+    # an empty row set leaves every unknown free
+    assert solve_linear([], ["x", "y"]) == [0, 0]
 
 
 def random_poly(chart, rng, max_terms=4, max_exp=3):
@@ -326,18 +324,46 @@ def against_cofactors(m) -> bool:
     return completed
 
 
+def unit_eliminable_matrix(chart, rng, n, density=1.0):
+    """P L U on a chart with a Laurent variable b: a row permutation of a
+    lower and an upper triangular factor whose diagonals hold units c b^e
+    and whose other entries are random 1-2 term Laurent polynomials (each
+    nonzero with probability ``density``).  Its determinant is a unit, so
+    the unit elimination mostly completes; it may still stall."""
+    zero = Poly.const(chart, 0)
+
+    def unit():
+        return Poly.monomial(chart, {"b": rng.randint(-2, 2)},
+                             Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+
+    def entry():
+        return random_laurent_poly(chart, rng, max_terms=2) if rng.random() < density else zero
+
+    lower = [[unit() if i == j else entry() if i > j else zero for j in range(n)]
+             for i in range(n)]
+    upper = [[unit() if i == j else entry() if i < j else zero for j in range(n)]
+             for i in range(n)]
+    m = mat_mul(lower, upper)
+    rng.shuffle(m)
+    return m
+
+
 def test_bareiss_det_and_adjugate_against_cofactors():
     rng = random.Random(55)
     c = Chart("ab", [VarSpec("a", Fraction(1)), VarSpec("b", Fraction(1), laurent=True)])
+    compared = 0
     for trial in range(25):
         n = rng.randint(1, 4)
-        m = [[random_laurent_poly(c, rng, max_terms=2) for _ in range(n)]
-             for _ in range(n)]
-        against_cofactors(m)
+        compared += against_cofactors(unit_eliminable_matrix(c, rng, n)) and n >= 2
+    assert compared >= 10
+    # det -1, but no entry is a unit: the elimination stalls at once
+    a, one = c.var("a"), Poly.const(c, 1)
+    assert against_cofactors([[one + a, a], [a, a - one]]) is False
 
 
 def test_solve_linear_parametric_fuzz():
     rng = random.Random(314)
+    solved = 0
     for _ in range(150):
         nu = rng.randint(1, 6)
         unknowns = [f"x{i}" for i in range(nu)]
@@ -347,20 +373,37 @@ def test_solve_linear_parametric_fuzz():
                       if rng.random() < 0.5}
             coeffs = {u: c for u, c in coeffs.items() if c}
             eqs.append((coeffs, Fraction(rng.randint(-4, 4))))
-        res = solve_linear(eqs, unknowns)
-        if res.kind == "inconsistent":
+        xs = _assert_same_solve(eqs, unknowns)
+        if xs is None:
             continue
+        solved += 1
         for coeffs, rhs in eqs:
-            assert sum(res.solution[u] * c for u, c in coeffs.items()) == rhs
-            for vec in res.nullspace:
-                assert sum(vec.get(u, 0) * c for u, c in coeffs.items()) == 0
-        assert (res.kind == "unique") == (not res.nullspace)
+            assert sum(xs[unknowns.index(u)] * c for u, c in coeffs.items()) == rhs
+    assert solved > 30
+
+
+def integer_rows(equations, unknowns):
+    """The (coeffs-by-unknown, rhs) equations as solve_linear's integer rows:
+    scaled by the lcm of their denominators, the rhs negated into column n."""
+    col = {u: i for i, u in enumerate(unknowns)}
+    rows = []
+    for coeffs, rhs in equations:
+        parts = {col[u]: Fraction(c) for u, c in coeffs.items()}
+        parts[len(unknowns)] = -Fraction(rhs)
+        den = lcm(1, *[c.denominator for c in parts.values()])
+        rows.append({i: int(c * den) for i, c in parts.items()})
+    return rows
+
+
+ReferenceSolve = namedtuple("ReferenceSolve", "kind solution nullspace")
 
 
 def reference_solve_linear(equations, unknowns):
     """The incremental Fraction eliminator that solve_linear replaced: each
     equation is reduced against the pivot rows found so far, which are kept
-    reduced against each other (Gauss-Jordan)."""
+    reduced against each other (Gauss-Jordan).  Returns a ReferenceSolve:
+    the kind ("unique", "parametric" or "inconsistent"), the solution by
+    unknown with free unknowns 0, and a nullspace basis."""
     eqs = [({u: rat(c) for u, c in coeffs.items() if c}, rat(rhs))
            for coeffs, rhs in equations]
     order = {u: i for i, u in enumerate(unknowns)}
@@ -414,13 +457,13 @@ def reference_solve_linear(equations, unknowns):
         pivots[lead] = (row, r)
 
     if inconsistent:
-        return LinearSolveResult("inconsistent", None, [])
+        return ReferenceSolve("inconsistent", None, [])
     free = [u for u in unknowns if u not in pivots]
     solution = {u: Fraction(0) for u in free}
     for lead, (row, rhs) in pivots.items():
         solution[lead] = rhs
     if not free:
-        return LinearSolveResult("unique", solution, [])
+        return ReferenceSolve("unique", solution, [])
     basis = []
     for fvar in free:
         vec = {fvar: Fraction(1)}
@@ -429,15 +472,18 @@ def reference_solve_linear(equations, unknowns):
             if c:
                 vec[lead] = -c
         basis.append(vec)
-    return LinearSolveResult("parametric", solution, basis)
+    return ReferenceSolve("parametric", solution, basis)
 
 
 def _assert_same_solve(eqs, unknowns):
-    got, ref = solve_linear(eqs, unknowns), reference_solve_linear(eqs, unknowns)
-    assert got.kind == ref.kind
-    assert got.solution == ref.solution
-    # the same pivots give the same nullspace basis, so the same span
-    assert got.nullspace == ref.nullspace
+    """solve_linear on the integer rows of eqs against the reference: both
+    inconsistent, or the same solution with free unknowns 0 (the reduced
+    echelon form's pivots are the same in any elimination order)."""
+    got = solve_linear(integer_rows(eqs, unknowns), unknowns)
+    ref = reference_solve_linear(eqs, unknowns)
+    assert (got is None) == (ref.kind == "inconsistent")
+    if got is not None:
+        assert dict(zip(unknowns, got)) == ref.solution
     return got
 
 
@@ -497,14 +543,24 @@ def test_solve_linear_checks_the_rows_left_after_full_rank(system):
     eqs, unknowns, values, bump = system
     got = _assert_same_solve(eqs, unknowns)
     if bump:
-        assert got.kind == "inconsistent"
+        assert got is None
     else:
-        assert got.kind == "unique" and got.solution == values
+        assert reference_solve_linear(eqs, unknowns).kind == "unique"
+        assert got == [values[u] for u in unknowns]
 
 
 def test_solve_linear_names_an_unknown_it_was_not_given():
-    with pytest.raises(ValueError, match="'z'"):
-        solve_linear([({"x": 1}, 1), ({"x": 1, "z": 2}, 3)], ["x", "y"])
+    # two unknowns: columns 0 and 1, and the constant term in column 2
+    for column in (3, -1, "z"):
+        with pytest.raises(ValueError, match=rf"columns \{{{column!r}\}} outside 0\.\.2"):
+            solve_linear([{0: 1, 2: -1}, {0: 1, column: 2, 2: -3}], ["x", "y"])
+
+
+def test_solve_linear_leaves_its_rows_as_given():
+    rows = [{0: 2, 1: 4, 2: -6}, {0: 3, 1: 6, 2: -9}]  # x + 2y = 3, twice
+    copies = [dict(row) for row in rows]
+    assert solve_linear(rows, ["x", "y"]) == [3, 0]
+    assert rows == copies
 
 
 def test_substitute_unknown_target_variable_fails():
@@ -539,25 +595,19 @@ def test_adjugate_sweep_matches_cofactor_reference():
 
     rng = random.Random(2024)
     c = laurent_matrix_chart()
-
-    def entry():
-        # sparse, like the Jacobians and metrics the package inverts
-        return random_laurent_poly(c, rng, max_terms=2) if rng.random() < 0.8 \
-            else Poly.const(c, 0)
-
-    checked = 0
+    compared = 0
     for trial in range(30):
         n = 1 + trial % 5
-        m = [[entry() for _ in range(n)] for _ in range(n)]
-        if trial % 3 == 0:
-            m[0][0] = Poly.const(c, 0)  # zero leading pivot: forces a row swap
-        if n > 1 and naive_det(m).is_zero():
+        # sparse, like the Jacobians and metrics the package inverts
+        m = unit_eliminable_matrix(c, rng, n, density=0.8)
+        if n > 1 and trial % 6 == 1:
+            m[1] = m[0]  # singular: the adjugate of size >= 2 must raise
+            assert naive_det(m).is_zero()
             with pytest.raises(NonInvertibleMatrix):
                 mat_adjugate(m)
             continue
-        against_cofactors(m)
-        checked += 1
-    assert checked >= 24
+        compared += against_cofactors(m) and n >= 2
+    assert compared >= 10
 
 
 def test_adjugate_row_swap_flips_the_sign():

@@ -6,9 +6,8 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from weylfrob import exactalg, flatcoords, frobenius
-from weylfrob.exactalg import (FlatnessRows, Poly, mat_det, monomials_of_weighted_degree,
-                               solve_linear)
-from weylfrob.flatcoords import (AnsatzInsufficient, BSeries, b_coefficients,
+from weylfrob.exactalg import FlatnessRows, Poly, mat_det, monomials_of_weighted_degree
+from weylfrob.flatcoords import (AnsatzInsufficient, b_coefficients,
                                  build_w_chart, build_z_chart, flat_candidate_solve,
                                  flat_pipeline, gamma_w, lower_christoffels,
                                  solve_p_block)
@@ -16,26 +15,24 @@ from weylfrob.frobenius import build_structure
 from weylfrob.metrics import BlockFormMismatch, build_pencil
 from weylfrob.rootdata import RootSystemSpec, degrees, flat_degrees
 
-from test_exactalg import weighted_degree
+from test_exactalg import reference_solve_linear, weighted_degree
 
 ALL_SMALL = [(l, k) for l in range(1, 5) for k in range(1, l + 1)]
 
 
-def reference_b_recursion(n: int) -> BSeries:
-    """B^i_j from the shear recursion, the oracle for ``b_coefficients``.
+def reference_b_recursion(n: int) -> Dict[Tuple[int, int], Fraction]:
+    """{(i, j): B^i_j} for 1 <= i <= j <= n from the shear recursion, the
+    oracle for ``b_coefficients``.
 
     The recursion 4(i+j-1) B^{i+j-1}_m + (i+j) B^{i+j}_m =
     4m sum_{a+b=m+1} B^i_a B^j_b is solved offset by offset (offset = column
-    minus row); at each offset every instance is linear in the new unknowns.
+    minus row) with the test's reference solver; at each offset every
+    instance is linear in the new unknowns.
     """
-    table: Dict[Tuple[int, int], Fraction] = {}
+    table: Dict[Tuple[int, int], Fraction] = {(i, i): Fraction(1) for i in range(1, n + 1)}
 
     def value(a: int, b: int) -> Optional[Fraction]:
-        if a > b:
-            return Fraction(0)
-        if a == b:
-            return Fraction(1)
-        return table.get((a, b))
+        return Fraction(0) if a > b else table.get((a, b))
 
     for o in range(1, n):
         unknowns = [f"B{s}_{s + o}" for s in range(1, n - o + 1)]
@@ -85,11 +82,11 @@ def reference_b_recursion(n: int) -> BSeries:
                     else:
                         raise AssertionError("two unknown factors in one recursion term")
                 eqs.append((coeffs, rhs))
-        result = solve_linear(eqs, unknowns)
+        result = reference_solve_linear(eqs, unknowns)
         assert result.kind == "unique", f"B-series offset {o} solve is {result.kind}"
         for s in range(1, n - o + 1):
             table[(s, s + o)] = result.solution[f"B{s}_{s + o}"]
-    return BSeries(n, table)
+    return table
 
 
 def test_b_series_spot_values():
@@ -97,7 +94,9 @@ def test_b_series_spot_values():
     assert bs[(1, 2)] == Fraction(1, 6)
     assert bs[(2, 3)] == Fraction(1, 4)
     assert bs[(1, 3)] == Fraction(1, 120)
-    assert bs[(1, 1)] == 1 and bs[(3, 2)] == 0
+    # the diagonal is the series' t^0 coefficient; nothing below it is listed
+    assert all(bs[(i, i)] == 1 for i in range(1, 9))
+    assert sorted(bs) == [(i, j) for i in range(1, 9) for j in range(i, 9)]
 
 
 def test_p_block_k1_is_minus_2E():
@@ -335,10 +334,9 @@ def test_equations_dropped_for_one_candidate_leave_a_nonzero_residual(monkeypatc
     solve = flatcoords.solve_linear
     seen = []
 
-    def blind_solve(equations, unknowns):
-        seen.append(unknowns[q])
-        return solve([(row, rhs) for row, rhs in equations if unknowns[q] not in row],
-                     unknowns)
+    def blind_solve(rows, unknowns):
+        seen.append(q)
+        return solve([row for row in rows if q not in row], unknowns)
 
     monkeypatch.setattr(flatcoords, "solve_linear", blind_solve)
     with pytest.raises(AnsatzInsufficient,
@@ -426,19 +424,22 @@ def test_each_gamma_set_is_prepared_once(monkeypatch, l, k, p_solves, h_solves):
 def test_every_perturbed_b_constant_breaks_the_z_pattern(monkeypatch, l, k):
     # the series is the one route to B in the build, so the eta_z block
     # pattern is what stands guard over it: 1/7 added to any single constant
-    # must be rejected (the p-block is solved once and reused)
+    # above the diagonal must be rejected (the p-block is solved once and
+    # reused); the forward map takes the diagonal as 1, so a perturbed
+    # diagonal entry fails the map's round trip first
     spec = RootSystemSpec("C", l, k)
     pen = build_pencil(spec)
     p_list = solve_p_block(spec, pen.eta)
     good = b_coefficients(l - k)
-    assert good.table
+    assert len(good) > l - k  # the diagonal and at least one constant above it
     monkeypatch.setattr(flatcoords, "solve_p_block", lambda spec, eta_y: p_list)
-    for key in good.table:
-        table = dict(good.table)
+    for key in good:
+        table = dict(good)
         table[key] += Fraction(1, 7)
-        monkeypatch.setattr(flatcoords, "b_coefficients",
-                            lambda n, table=table: BSeries(good.n, table))
-        with pytest.raises(BlockFormMismatch):
+        monkeypatch.setattr(flatcoords, "b_coefficients", lambda n, table=table: table)
+        i, j = key
+        with pytest.raises(BlockFormMismatch if i < j else ArithmeticError,
+                           match=None if i < j else "round trip"):
             build_z_chart(spec, pen.eta)
 
 

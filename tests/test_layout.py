@@ -5,7 +5,8 @@ A name defined in ``src/weylfrob`` (dunder methods aside) must occur as an
 ``ast.Name`` or ``ast.Attribute`` somewhere in the package outside its own
 definition; code that only the tests reach belongs in the tests.  A name a
 module imports must occur as an ``ast.Name`` in that module; ``__init__.py``
-re-exports, and ``from __future__`` imports are exempt.
+re-exports, and ``from __future__`` imports are exempt.  What ``__init__.py``
+re-exports is exactly what its ``__all__`` lists.
 """
 
 import ast
@@ -68,3 +69,25 @@ def unused_imports():
 
 def test_every_import_is_used_in_its_module():
     assert unused_imports() == []
+
+
+def exported_names():
+    """(the public names ``__init__.py`` imports, the entries of its
+    ``__all__``), read off its syntax tree."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    (listed,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]]
+    return [n for n in imported if not n.startswith("_")], listed
+
+
+def test_all_lists_exactly_the_names_init_imports():
+    import weylfrob
+
+    imported, listed = exported_names()
+    assert len(listed) == len(set(listed)), "__all__ lists a name twice"
+    assert sorted(listed) == sorted(imported)
+    assert all(hasattr(weylfrob, name) for name in listed)

@@ -6,8 +6,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from weylfrob.exactalg import (Chart, Poly, VarSpec, monomials_of_weighted_degree,
-                               solve_linear)
+from weylfrob.exactalg import Chart, Poly, VarSpec, monomials_of_weighted_degree
 from weylfrob.metrics import BilinearForm
 from weylfrob.orbitspace import (CoordMap, compute_g_direct, elementary_symmetric,
                                  generator_exprs, generator_map,
@@ -15,7 +14,7 @@ from weylfrob.orbitspace import (CoordMap, compute_g_direct, elementary_symmetri
                                  y_chart, zeta_chart)
 from weylfrob.rootdata import RootSystemSpec, build, degrees
 
-from test_exactalg import weighted_degree
+from test_exactalg import reference_solve_linear, weighted_degree
 
 
 def inject(p: Poly, target: Chart) -> Poly:
@@ -106,7 +105,7 @@ def reexpress(entry: Poly, target_chart: Chart, target_degree: Fraction,
             row[unknowns[q]] = row.get(unknowns[q], Fraction(0)) + coeff
     eqs = [(equations.get(exps, {}), entry.terms.get(exps, Fraction(0)))
            for exps in set(equations) | set(entry.terms)]
-    result = solve_linear(eqs, unknowns)
+    result = reference_solve_linear(eqs, unknowns)
     if result.kind != "unique":
         raise ReexpressionFailed(f"re-expression solve is {result.kind}")
     out = Poly.const(target_chart, 0)
