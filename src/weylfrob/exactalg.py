@@ -31,9 +31,8 @@ composes a batch of polynomials through one table of monomial images.
 The module also provides the exact linear algebra the rest of the package
 leans on: a fraction-free integer-row linear solver, the determinant and
 adjugate of Poly matrices, and the primitives every tensor computation goes
-through: ``mat_inverse_unit`` (the one exact inverse), and ``contract`` and
-``transform_sum`` (index contraction, and the fused transport of a
-three-index tensor).  Determinants and inverses eliminate on unit pivots
+through: ``mat_inverse_unit`` (the one exact inverse) and ``contract`` (the
+one index contraction).  Determinants and inverses eliminate on unit pivots
 (single terms in the chart's Laurent variables) of least Markowitz cost, so
 each division is a monomial shift; the only polynomial division anywhere is
 by a unit.  A matrix with no unit pivot left and a nonzero remainder raises
@@ -81,9 +80,12 @@ class ExponentOverflow(OverflowError):
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like '1/48', or Fractions to Fraction."""
+    """Coerce ints, strings like '1/48', or Fractions to Fraction.  A float
+    raises TypeError: it would enter as its binary fraction."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float):
+        raise TypeError(f"inexact coefficient {value!r}: use an int, a Fraction or a string")
     return Fraction(value)
 
 
@@ -229,10 +231,14 @@ class Poly:
         return p
 
     @staticmethod
-    def from_packed(chart: Chart, nums: Mapping[int, int], den: int) -> "Poly":
-        """The Poly sum nums[k] / den * x^k over packed keys k of ``chart``."""
-        p = _canon(chart, dict(nums), den, 0)
-        p._bound = _exact_bound(p)
+    def from_packed(chart: Chart, nums: Mapping[int, int], den: int,
+                    bound: Optional[int] = None) -> "Poly":
+        """The Poly sum nums[k] / den * x^k over packed keys k of ``chart``;
+        ``bound``, when given, bounds every |exponent| and |total degree| of
+        the terms from above (else it is computed)."""
+        p = _canon(chart, dict(nums), den, bound or 0)
+        if bound is None:
+            p._bound = _exact_bound(p)
         return p
 
     # ---- constructors ----
@@ -622,7 +628,9 @@ class FlatnessRows:
         # every product of a gamma and a gradient must stay inside the fields
         flat = [d for ds in grads for d in ds]
         if self._bound + max(d._bound for d in flat) >= _HALF:
-            _product_bound([self._all, flat])
+            bound = max(map(_exact_bound, self._all)) + max(map(_exact_bound, flat))
+            if bound >= _HALF:
+                raise ExponentOverflow(f"a product exponent could reach {bound}")
         for ds in grads:
             acc: Dict[int, int] = {}
             for b, (i, j) in enumerate(pairs):  # d_i d_j N = 0 once d_i N or d_j N is
@@ -634,104 +642,6 @@ class FlatnessRows:
                     for k2, c in by_m[m]:
                         acc[k1 + k2] = acc.get(k1 + k2, 0) - a * c
             yield acc
-
-
-def _same_chart(chart: Chart, p: Poly) -> None:
-    if p.chart is not chart and p.chart != chart:
-        raise ChartMismatch(f"{chart.name!r} vs {p.chart.name!r}")
-
-
-def _product_bound(factors: Sequence[Sequence[Poly]]) -> int:
-    """A bound of the exponents of any product of one Poly from each group
-    of ``factors``; the groups' exact bounds are taken when the cheap one
-    reaches the field bound, and ExponentOverflow if they still do."""
-    bound = sum(max([p._bound for p in ps], default=0) for ps in factors)
-    if bound >= _HALF:
-        bound = sum(max(map(_exact_bound, ps), default=0) for ps in factors)
-        if bound >= _HALF:
-            raise ExponentOverflow(f"a product exponent could reach {bound}")
-    return bound
-
-
-def transform_sum(chart: Chart, size: int, parts) -> List[List[List[Poly]]]:
-    """The size^3 tensor whose entry [i][j][m] is the sum over ``parts`` of
-    coeff * sum_{u,c,q} A[i][u] B[j][c] C[m][q] T[u][c][q].
-
-    A part is (coeff, entries, (A, B, C), bindings): an integer coeff; the
-    mapping ``entries`` from (u, c, q) to T[u][c][q], which holds the
-    nonzero entries of T; size x size matrices of Polys on ``chart``, each
-    None for the identity; and bindings that express the variables of the
-    entries' chart on ``chart`` (as ``substitute_all`` does), or None when
-    the entries live on ``chart``.  The loop runs over the nonzero entries
-    and matrix entries only and scatters their term products into one
-    integer accumulator per output entry, over one common denominator, so
-    no intermediate Poly is formed; each output entry is brought to
-    canonical form once.
-    """
-    bias = chart._bias
-    identity = [[(u, 0, 1)] for u in range(size)]
-    prepared, dens, bounds = [], [], []
-    for coeff, entries, matrices, bindings in parts:
-        if not entries:
-            continue
-        # each matrix by columns, one (row, offset, numerator) per term,
-        # over the lcm of its denominators
-        axes, den, groups = [], 1, []
-        for mat in matrices:
-            if mat is None:
-                axes.append(identity)
-                continue
-            d = lcm(1, *[e._den for row in mat for e in row])
-            cols: List[list] = [[] for _ in range(size)]
-            for i, row in enumerate(mat):
-                for u, e in enumerate(row):
-                    if e._nums:
-                        _same_chart(chart, e)
-                        cols[u] += [(i, k - bias, v * (d // e._den)) for k, v in e._nums.items()]
-            axes.append(cols)
-            den *= d
-            groups.append([e for row in mat for e in row])
-        # the entries' terms on ``chart``, as (offset, numerator, denominator):
-        # a term v x^k of an entry e is v / e.den times the image of x^k
-        image = None
-        if bindings is not None:
-            image = _monomial_images(next(iter(entries.values())).chart, bindings, chart)
-        raw, factors = [], []
-        for slot, e in entries.items():
-            if image:
-                ps = [(v, e._den, image(k)) for k, v in e._nums.items()]
-            else:
-                _same_chart(chart, e)
-                ps = [(1, 1, e)]
-            factors += [p for _, _, p in ps]
-            raw.append((slot, [(k - bias, v * n, d * p._den)
-                               for v, d, p in ps for k, n in p._nums.items()]))
-        d = lcm(1, *[dd for _, ts in raw for _, _, dd in ts])
-        groups.append(factors)
-        bounds.append(_product_bound(groups))
-        dens.append(den * d)
-        prepared.append((coeff, axes, [(slot, [(k, v * (d // dd)) for k, v, dd in ts])
-                                       for slot, ts in raw]))
-    common = lcm(1, *dens)
-    acc = [[[{} for _ in range(size)] for _ in range(size)] for _ in range(size)]
-    for (coeff, (A, B, C), terms), den in zip(prepared, dens):
-        scale = coeff * (common // den)
-        for (u, c, q), ts in terms:
-            ts = [(k + bias, v * scale) for k, v in ts]
-            for i, ka, va in A[u]:
-                acc_i = acc[i]
-                for j, kb, vb in B[c]:
-                    acc_ij, kab, vab = acc_i[j], ka + kb, va * vb
-                    for m, kc, vc in C[q]:
-                        a = acc_ij[m]
-                        get, k0, v0 = a.get, kab + kc, vab * vc
-                        for kt, vt in ts:
-                            key = k0 + kt
-                            a[key] = get(key, 0) + v0 * vt
-    bound = max(bounds, default=0)
-    zero = Poly._raw(chart, {}, 1, 0)
-    return [[[_canon(chart, a, common, bound) if a else zero for a in row] for row in plane]
-            for plane in acc]
 
 
 def substitute_all(polys: Sequence[Poly], bindings: Mapping[str, Poly],

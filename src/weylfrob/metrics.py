@@ -24,22 +24,24 @@ coefficients that ``gamma_theta`` states.  So ``g_theta`` and
 no polynomial is divided (the generating functions are kept in the tests
 as the reference).
 
-Contravariant tensors are transported between charts through exact
-inverse Jacobians.  The connection's transport is one pass over the
-nonzero terms (``exactalg.transform_sum``): theta^0 = E^k, theta^p =
-y^p E^(k-p) for p < k and theta^p = y^p above, so from theta to y every
-entry of the Jacobian, of its inverse and of its derivatives is one term.
+Contravariant 2-tensors are transported between charts through exact
+inverse Jacobians (``transform_form``).  The connection only goes from
+theta to y, where theta^0 = E^k, theta^p = y^p E^(k-p) for p < k and
+theta^p = y^p above: every entry of that Jacobian and of its inverse is one
+known term, so ``transform_christoffel`` applies closed-form index rules
+and forms no Jacobian, inverse or pushed tensor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List
 
 from .exactalg import (Chart, Matrix, Poly, contract, mat_det, mat_inverse_unit,
-                       transform_sum)
-from .orbitspace import CoordMap, theta_chart, theta_map
+                       sum_products)
+from .orbitspace import CoordMap, theta_chart, theta_map, y_chart
 from .rootdata import RootSystemSpec
 
 
@@ -160,37 +162,68 @@ def transform_form(form: BilinearForm, cmap: CoordMap) -> BilinearForm:
                                       for i in range(n)])
 
 
-def transform_christoffel(gamma: ChristoffelContra, cmap: CoordMap,
-                          g_target: BilinearForm) -> ChristoffelContra:
-    """Contravariant connection components in the target chart.
+def transform_christoffel(gamma: ChristoffelContra, g_y: BilinearForm,
+                          spec: RootSystemSpec) -> ChristoffelContra:
+    """The theta-chart connection in the y chart of ``g_y``, by closed-form
+    index rules.
 
-    Gamma'^{ij}_m = J^i_u J^j_c K^q_m Gamma^{uc}_q - g'^{ia} J^j_c d_a(K^c_m),
-    with K the pullback Jacobian, J its exact inverse and g' the transported
-    metric (all expressed over the target chart).  Both sums go through one
-    ``transform_sum``: Gamma's terms are composed with the pullback inside
-    it, and only the nonzero entries of Gamma and of d_a K^c_m are visited,
-    so a map whose Jacobian entries are single terms (theta -> y) costs a
-    few integer products per term of Gamma.
+    Gamma'^{ij}_m = J^i_u J^j_c K^q_m Gamma^{uc}_q - g^{ia} J^j_c d_a(K^c_m),
+    with K the Jacobian of theta^p = y^p E^(s_p) (y^0 = 1, s_0 = k,
+    s_p = max(k-p, 0)) and J its inverse.  Every entry of K and J is one
+    term: K^p_(p) = E^(s_p), K^0_log = k E^k and K^p_log = s_p y^p E^(s_p);
+    J^(p)_p = E^(-s_p), J^log_0 = E^(-k)/k and J^(p)_0 = -(s_p/k) y^p E^(-k).
+    So each theta^p term of Gamma becomes the key of y^p E^(s_p), the
+    products are integer key shifts over the denominator k^2, and the
+    inhomogeneous term is nonzero only in the log slots: (log, log) loses
+    k g^{i,log}, ((p), (p)) loses s_p g^{i,log} and ((p), log) loses
+    s_p g^{i,(p)} + s_p (s_p - k) y^p g^{i,log}.
     """
-    if gamma.chart != cmap.source:
-        raise ValueError("connection does not live on the map's source chart")
-    K = cmap.jacobian_pullback()
-    J = mat_inverse_unit(K)
-    n = gamma.dim
-    entries = {(u, c, q): e for u, plane in enumerate(gamma.arr)
-               for c, row in enumerate(plane) for q, e in enumerate(row) if not e.is_zero()}
-    dK = {}  # (a, c, m) -> d_a K^c_m, nonzero only
-    for c, row in enumerate(K):
-        for m, e in enumerate(row):
-            if not e.is_zero():
-                for a in range(n):
-                    d = e.coord_diff(a)
-                    if not d.is_zero():
-                        dK[a, c, m] = d
-    K_t = [list(col) for col in zip(*K)]
-    arr = transform_sum(cmap.target, n, [(1, entries, (J, J, K_t), cmap.pullback),
-                                         (-1, dK, (g_target.mat, J, None), None)])
-    return ChristoffelContra(cmap.target, arr)
+    l, k = spec.rank, spec.vertex
+    tc, yc, n = theta_chart(spec), g_y.chart, l + 1
+    if gamma.chart != tc or yc != y_chart(spec):
+        raise ValueError("expected Gamma on the theta chart and g on the y chart")
+    # every exponent and degree of a product below sums four, each at most k
+    # in size, so packing that sum once guards every key
+    yc.pack([0] * l + [4 * k])
+    origin = yc.pack([0] * n)
+
+    def key(p: int, e: int) -> int:  # y^p E^e, y^0 = 1
+        return yc.pack([int(p == j) for j in range(1, n)] + [e])
+
+    s = [k] + [max(k - p, 0) for p in range(1, n)]
+    image = {tc.pack([int(p == j) for j in range(n)]): key(p, s[p]) for p in range(n)}
+    slot = [l] + list(range(l))  # theta^p's y coordinate: log for p = 0, y^p else
+    j_col = [[] for _ in range(n)]  # u -> (i, k J^i_u, its key offset)
+    k_row = [[] for _ in range(n)]  # q -> (m, K^q_m, its key offset)
+    for p in range(n):
+        j_col[p].append((slot[p], k if p else 1, key(0, -s[p]) - origin))
+        k_row[p].append((slot[p], 1 if p else k, key(0, s[p]) - origin))
+        if p and s[p]:
+            j_col[0].append((p - 1, -s[p], key(p, -k) - origin))
+            k_row[p].append((l, s[p], key(p, s[p]) - origin))
+    den = lcm(1, *(e.den for plane in gamma.arr for row in plane for e in row))
+    acc = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for u, plane in enumerate(gamma.arr):
+        for c, row in enumerate(plane):
+            for q, e in enumerate(row):
+                ts = [(image[t], v * (den // e.den)) for t, v in e.packed.items()]
+                for i, a, ka in j_col[u] if ts else ():
+                    for j, b, kb in j_col[c]:
+                        for m, d, kd in k_row[q]:
+                            cell, w, k0 = acc[i][j][m], a * b * d, ka + kb + kd
+                            for t, v in ts:
+                                cell[k0 + t] = cell.get(k0 + t, 0) + w * v
+    zero = Poly.const(yc, 0)
+    arr = [[[Poly.from_packed(yc, a, k * k * den, 4 * k) if a else zero for a in row]
+            for row in plane] for plane in acc]
+    g = g_y.mat
+    for i in range(n):
+        arr[i][l][l] -= k * g[i][l]
+        for p in range(1, k):
+            arr[i][p - 1][p - 1] -= s[p] * g[i][l]
+            arr[i][p - 1][l] = sum_products(yc, [(1, arr[i][p - 1][l]), (-s[p], g[i][p - 1]),
+                                                 (s[p] * (k - s[p]) * yc.var(f"y{p}"), g[i][l])])
+    return ChristoffelContra(yc, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +359,6 @@ def linearity_check(g_y: BilinearForm, gamma_y: ChristoffelContra,
 def build_pencil(spec: RootSystemSpec) -> FlatPencil:
     """g, its connection Gamma and eta = dg/dy^k on the y-chart via the theta
     fast path."""
-    tmap = theta_map(spec)
-    g_y = transform_form(g_theta(spec), tmap)
-    gamma_y = transform_christoffel(gamma_theta(spec), tmap, g_y)
+    g_y = transform_form(g_theta(spec), theta_map(spec))
+    gamma_y = transform_christoffel(gamma_theta(spec), g_y, spec)
     return FlatPencil(g_y.chart, g_y, eta_from_g(g_y, spec), gamma_y)

@@ -30,6 +30,9 @@ class RootSystemSpec:
     def __post_init__(self):
         if self.family not in ("B", "C"):
             raise InvalidSpec(f"family must be 'B' or 'C', got {self.family!r}")
+        for name, value in (("rank", self.rank), ("vertex", self.vertex)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidSpec(f"{name} must be an int, got {value!r}")
         if self.rank < 1:
             raise InvalidSpec(f"rank must be positive, got {self.rank}")
         if not 1 <= self.vertex <= self.rank:

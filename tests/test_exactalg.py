@@ -15,7 +15,7 @@ from weylfrob.exactalg import (FIELD_BITS, Chart, ChartMismatch, ExponentOverflo
                                NonExactDivision,
                                NonUnitLaurentSubstitution, Poly, VarSpec, contract,
                                FlatnessRows, monomials_of_weighted_degree, rat,
-                               solve_linear, substitute_all, sum_products, transform_sum)
+                               solve_linear, substitute_all, sum_products)
 
 
 def simple_chart():
@@ -54,6 +54,20 @@ def test_sigma1_times_sigma2_rank_two():
 def test_chart_mismatch_raises():
     with pytest.raises(ChartMismatch):
         simple_chart().var("u") + laurent_chart().var("x")
+
+
+def test_floats_are_rejected_as_coefficients():
+    """A float would enter as its binary fraction (0.1 as
+    3602879701896397/36028797018963968), so every way in refuses it."""
+    c = simple_chart()
+    u = c.var("u")
+    for make in (lambda: rat(0.1), lambda: Poly.const(c, 0.1), lambda: u + 0.1,
+                 lambda: 0.1 - u, lambda: u * 0.1, lambda: 0.1 * u,
+                 lambda: Poly.monomial(c, {"u": 1}, 0.1), lambda: Poly(c, {(1, 0): 0.5})):
+        with pytest.raises(TypeError):
+            make()
+    assert rat("1/10") == Fraction(1, 10) and rat(3) == 3
+    assert u + Fraction(1, 10) == u + rat("1/10")
 
 
 def test_exact_div_difference_of_squares():
@@ -742,59 +756,6 @@ def test_contract_matches_explicit_loops():
             for axis in range(rank):
                 assert contract(matrix, tensor, axis) == \
                     loop_contract(matrix, tensor, shape, axis)
-
-
-def test_transform_sum_matches_contractions():
-    """Two parts, one with an identity axis and a coefficient, one composed
-    with bindings from another chart, against contract and substitute_all."""
-    rng = random.Random(2718)
-    c = laurent_matrix_chart()
-    src = Chart("pq", [VarSpec("p", Fraction(1)), VarSpec("q", Fraction(1), laurent=True)])
-    n = 3
-
-    def sparse(chart):
-        return random_laurent_poly(chart, rng, max_terms=2) if rng.random() < 0.6 \
-            else Poly.const(chart, 0)
-
-    def tensor(chart):
-        return [[[sparse(chart) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-
-    def matrix():
-        return [[sparse(c) for _ in range(n)] for _ in range(n)]
-
-    def nonzero(t):
-        return {(u, v, w): e for u, plane in enumerate(t) for v, row in enumerate(plane)
-                for w, e in enumerate(row) if not e.is_zero()}
-
-    bindings = {"p": random_laurent_poly(c, rng, max_terms=3),
-                "q": Poly.monomial(c, {"b": -2}, Fraction(-2, 3))}
-    for _ in range(4):
-        S, T = tensor(c), tensor(src)
-        A, B, C, D = matrix(), matrix(), matrix(), matrix()
-        got = transform_sum(c, n, [(-2, nonzero(S), (D, None, A), None),
-                                   (1, nonzero(T), (A, B, C), bindings)])
-        pushed = iter(substitute_all([e for p in T for r in p for e in r], bindings, c))
-        T_c = [[[next(pushed) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        first = contract(A, contract(D, S, 0), 2)
-        second = contract(C, contract(B, contract(A, T_c, 0), 1), 2)
-        assert got == [[[s2 - 2 * s1 for s1, s2 in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
-                       for p1, p2 in zip(first, second)]
-    zero = Poly.const(c, 0)
-    assert transform_sum(c, 2, [(1, {}, (None, None, None), None)]) == [[[zero] * 2] * 2] * 2
-
-
-def test_transform_sum_rejects_foreign_charts_and_overflow():
-    c = laurent_matrix_chart()
-    other = simple_chart()
-    one = [[Poly.const(c, 1)]]
-    entry = {(0, 0, 0): c.var("a")}
-    with pytest.raises(ChartMismatch):
-        transform_sum(c, 1, [(1, entry, ([[Poly.const(other, 1)]], None, None), None)])
-    with pytest.raises(ChartMismatch):
-        transform_sum(c, 1, [(1, {(0, 0, 0): other.var("u")}, (one, None, None), None)])
-    high = Poly.monomial(c, {"a": HALF // 2})
-    with pytest.raises(ExponentOverflow):
-        transform_sum(c, 1, [(1, {(0, 0, 0): high}, ([[high]], None, None), None)])
 
 
 # ---------------------------------------------------------------------------

@@ -336,11 +336,11 @@ def test_build_transports_only_the_metric_to_the_flat_chart(monkeypatch):
     transform_christoffel exactly once, for theta -> y in the pencil, counted
     wherever a weylfrob module looks it up."""
     transport = transform_christoffel
-    sources = []
+    calls = []
 
-    def counting_transport(gamma, cmap, g_target):
-        sources.append(cmap.source.name)
-        return transport(gamma, cmap, g_target)
+    def counting_transport(gamma, g_y, spec):
+        calls.append((gamma.chart.name, g_y.chart.name, spec))
+        return transport(gamma, g_y, spec)
 
     for name, module in list(sys.modules.items()):
         if name == "weylfrob" or name.startswith("weylfrob."):
@@ -349,7 +349,7 @@ def test_build_transports_only_the_metric_to_the_flat_chart(monkeypatch):
                     monkeypatch.setattr(module, attr, counting_transport)
     monkeypatch.setattr(frobenius, "_CACHE", {})
     build_structure(RootSystemSpec("C", 4, 2))
-    assert sources == ["theta"]
+    assert calls == [("theta", "y", RootSystemSpec("C", 4, 2))]
 
 
 def test_package_matrices_eliminate_on_unit_pivots(monkeypatch):

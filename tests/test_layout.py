@@ -6,7 +6,8 @@ A name defined in ``src/weylfrob`` (dunder methods aside) must occur as an
 definition; code that only the tests reach belongs in the tests.  A name a
 module imports must occur as an ``ast.Name`` in that module; ``__init__.py``
 re-exports, and ``from __future__`` imports are exempt.  What ``__init__.py``
-re-exports is exactly what its ``__all__`` lists.
+re-exports is exactly what its ``__all__`` lists.  The package is exact: it
+holds no float or complex literal and calls no ``float(...)``.
 """
 
 import ast
@@ -91,3 +92,25 @@ def test_all_lists_exactly_the_names_init_imports():
     assert len(listed) == len(set(listed)), "__all__ lists a name twice"
     assert sorted(listed) == sorted(imported)
     assert all(hasattr(weylfrob, name) for name in listed)
+
+
+def inexact_numbers(root: Path = SRC):
+    """Each float or complex literal and each call of ``float`` under root."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            literal = isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+            call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float")
+            if literal or call:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_the_package_holds_no_float():
+    assert inexact_numbers() == []
+
+
+def test_the_float_lint_sees_literals_and_calls(tmp_path):
+    (tmp_path / "m.py").write_text("x = 0.5\ny = float(2)\nz = 1j\nw = '0.5'\n")
+    assert inexact_numbers(tmp_path) == ["m.py:1 0.5", "m.py:2 float(2)", "m.py:3 1j"]

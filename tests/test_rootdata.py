@@ -110,3 +110,14 @@ def test_invalid_specs_rejected():
         RootSystemSpec("C", 3, 4)
     with pytest.raises(InvalidSpec):
         RootSystemSpec("C", 0, 1)
+
+
+@pytest.mark.parametrize("rank,vertex", [(3.0, 2), (3, 2.0), (True, True), (3, True),
+                                         ("3", 1), (3, "1"), (None, 1), (Fraction(3), 1)],
+                         ids=["float-rank", "float-vertex", "bool-both", "bool-vertex",
+                              "str-rank", "str-vertex", "none-rank", "fraction-rank"])
+def test_non_int_rank_or_vertex_rejected(rank, vertex):
+    # a float, bool or str would otherwise build into a TypeError or a
+    # KeyError deep in the construction, or compare as a str
+    with pytest.raises(InvalidSpec, match="must be an int"):
+        RootSystemSpec("C", rank, vertex)
