@@ -76,17 +76,18 @@ def flat_candidate_solve(flatness: FlatnessRows, base: Poly,
     chart = base.chart
     n = chart.dim
     gammas = flatness.gammas
-    columns = [Poly.from_packed(chart, p.packed, 1) for p in candidates + [base]]
     rows: Dict[int, Dict[int, int]] = {}  # base's column is the constant term
-    for q, acc in enumerate(flatness(columns)):
+    for q, acc in enumerate(flatness(candidates + [base])):
         for key, v in acc.items():
             rows.setdefault(key, {})[q] = v
     coeffs = solve_linear(rows.values(), candidates)
     if coeffs is None:
         raise AnsatzInsufficient(f"flatness system for {what} is inconsistent")
-    # the solved coefficients multiply the numerators: divide by base's den
-    total = sum_products(chart, [(1, columns[-1])] + list(zip(coeffs, columns)))
-    solution = Poly.from_packed(chart, total.packed, total.den * base.den)
+    # the rows are on numerators, so x_q multiplies den_q candidate_q / den_base
+    # (no new Fraction when the denominators agree, as for monomial candidates)
+    solution = sum_products(chart, [(1, base)] + [
+        (x if p.den == base.den else x * p.den / base.den, p)
+        for x, p in zip(coeffs, candidates)])
     grads = [solution.coord_diff(m) for m in range(n)]
     minus = [(m, -grads[m]) for m in range(n) if not grads[m].is_zero()]
     for i in range(n):

@@ -33,7 +33,7 @@ from .exactalg import (Chart, Matrix, NonExactDivision, NonUnitLaurentSubstituti
 from .flatcoords import FlatChartData, covariant_form, flat_pipeline
 from .metrics import (BilinearForm, FlatPencil, assert_eta_pattern, build_pencil,
                       det_eta_check, eta_from_g, linearity_check, transform_form)
-from .orbitspace import compute_g_direct
+from .orbitspace import CoordMap, OracleMismatch, compute_g_direct, generator_map
 from .rootdata import RootSystemSpec, dual_index, flat_degrees
 
 
@@ -47,10 +47,6 @@ class Inconsistent(ArithmeticError):
 
 class ShapeMismatch(ArithmeticError):
     """The potential does not have the required head + quadratic-tail shape."""
-
-
-class OracleMismatch(ArithmeticError):
-    """The metric disagrees with its first-principles pairings."""
 
 
 class NoCyclicDirection(ArithmeticError):
@@ -526,33 +522,41 @@ ORACLE_AGREES = "first-principles metric agrees"
 
 
 def oracle_check(struct: FrobeniusStructure) -> str:
-    """Expand the structure's y-chart metric g in the oracle chart and compare
-    it with the first-principles pairings of the spec's own generators, entry
-    by entry; for B_l that is the pullback identification with the recorded
-    log scale.  Every pairing is a polynomial in the generators and E^{+-1};
-    an entry with a negative power of a generator is not, so it is a mismatch
-    too (its expansion raises).  All entries are expanded through one
-    ``substitute_all``; when that raises, entry by entry, so the detail names
-    the first entry that fails.  Returns ORACLE_AGREES."""
+    """Compare the structure's y-chart metric g with the intersection form
+    from the definition, entry by entry, in the zeta chart; for B_l that is
+    the pullback identification with the recorded log scale.
+
+    ``compute_g_direct`` gives the form G over the zeta chart.  The C_l
+    generator map y^j -> E^{min(j,k)} sigma_j(zeta) pushes g there, and
+    K G K^T, with K the map's Jacobian, is what g must become.  The sigma_j
+    and E are algebraically independent, so the push is injective and the
+    comparison exact; an entry with a negative power of a generator is no
+    polynomial in them, so it is a mismatch too (its push raises).  All
+    entries are pushed through one ``substitute_all``; when that raises,
+    entry by entry, so the detail names the first entry that fails.
+    Returns ORACLE_AGREES."""
     spec = struct.spec
     log_scale = struct.b_ident.log_scale if spec.family == "B" else Fraction(1)
-    pairings, bindings = compute_g_direct(spec, log_scale)
-    ochart = pairings[0][0].chart
+    form = compute_g_direct(spec, log_scale)
+    gens = generator_map(struct.cspec)
+    zc = gens.source
+    jac = CoordMap(gens.target, zc, pullback=gens.forward).jacobian_pullback()
+    want = contract(jac, contract(jac, form, 0), 1)  # K G K^T
     entries = [e for row in struct.pencil.g.mat for e in row]
 
-    def expand(entry: Poly) -> Optional[Poly]:
+    def push(entry: Poly) -> Optional[Poly]:
         try:
-            return entry.substitute(bindings, ochart)
+            return entry.substitute(gens.forward, zc)
         except NonUnitLaurentSubstitution:
             return None
 
     try:
-        expanded = substitute_all(entries, bindings, ochart)
+        pushed = substitute_all(entries, gens.forward, zc)
     except NonUnitLaurentSubstitution:
-        expanded = map(expand, entries)
-    for idx, got in enumerate(expanded):
-        i, j = divmod(idx, len(pairings))
-        if got is None or got != pairings[i][j]:
+        pushed = map(push, entries)
+    for idx, got in enumerate(pushed):
+        i, j = divmod(idx, len(want))
+        if got is None or got != want[i][j]:
             raise OracleMismatch(f"{spec.label()}: g[{i + 1}][{j + 1}] differs from the "
                                  "first-principles pairing")
     return ORACLE_AGREES

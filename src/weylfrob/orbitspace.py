@@ -10,17 +10,19 @@ Variable conventions (0-based positions vs 1-based paper indices):
   with log coordinate ``mu``; it is only used for symbolic verification.
 * the oracle chart carries half-step Laurent variables ``d1..dl`` (for
   exp(i*pi*x_a)) and the quarter variable ``r`` (for exp(i*pi*x_{l+1}/2)),
-  which makes every generator of both families an honest Laurent polynomial.
-  The oracle computes the pairings of the generators there from the
-  definition, and a y-chart form is compared with them after expansion
-  through the generators (``compute_g_direct``); nothing is solved for.
+  in which every zeta_a of both families is an honest Laurent polynomial.
+  The oracle pairs the zeta_a there from the definition and checks that
+  they pair diagonally, as zeta_a (4 - zeta_a) (``compute_g_direct``); a
+  y-chart form is then compared with that closed form in the zeta chart,
+  through the generator map and its Jacobian (``frobenius.oracle_check``).
+  Nothing is solved for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .exactalg import (Chart, ChartMismatch, Matrix, Poly, VarSpec, contract, rat,
                        substitute_all)
@@ -42,11 +44,11 @@ def _indexed_chart(prefix: str, spec: RootSystemSpec, weights: Sequence[Fraction
 
 
 def y_chart(spec: RootSystemSpec) -> Chart:
-    """The chart of the C_l generators, E = e^{y^{l+1}}.  The B_l generators
-    live in the oracle chart instead (their twists need a finer E at k = l)."""
+    """The chart of the C_l generators, E = e^{y^{l+1}}.  A B_l structure
+    has no chart of its own: it shares the C_l one (``frobenius.b_to_c``)."""
     if spec.family != "C":
-        raise ValueError("y_chart covers the C family; B_l generators "
-                         "are realized inside the oracle chart")
+        raise ValueError("y_chart covers the C family; a B_l structure "
+                         "shares the C_l chart")
     return _indexed_chart("y", spec, degrees(spec), Fraction(1), laurent_last=True)
 
 
@@ -203,12 +205,15 @@ def generator_map(spec: RootSystemSpec) -> CoordMap:
     """The C_l generators y^j = E^{d_j} sigma_j(zeta) as a map (zeta,E) -> y.
 
     Only the forward direction is polynomial (symmetric functions cannot be
-    inverted polynomially).  The B_l generators involve square roots of the
-    zeta's and live inside the oracle chart instead.
+    inverted polynomially).  The map serves B_l too: applied to the B_l
+    zeta's with E = e^{2 pi i c x_{l+1}} (c the log scale) it gives the
+    B_l generators y^j, j < l, and the square of the last one, because
+    the B_l degrees are d_j = c min(j, k) for j < l and d_l = c k / 2, and
+    the half-zetas square to the zeta's.
     """
     if spec.family != "C":
-        raise ValueError("generator_map covers the C family; B_l generators "
-                         "are realized inside the oracle chart")
+        raise ValueError("generator_map covers the C family; a B_l structure "
+                         "reads it through the C_l spec")
     zc = zeta_chart(spec)
     yc = y_chart(spec)
     d = degrees(spec)
@@ -238,6 +243,10 @@ def theta_map(spec: RootSystemSpec) -> CoordMap:
 # First-principles oracle in the x-space Laurent chart
 # ---------------------------------------------------------------------------
 
+class OracleMismatch(ArithmeticError):
+    """The metric disagrees with its first-principles pairings."""
+
+
 def zeta_exprs(spec: RootSystemSpec, chart: Chart) -> List[Poly]:
     """The shifted invariants zeta_j as Laurent polynomials in d1..dl."""
     l = spec.rank
@@ -251,40 +260,6 @@ def zeta_exprs(spec: RootSystemSpec, chart: Chart) -> List[Poly]:
         else:
             fwd = dj ** 2 * dj_prev.unit_inverse() ** 2
         out.append(fwd + fwd.unit_inverse() + 2)
-    return out
-
-
-def half_zeta_exprs(spec: RootSystemSpec, chart: Chart) -> List[Poly]:
-    """The square roots zeta_j^{1/2} = 2 cos(...) in the half-step chart (B_l)."""
-    l = spec.rank
-    out = []
-    for j in range(1, l + 1):
-        dj = Poly.variable(chart, f"d{j}")
-        dj_prev = Poly.variable(chart, f"d{j - 1}") if j > 1 else Poly.const(chart, 1)
-        if spec.family == "B" and j == l:
-            half = dj_prev * dj.unit_inverse() ** 2
-        else:
-            half = dj * dj_prev.unit_inverse()
-        out.append(half + half.unit_inverse())
-    return out
-
-
-def generator_exprs(spec: RootSystemSpec, chart: Chart) -> List[Poly]:
-    """The generators y^1..y^l expanded in the oracle chart (E = r^4)."""
-    l = spec.rank
-    d = degrees(spec)
-    zs = zeta_exprs(spec, chart)
-    r = Poly.variable(chart, "r")
-    out = []
-    for j in range(1, l + 1):
-        twist = r ** int(4 * d[j - 1])
-        if spec.family == "B" and j == l:
-            prod = Poly.const(chart, 1)
-            for h in half_zeta_exprs(spec, chart):
-                prod = prod * h
-            out.append(twist * prod)
-        else:
-            out.append(twist * elementary_symmetric(zs, j))
     return out
 
 
@@ -326,25 +301,30 @@ def oracle_pairing(metric: ExtendedMetric, funcs: Sequence[Poly],
     return g
 
 
-def compute_g_direct(spec: RootSystemSpec,
-                     log_scale: Fraction) -> Tuple[Matrix, Dict[str, Poly]]:
-    """The intersection form from the definition, in the oracle chart.
+def compute_g_direct(spec: RootSystemSpec, log_scale: Fraction) -> Matrix:
+    """The intersection form over the zeta chart, from the definition.
 
-    Returns ``(pairings, bindings)``: the pairings of the generators (and the
-    log coordinate, scaled by ``log_scale``) under the extended metric,
-    differentiated in the half-step Laurent chart; and the bindings that
-    expand a y-chart function there, y^j -> the j-th generator (for B_l,
-    y^l -> the square of the last B generator) and E -> r^(4 log_scale).
-    The generators and E are algebraically independent, so expanding through
-    the bindings is injective: a y-chart form equals the intersection form
-    exactly when its expansion equals the pairings entry by entry.
-    Independent of the generating-function fast path.
+    Pairs the zeta_a (and the log coordinate, scaled by ``log_scale`` = c)
+    under the extended metric in the oracle chart, and checks the closed
+    form: zeta_a (4 - zeta_a) on the diagonal and 0 off it.  Returns that
+    closed form over ``zeta_chart(spec)``, with -c^2 m_rr at (log, log);
+    raises OracleMismatch naming the first pairing that differs.  Independent
+    of the generating-function fast path.
     """
+    l = spec.rank
     metric = build(spec)
-    ochart = oracle_chart(spec)
-    funcs = generator_exprs(spec, ochart)
-    if spec.family == "B":
-        funcs[-1] = funcs[-1] * funcs[-1]
-    bindings = {f"y{j}": f for j, f in enumerate(funcs, 1)}
-    bindings["E"] = Poly.variable(ochart, "r") ** int(4 * log_scale)
-    return oracle_pairing(metric, funcs, log_scale), bindings
+    zetas = zeta_exprs(spec, oracle_chart(spec))
+    pairings = oracle_pairing(metric, zetas, log_scale)
+    names = [f"zeta{a}" for a in range(1, l + 1)] + ["the log coordinate"]
+    for i in range(l):  # the form is symmetric; (log, log) is set, not paired
+        for j, got in enumerate(pairings[i]):
+            if got != (zetas[i] * (4 - zetas[i]) if i == j else 0):
+                raise OracleMismatch(f"{spec.label()}: the pairing of {names[i]} and "
+                                     f"{names[j]} differs from its closed form")
+    zc = zeta_chart(spec)
+    form: Matrix = [[Poly.const(zc, 0)] * (l + 1) for _ in range(l + 1)]
+    for a in range(l):
+        zeta = Poly.variable(zc, names[a])
+        form[a][a] = zeta * (4 - zeta)
+    form[l][l] = Poly.const(zc, -rat(log_scale) ** 2 * metric[(l, l)])
+    return form

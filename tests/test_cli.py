@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from weylfrob import cli, frobenius
+from weylfrob import cli, frobenius, orbitspace
 from weylfrob.exactalg import Poly
 from weylfrob.fixtures import C3K1, Fixture
 from weylfrob.frobenius import (build_structure, integrate_potential,
                                 third_derivatives_from_metric)
 from weylfrob.metrics import BilinearForm, ChristoffelContra
-from weylfrob.rootdata import RootSystemSpec
+from weylfrob.rootdata import ExtendedMetric, RootSystemSpec
 from weylfrob.serialize import document_json, structure_document
+
+from test_orbitspace import reference_oracle_agrees, zeta_oracle_agrees
 
 
 def run(argv):
@@ -257,6 +259,20 @@ def _laurent_pencil_g(struct):
     return replace(struct, pencil=replace(struct.pencil, g=BilinearForm(g.chart, mat)))
 
 
+def _perturb_metric(struct, patch):
+    """m[0][0] += 1 in the extended metric that ``compute_g_direct`` reads
+    (through ``orbitspace.build``); the structure is returned intact."""
+    build = orbitspace.build
+
+    def perturbed(spec):
+        rows = [list(row) for row in build(spec).entries]
+        rows[0][0] += 1
+        return ExtendedMetric(tuple(map(tuple, rows)))
+
+    patch.setattr(orbitspace, "build", perturbed)
+    return struct
+
+
 def _set_log_scale(struct, log_scale):
     return replace(struct, b_ident=replace(struct.b_ident, log_scale=log_scale))
 
@@ -300,44 +316,49 @@ def _bump_eta_up(struct, i, j):
 # C3k1: F contains t3^8 (a pure G term) and t1 t2 t3 (the unity-row tail)
 MUTATIONS = [
     ("wdvv", "F coefficient of t3^8",
-     lambda s: _bump_f_coefficient(s, {"t3": 8})),
+     lambda s, _: _bump_f_coefficient(s, {"t3": 8})),
     ("euler", "F coefficient of t1 t2 t3",
-     lambda s: _bump_f_coefficient(s, {"t1": 1, "t2": 1, "t3": 1})),
+     lambda s, _: _bump_f_coefficient(s, {"t1": 1, "t2": 1, "t3": 1})),
     ("intersection", "g_t[0][0]",
-     lambda s: replace(s, g_t=_bump_form(s.g_t, 0, 0))),
+     lambda s, _: replace(s, g_t=_bump_form(s.g_t, 0, 0))),
     ("intersection", "F rebuilt from g_t with g^{11} += t1, g^{12} += t2^2",
-     lambda s: _rebuild_from_metric(s, CORRUPT_METRIC)),
+     lambda s, _: _rebuild_from_metric(s, CORRUPT_METRIC)),
     ("eta-form", "pencil.eta[1][1]",
-     lambda s: replace(s, pencil=replace(s.pencil, eta=_bump_form(s.pencil.eta, 1, 1)))),
+     lambda s, _: replace(s, pencil=replace(s.pencil, eta=_bump_form(s.pencil.eta, 1, 1)))),
     ("det", "pencil.eta[0][3]",
-     lambda s: replace(s, pencil=replace(s.pencil, eta=_bump_form(s.pencil.eta, 0, 3)))),
-    ("pencil", "gamma_g[0][0][0]", lambda s: _bump_gamma_y(s, 0, 0, 0)),
+     lambda s, _: replace(s, pencil=replace(s.pencil, eta=_bump_form(s.pencil.eta, 0, 3)))),
+    ("pencil", "gamma_g[0][0][0]", lambda s, _: _bump_gamma_y(s, 0, 0, 0)),
     # the log-coordinate column j = 4
-    ("pencil", "gamma_g[0][3][0]", lambda s: _bump_gamma_y(s, 0, 3, 0)),
+    ("pencil", "gamma_g[0][3][0]", lambda s, _: _bump_gamma_y(s, 0, 3, 0)),
     # Gamma^{21}_3 against an intact Gamma^{12}_3
-    ("pencil", "gamma_g[1][0][2]", lambda s: _bump_gamma_y(s, 1, 0, 2)),
+    ("pencil", "gamma_g[1][0][2]", lambda s, _: _bump_gamma_y(s, 1, 0, 2)),
     ("pencil", "gamma_g[0][1][0] up, [1][0][0] down",
-     lambda s: _twist_gamma_y(s, 0, 1, 0)),
-    ("pencil", "gamma_g[j][0][0] += g[j][0]", lambda s: _shift_gamma_y(s, 0, 0)),
+     lambda s, _: _twist_gamma_y(s, 0, 1, 0)),
+    ("pencil", "gamma_g[j][0][0] += g[j][0]", lambda s, _: _shift_gamma_y(s, 0, 0)),
     # the stage patterns: eta_w[0][0] is 0 in the w chart of C3k1
     ("pencil", "flat.eta_w[0][0]",
-     lambda s: replace(s, flat=replace(s.flat, eta_w=_bump_form(s.flat.eta_w, 0, 0)))),
+     lambda s, _: replace(s, flat=replace(s.flat, eta_w=_bump_form(s.flat.eta_w, 0, 0)))),
     # gamma_eta = d_k Gamma_y, the connection of eta, corrupted through Gamma_y
-    ("pencil", "gamma_eta[0][0][0]", lambda s: _bump_gamma_eta(s, 0, 0, 0)),
+    ("pencil", "gamma_eta[0][0][0]", lambda s, _: _bump_gamma_eta(s, 0, 0, 0)),
     ("pencil", "gamma_eta[0][1][0] up, [1][0][0] down",
-     lambda s: _twist_gamma_eta(s, 0, 1, 0)),
-    ("duality", "eta_up[0][0]", lambda s: _bump_eta_up(s, 0, 0)),
-    ("oracle", "pencil.g[0][0]", _bump_pencil_g),
-    ("oracle", "pencil.g[0][0] += y3^-1", _laurent_pencil_g),
+     lambda s, _: _twist_gamma_eta(s, 0, 1, 0)),
+    ("duality", "eta_up[0][0]", lambda s, _: _bump_eta_up(s, 0, 0)),
+    ("oracle", "pencil.g[0][0]", lambda s, _: _bump_pencil_g(s)),
+    ("oracle", "pencil.g[0][0] += y3^-1", lambda s, _: _laurent_pencil_g(s)),
+    # the metric the first-principles pairings read; g_y is intact
+    ("oracle", "extended metric m[0][0]", _perturb_metric),
 ]
 
 
 @pytest.mark.parametrize("check,where,corrupt", MUTATIONS,
                          ids=[f"{c}:{w}" for c, w, _ in MUTATIONS])
-def test_check_fails_on_corrupted_copy(check, where, corrupt):
+def test_check_fails_on_corrupted_copy(check, where, corrupt, monkeypatch):
+    # each corruption takes the structure and a monkeypatch undone before
+    # the intact run
     spec = RootSystemSpec("C", 3, 1)
-    bad = corrupt(build_structure(spec))
-    assert cli.run_check(check, bad, 3)["passed"] is False
+    with monkeypatch.context() as patch:
+        bad = corrupt(build_structure(spec), patch)
+        assert cli.run_check(check, bad, 3)["passed"] is False
     # the cached structure is untouched by the corruption of its copy
     intact = build_structure(spec)
     assert all(r["passed"] for r in cli.run_checks(intact, cli.CHECK_NAMES, 3))
@@ -357,6 +378,30 @@ def test_oracle_names_the_entry_with_a_laurent_term():
     bad = _laurent_pencil_g(build_structure(RootSystemSpec("C", 3, 1)))
     assert cli.run_check("oracle", bad, 3)["detail"] == (
         "C3k1: g[1][1] differs from the first-principles pairing")
+
+
+def test_oracle_names_the_zeta_pairing_of_a_perturbed_metric(monkeypatch):
+    # step 1 alone sees it: g_y is intact, so every other check passes
+    struct = _perturb_metric(build_structure(RootSystemSpec("C", 3, 1)), monkeypatch)
+    report = {r["check"]: r for r in cli.run_checks(struct, cli.CHECK_NAMES, 3)}
+    assert [name for name, r in report.items() if not r["passed"]] == ["oracle"]
+    assert report["oracle"]["detail"] == (
+        "C3k1: the pairing of zeta1 and zeta1 differs from its closed form")
+
+
+@pytest.mark.parametrize("check,where,corrupt",
+                         [m for m in MUTATIONS if m[0] == "oracle"],
+                         ids=[w for c, w, _ in MUTATIONS if c == "oracle"])
+def test_the_two_oracles_fail_together(check, where, corrupt, monkeypatch):
+    bad = corrupt(build_structure(RootSystemSpec("C", 3, 1)), monkeypatch)
+    assert zeta_oracle_agrees(bad) is reference_oracle_agrees(bad) is False
+
+
+@pytest.mark.parametrize("k,log_scale", [(3, Fraction(1)), (2, Fraction(1, 2))],
+                         ids=["B3k3", "B3k2"])
+def test_the_two_oracles_fail_together_on_a_wrong_b_log_scale(k, log_scale):
+    bad = _set_log_scale(build_structure(RootSystemSpec("B", 3, k)), log_scale)
+    assert zeta_oracle_agrees(bad) is reference_oracle_agrees(bad) is False
 
 
 def test_wdvv_without_a_certificate_is_a_failed_check(monkeypatch, capsys):

@@ -307,6 +307,21 @@ def p_block_inputs(spec: RootSystemSpec, eta_y, j: int):
     return Poly.variable(yc, f"y{j}"), [Poly.monomial(yc, mono) for mono in basis]
 
 
+@pytest.mark.parametrize("l,k", [(3, 2), (4, 4), (5, 3)])
+def test_flat_candidate_solve_reads_any_denominators(l, k):
+    # base and candidates with denominators of their own give the same flat
+    # function, scaled with base: the rows and the solution are on numerators
+    spec = RootSystemSpec("C", l, k)
+    eta = build_pencil(spec).eta
+    flatness = FlatnessRows(lower_christoffels(eta))
+    base, candidates = p_block_inputs(spec, eta, k)
+    plain = flat_candidate_solve(flatness, base, candidates, "p")
+    assert plain != base
+    scaled = [c * Fraction(1, 3 + q) for q, c in enumerate(candidates)]
+    assert flat_candidate_solve(flatness, base * Fraction(2, 5), scaled, "p") == (
+        plain * Fraction(2, 5))
+
+
 def test_perturbed_gamma_makes_the_flatness_system_inconsistent():
     # doubling gamma^2_{11} at C3k3 leaves p_2 no solution in its ansatz
     spec = RootSystemSpec("C", 3, 3)

@@ -297,7 +297,7 @@ def test_build_solves_only_in_the_flat_pipeline(monkeypatch):
 
 
 def test_oracle_check_takes_no_linear_solve(monkeypatch):
-    """The oracle expands g in the oracle chart and compares: no solve on any
+    """The oracle pushes g to the zeta chart and compares: no solve on any
     spec it reaches, in either family."""
     structs = [build_structure(RootSystemSpec(family, l, k))
                for family in ("C", "B") for l, k in ALL_SMALL]
@@ -309,7 +309,7 @@ def test_oracle_check_takes_no_linear_solve(monkeypatch):
 
 def test_oracle_check_expands_g_in_one_batch(monkeypatch):
     """One substitute_all call over all (l+1)^2 entries of g, and no
-    entry-by-entry expansion, on every spec the oracle reaches."""
+    entry-by-entry push, on every spec the CLI runs the oracle on."""
     structs = [build_structure(RootSystemSpec(family, l, k))
                for family in ("C", "B") for l, k in ALL_SMALL]
     batch, single = frobenius.substitute_all, Poly.substitute
@@ -648,6 +648,21 @@ def test_oracle_check_passes_small_c():
         "check": "oracle", "passed": True, "detail": "skipped (rank 4 > bound 3)"}
 
 
+ABOVE_ORACLE_BOUND = [(l, k) for l in (4, 5, 6) for k in range(1, l + 1)] + [
+    (8, 1), (8, 4), (8, 8)]
+
+
+@pytest.mark.parametrize("family,l,k", [(family, l, k) for family in ("C", "B")
+                                        for l, k in ABOVE_ORACLE_BOUND])
+def test_oracle_passes_above_the_cli_bound(family, l, k):
+    # the library check runs at any rank; the CLI still skips above its bound
+    struct = build_structure(RootSystemSpec(family, l, k))
+    assert oracle_check(struct) == ORACLE_AGREES
+    assert cli.run_check("oracle", struct, cli.ORACLE_MAX_RANK) == {
+        "check": "oracle", "passed": True,
+        "detail": f"skipped (rank {l} > bound {cli.ORACLE_MAX_RANK})"}
+
+
 def test_rank6_structure_builds_and_verifies():
     struct = build_structure(RootSystemSpec("C", 6, 3))
     assert verify_wdvv(struct) == []
@@ -663,9 +678,9 @@ def test_b_above_oracle_bound_builds_unvalidated():
 
 
 def test_b_is_compared_with_the_oracle_once(monkeypatch):
-    """Building and checking every B spec of rank <= 3 expands the oracle
-    once per spec, in the ``oracle`` check; B4k4 is above the bound and never
-    reaches it."""
+    """Building and checking every B spec of rank <= 3 forms the
+    first-principles form once per spec, in the ``oracle`` check; B4k4 is
+    above the bound and never reaches it."""
     g_direct = frobenius.compute_g_direct
     calls = []
 

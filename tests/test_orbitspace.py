@@ -6,13 +6,16 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from weylfrob.exactalg import Chart, Poly, VarSpec, monomials_of_weighted_degree
+from weylfrob import orbitspace
+from weylfrob.exactalg import (Chart, NonUnitLaurentSubstitution, Poly, VarSpec,
+                               monomials_of_weighted_degree, substitute_all)
+from weylfrob.frobenius import build_structure, oracle_check
 from weylfrob.metrics import BilinearForm
-from weylfrob.orbitspace import (CoordMap, compute_g_direct, elementary_symmetric,
-                                 generator_exprs, generator_map,
-                                 oracle_chart, oracle_pairing, theta_chart, theta_map,
-                                 y_chart, zeta_chart)
-from weylfrob.rootdata import RootSystemSpec, build, degrees
+from weylfrob.orbitspace import (CoordMap, OracleMismatch, compute_g_direct,
+                                 elementary_symmetric, generator_map, oracle_chart,
+                                 oracle_pairing, theta_chart, theta_map, y_chart,
+                                 zeta_chart, zeta_exprs)
+from weylfrob.rootdata import RootSystemSpec, degrees
 
 from test_exactalg import reference_solve_linear, weighted_degree
 
@@ -116,6 +119,90 @@ def reexpress(entry: Poly, target_chart: Chart, target_degree: Fraction,
     return out
 
 
+# ---------------------------------------------------------------------------
+# The half-step reference oracle: every generator expanded in the oracle chart
+# ---------------------------------------------------------------------------
+
+def half_zeta_exprs(spec: RootSystemSpec, chart: Chart) -> List[Poly]:
+    """The square roots zeta_j^{1/2} = 2 cos(...) in the half-step chart (B_l)."""
+    l = spec.rank
+    out = []
+    for j in range(1, l + 1):
+        dj = Poly.variable(chart, f"d{j}")
+        dj_prev = Poly.variable(chart, f"d{j - 1}") if j > 1 else Poly.const(chart, 1)
+        if spec.family == "B" and j == l:
+            half = dj_prev * dj.unit_inverse() ** 2
+        else:
+            half = dj * dj_prev.unit_inverse()
+        out.append(half + half.unit_inverse())
+    return out
+
+
+def generator_exprs(spec: RootSystemSpec, chart: Chart) -> List[Poly]:
+    """The generators y^1..y^l expanded in the oracle chart (E = r^4)."""
+    l = spec.rank
+    d = degrees(spec)
+    zs = zeta_exprs(spec, chart)
+    r = Poly.variable(chart, "r")
+    out = []
+    for j in range(1, l + 1):
+        twist = r ** int(4 * d[j - 1])
+        if spec.family == "B" and j == l:
+            prod = Poly.const(chart, 1)
+            for h in half_zeta_exprs(spec, chart):
+                prod = prod * h
+            out.append(twist * prod)
+        else:
+            out.append(twist * elementary_symmetric(zs, j))
+    return out
+
+
+def log_scale_of(spec: RootSystemSpec) -> Fraction:
+    """The recorded log scale c: 1/2 for B_l at k = l, else 1."""
+    return Fraction(1, 2) if spec.family == "B" and spec.vertex == spec.rank else Fraction(1)
+
+
+def reference_pairings(spec: RootSystemSpec,
+                       log_scale: Fraction) -> Tuple[List[List[Poly]], Dict[str, Poly]]:
+    """The generators' pairings in the oracle chart (the log coordinate
+    scaled by ``log_scale``) under the extended metric that
+    ``orbitspace.build`` gives, and the bindings that expand a y-chart form
+    there: y^j -> the j-th generator (for B_l, y^l -> the square of the last
+    one) and E -> r^(4 log_scale).  The generators and E are algebraically
+    independent, so the expansion is injective."""
+    ochart = oracle_chart(spec)
+    funcs = generator_exprs(spec, ochart)
+    if spec.family == "B":
+        funcs[-1] = funcs[-1] * funcs[-1]
+    bindings = {f"y{j}": f for j, f in enumerate(funcs, 1)}
+    bindings["E"] = Poly.variable(ochart, "r") ** int(4 * log_scale)
+    return oracle_pairing(orbitspace.build(spec), funcs, log_scale), bindings
+
+
+def reference_oracle_agrees(struct) -> bool:
+    """The half-step oracle: the structure's y-chart metric, expanded through
+    the generators, equals their pairings entry by entry.  An entry with a
+    negative power of a generator cannot be expanded, so it disagrees."""
+    spec = struct.spec
+    log_scale = struct.b_ident.log_scale if spec.family == "B" else Fraction(1)
+    pairings, bindings = reference_pairings(spec, log_scale)
+    entries = [e for row in struct.pencil.g.mat for e in row]
+    try:
+        expanded = substitute_all(entries, bindings, pairings[0][0].chart)
+    except NonUnitLaurentSubstitution:
+        return False
+    return expanded == [e for row in pairings for e in row]
+
+
+def zeta_oracle_agrees(struct) -> bool:
+    """The library's oracle as a verdict."""
+    try:
+        oracle_check(struct)
+    except OracleMismatch:
+        return False
+    return True
+
+
 def b_y_chart(spec: RootSystemSpec) -> Chart:
     """The chart of the B_l generators themselves: y^j of weight d_j, and
     E = e^{y^{l+1}} of weight 1, or E = e^{y^{l+1}/4} of weight 1/4 when
@@ -132,12 +219,11 @@ def reference_g_direct(spec: RootSystemSpec) -> BilinearForm:
     """The intersection form on the spec's own y-chart, from the definition:
     the generators' pairings in the oracle chart, each re-expressed in the
     y-chart by an exact linear solve over the monomials of its weighted
-    degree.  The test oracle of ``compute_g_direct``, which only expands and
-    compares."""
-    metric = build(spec)
+    degree.  It reads the generators as they were before the oracle went
+    through the zeta chart."""
     ochart = oracle_chart(spec)
     funcs = generator_exprs(spec, ochart)
-    ghat = oracle_pairing(metric, funcs, Fraction(1))
+    ghat = oracle_pairing(orbitspace.build(spec), funcs, Fraction(1))
     yc = y_chart(spec) if spec.family == "C" else b_y_chart(spec)
     var_exprs = {f"y{j}": funcs[j - 1] for j in range(1, spec.rank + 1)}
     var_exprs["E"] = Poly.variable(ochart, "r") ** int(4 * yc.weight("E"))
@@ -242,7 +328,7 @@ def test_reference_expands_to_the_pairings(family, l, k):
     # the y-chart form re-expressed by the reference, expanded back through
     # the bindings, gives the pairings entry by entry
     spec = RootSystemSpec(family, l, k)
-    pairings, bindings = compute_g_direct(spec, Fraction(1))
+    pairings, bindings = reference_pairings(spec, Fraction(1))
     ochart = pairings[0][0].chart
     ref = reference_g_direct(spec)
     for i in range(l + 1):
@@ -265,6 +351,53 @@ def test_theta_machinery_is_c_only():
         generator_map(RootSystemSpec("B", 2, 1))
     with pytest.raises(ValueError):
         assemble_P(RootSystemSpec("B", 2, 1))
-    for k in (1, 2):  # the B_l generators live in the oracle chart
+    for k in (1, 2):  # a B_l structure shares the C_l chart and generator map
         with pytest.raises(ValueError):
             y_chart(RootSystemSpec("B", 2, k))
+
+
+RANKS_1_TO_5 = [(family, l, k) for family in ("C", "B")
+                for l in range(1, 6) for k in range(1, l + 1)]
+
+
+@pytest.mark.parametrize("family,l,k", [(family, l, k) for family in ("C", "B")
+                                        for l in range(1, 7) for k in range(1, l + 1)])
+def test_generator_map_gives_the_reference_generators(family, l, k):
+    # the identity the zeta route rests on: the C_l map, applied to the
+    # spec's own zeta's with E = r^(4c), is the half-step generators (for
+    # B_l, the last one squared)
+    spec = RootSystemSpec(family, l, k)
+    ochart = oracle_chart(spec)
+    gens = generator_map(RootSystemSpec("C", l, k))
+    bindings = {f"zeta{a}": z for a, z in enumerate(zeta_exprs(spec, ochart), 1)}
+    bindings["E"] = Poly.variable(ochart, "r") ** int(4 * log_scale_of(spec))
+    got = substitute_all([gens.forward[f"y{j}"] for j in range(1, l + 1)], bindings,
+                         ochart)
+    want = generator_exprs(spec, ochart)
+    if family == "B":
+        want[-1] = want[-1] * want[-1]
+    assert got == want
+
+
+@pytest.mark.parametrize("family,l,k", [(family, l, k) for family in ("C", "B")
+                                        for l in range(1, 7) for k in range(1, l + 1)])
+def test_zeta_pairings_have_the_closed_form(family, l, k):
+    # compute_g_direct checks the diagonal itself; its log entry is 1/k
+    spec = RootSystemSpec(family, l, k)
+    form = compute_g_direct(spec, log_scale_of(spec))
+    zc = zeta_chart(spec)
+    for i in range(l + 1):
+        for j in range(l + 1):
+            if i == j < l:
+                zeta = zc.var(f"zeta{i + 1}")
+                assert form[i][j] == zeta * (4 - zeta)
+            elif i == j:
+                assert form[i][j] == Poly.const(zc, Fraction(1, k))
+            else:
+                assert form[i][j].is_zero()
+
+
+@pytest.mark.parametrize("family,l,k", RANKS_1_TO_5)
+def test_zeta_oracle_agrees_with_the_reference(family, l, k):
+    struct = build_structure(RootSystemSpec(family, l, k))
+    assert zeta_oracle_agrees(struct) is reference_oracle_agrees(struct) is True
