@@ -10,7 +10,6 @@ value error, reported on stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -19,7 +18,7 @@ from .exactalg import Poly
 from .fixtures import FIXTURES, Fixture, terms_to_poly
 from .frobenius import CHECKS, FrobeniusStructure, build_structure
 from .rootdata import InvalidSpec, RootSystemSpec
-from .serialize import document_json, structure_document, structure_latex
+from .serialize import document_chunks, document_json, structure_document, structure_latex
 
 CHECK_NAMES = list(CHECKS)
 
@@ -187,18 +186,18 @@ def _main(argv: Optional[List[str]]) -> int:
                     print(f"check {r['check']} failed: {r['detail']}", file=sys.stderr)
             return 1
         if args.format == "json":
-            text = document_json(structure_document(struct, report))
+            chunks = document_chunks(structure_document(struct, report))
         else:
-            text = structure_latex(struct)
+            chunks = [structure_latex(struct)]
         if args.out:
             try:
                 with open(args.out, "w") as fh:
-                    fh.write(text)
+                    fh.writelines(chunks)
             except OSError as exc:
                 print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
                 return 2
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
         return 0
 
     if args.command == "verify":
@@ -216,9 +215,9 @@ def _main(argv: Optional[List[str]]) -> int:
         except (ArithmeticError, ValueError) as exc:
             print(f"construction failed: {exc}", file=sys.stderr)
             return 1
-        print(json.dumps({"spec": {"family": spec.family, "rank": spec.rank,
-                                   "vertex": spec.vertex},
-                          "checks": report}, indent=2))
+        sys.stdout.write(document_json({"spec": {"family": spec.family, "rank": spec.rank,
+                                                 "vertex": spec.vertex},
+                                        "checks": report}))
         return 0 if all(r["passed"] for r in report) else 1
 
     return 2

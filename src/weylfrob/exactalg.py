@@ -15,8 +15,9 @@ strictly between -2^(FIELD_BITS-1) and 2^(FIELD_BITS-1); each Poly keeps an
 upper bound of its largest |exponent| (total degree included), and an
 operation whose result could leave that range raises ExponentOverflow before
 a field can wrap.  Fractions are built only at the boundary: ``terms`` is a
-read-only mapping (exponent tuple -> Fraction) built on demand, for
-serialization, display and tests.
+read-only mapping (exponent tuple -> Fraction) built on demand, for display
+and tests; ``reduced_terms`` hands serialization each term's nonzero
+exponents by name and its coefficient as a reduced integer pair.
 
 A chart may designate one variable as the exponential of an extra logarithmic
 coordinate (E = exp of the last coordinate).  Differentiation along that
@@ -47,7 +48,8 @@ from functools import cache
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 Rational = Fraction
 Exponents = Tuple[int, ...]
@@ -307,6 +309,16 @@ class Poly:
         return [(unpack(k), Fraction(v, den))
                 for k, v in sorted(self._nums.items(), reverse=True)]
 
+    def reduced_terms(self) -> Iterator[Tuple[List[Tuple[str, int]], int, int]]:
+        """(the nonzero (name, exponent) pairs, numerator, denominator) of each
+        term in ``sorted_terms`` order, the coefficient in lowest terms."""
+        fields = [(v.name, s) for v, s in zip(self.chart.vars, self.chart._shifts)]
+        den, mask, half = self._den, _MASK, _HALF
+        for k, v in sorted(self._nums.items(), reverse=True):
+            g = gcd(v, den)
+            yield ([(name, e) for name, s in fields if (e := ((k >> s) & mask) - half)],
+                   v // g, den // g)
+
     def exponent_range(self) -> Tuple[Exponents, Exponents]:
         """The least and the largest exponent of each variable over the
         terms (two empty tuples for the zero polynomial)."""
@@ -528,6 +540,18 @@ def _scale(p: Poly, n: int, d: int) -> Poly:
     if n == d:
         return p
     return _canon(p.chart, {k: v * n for k, v in p._nums.items()}, p._den * d, p._bound)
+
+
+def overlay(chart: Chart, polys: Sequence[Poly]) -> Poly:
+    """The Poly holding the terms of all ``polys``, the last one's coefficient
+    on a monomial several of them share.  Its exponent bound is the largest
+    of theirs, so no key is unpacked."""
+    den = lcm(1, *[p._den for p in polys])
+    nums: Dict[int, int] = {}
+    for p in polys:
+        scale = den // p._den
+        nums.update((k, v * scale) for k, v in p._nums.items())
+    return _canon(chart, nums, den, max([p._bound for p in polys], default=0))
 
 
 def sum_products(chart: Chart, pairs: Iterable[tuple]) -> Poly:

@@ -28,8 +28,8 @@ from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactalg import (Chart, Matrix, NonExactDivision, NonUnitLaurentSubstitution,
-                       Poly, Rational, contract, mat_det, substitute_all, sum_products,
-                       unit_det)
+                       Poly, Rational, contract, mat_det, overlay, substitute_all,
+                       sum_products, unit_det)
 from .flatcoords import FlatChartData, covariant_form, flat_pipeline
 from .metrics import (BilinearForm, FlatPencil, assert_eta_pattern, build_pencil,
                       det_eta_check, eta_from_g, linearity_check, transform_form)
@@ -205,12 +205,7 @@ def integrate_potential(spec: RootSystemSpec, f3: List[List[List[Poly]]],
                     raise Inconsistent(
                         f"F_({a + 1},{b + 1},{c + 1}) has a term whose "
                         "antiderivative needs an explicit log coordinate") from None
-    den = lcm(1, *[p.den for p in pieces])
-    terms: Dict[int, int] = {}
-    for p in pieces:
-        scale = den // p.den
-        terms.update((key, v * scale) for key, v in p.packed.items())
-    potential = PotentialF(chart, k, Poly.from_packed(chart, terms, den))
+    potential = PotentialF(chart, k, overlay(chart, pieces))
     _check_shape(spec, potential, eta_cov)
     return potential
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence
 
 from .exactalg import (Chart, ChartMismatch, Matrix, Poly, VarSpec, contract, rat,
@@ -187,20 +188,6 @@ class CoordMap:
 # Generators
 # ---------------------------------------------------------------------------
 
-def elementary_symmetric(values: Sequence[Poly], j: int) -> Poly:
-    """sigma_j of the given ring elements (sigma_0 = 1)."""
-    chart = values[0].chart
-    coeffs = [Poly.const(chart, 1)]
-    for v in values:
-        nxt = [coeffs[0]]
-        for i in range(1, len(coeffs) + 1):
-            term = coeffs[i] if i < len(coeffs) else Poly.const(chart, 0)
-            prev = coeffs[i - 1] * v
-            nxt.append(term + prev)
-        coeffs = nxt
-    return coeffs[j] if j < len(coeffs) else Poly.const(chart, 0)
-
-
 def generator_map(spec: RootSystemSpec) -> CoordMap:
     """The C_l generators y^j = E^{d_j} sigma_j(zeta) as a map (zeta,E) -> y.
 
@@ -217,12 +204,14 @@ def generator_map(spec: RootSystemSpec) -> CoordMap:
     zc = zeta_chart(spec)
     yc = y_chart(spec)
     d = degrees(spec)
-    zs = [Poly.variable(zc, f"zeta{j}") for j in range(1, spec.rank + 1)]
-    E = Poly.variable(zc, "E")
+    l = spec.rank
     forward: Dict[str, Poly] = {}
-    for j in range(1, spec.rank + 1):
-        forward[f"y{j}"] = (E ** int(d[j - 1])) * elementary_symmetric(zs, j)
-    forward["E"] = E
+    for j in range(1, l + 1):
+        # E^{d_j} times the C(l, j) square-free monomials of sigma_j(zeta)
+        e = int(d[j - 1])
+        forward[f"y{j}"] = Poly(zc, {tuple(int(a in picked) for a in range(l)) + (e,): 1
+                                     for picked in combinations(range(l), j)})
+    forward["E"] = Poly.variable(zc, "E")
     return CoordMap(zc, yc, pullback=None, forward=forward)
 
 

@@ -1,15 +1,20 @@
 """JSON and LaTeX serialization of constructed structures.
 
-Rationals are serialized as exact 'p/q' strings, monomials as variable ->
-integer-exponent maps, and polynomial terms in descending graded-lex order,
-so an exported document re-imports and re-exports byte-identically.
+Rationals are serialized as exact 'p/q' strings, a polynomial as the list of
+its terms {"m": variable -> integer exponent, "c": coefficient} in descending
+graded-lex order, so an exported document re-imports and re-exports
+byte-identically.  ``structure_document`` keeps the polynomials of a
+structure as Poly leaves; ``document_chunks`` writes the text of
+``json.dumps(doc, indent=2)`` piece by piece, each Poly straight from its
+packed terms.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Dict, Iterator, List
 
 from .exactalg import Chart, Poly
 from .frobenius import ORACLE_AGREES, FrobeniusStructure
@@ -18,13 +23,6 @@ from .orbitspace import CoordMap, generator_map, theta_map, zeta_chart
 
 def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
-
-
-def poly_to_obj(p: Poly) -> List[Dict]:
-    out = []
-    for exps, coeff in p.sorted_terms():
-        out.append({"m": p.exponents_as_dict(exps), "c": frac_str(coeff)})
-    return out
 
 
 def chart_to_obj(chart: Chart) -> Dict:
@@ -40,17 +38,14 @@ def chart_to_obj(chart: Chart) -> Dict:
 def map_to_obj(cmap: CoordMap) -> Dict:
     obj = {"source": cmap.source.name, "target": cmap.target.name}
     if cmap.forward is not None:
-        obj["forward"] = {name: poly_to_obj(p) for name, p in sorted(cmap.forward.items())}
+        obj["forward"] = dict(sorted(cmap.forward.items()))
     if cmap.pullback is not None:
-        obj["pullback"] = {name: poly_to_obj(p) for name, p in sorted(cmap.pullback.items())}
+        obj["pullback"] = dict(sorted(cmap.pullback.items()))
     return obj
 
 
-def matrix_to_obj(mat) -> List[List[List[Dict]]]:
-    return [[poly_to_obj(e) for e in row] for row in mat]
-
-
 def structure_document(struct: FrobeniusStructure, report: List[Dict]) -> Dict:
+    """The construct document, with a Poly at each polynomial leaf."""
     spec = struct.spec
     gen = generator_map(struct.cspec)
     th = theta_map(struct.cspec)
@@ -74,15 +69,15 @@ def structure_document(struct: FrobeniusStructure, report: List[Dict]) -> Dict:
             "z_to_w": map_to_obj(struct.flat.w_map),
             "w_to_t": map_to_obj(struct.flat.t_map),
         },
-        "eta_t": matrix_to_obj(struct.flat.eta_t.mat),
-        "g_t": matrix_to_obj(struct.g_t.mat),
+        "eta_t": [list(row) for row in struct.flat.eta_t.mat],
+        "g_t": [list(row) for row in struct.g_t.mat],
         "potential": {
             "head": {
                 "monomial": {f"t{struct.potential.vertex}": 2,
                              struct.potential.chart.log_coord: 1},
                 "coefficient": "1/2",
             },
-            "terms": poly_to_obj(struct.potential.poly),
+            "terms": struct.potential.poly,
         },
         "euler": {
             "dtilde": [frac_str(x) for x in struct.euler.dtilde],
@@ -101,8 +96,58 @@ def structure_document(struct: FrobeniusStructure, report: List[Dict]) -> Dict:
     return doc
 
 
-def document_json(doc: Dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def document_chunks(doc) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=2) + "\\n"`` in pieces, a Poly
+    leaf written as the list of its term objects."""
+    yield from _chunks(doc, "\n")
+    yield "\n"
+
+
+def document_json(doc) -> str:
+    return "".join(document_chunks(doc))
+
+
+def _chunks(obj, nl: str) -> Iterator[str]:
+    """json.dumps(obj, indent=2) at the indentation ``nl`` (a newline and
+    the spaces of obj's own line)."""
+    if isinstance(obj, Poly):
+        yield _poly_text(obj, nl)
+    elif isinstance(obj, str):
+        yield _quote(obj)
+    elif isinstance(obj, dict) and obj:
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            yield sep + _quote(key) + ": "
+            yield from _chunks(value, inner)
+            sep = "," + inner
+        yield nl + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in obj:
+            yield sep
+            yield from _chunks(value, inner)
+            sep = "," + inner
+        yield nl + "]"
+    else:
+        yield json.dumps(obj)
+
+
+def _poly_text(p: Poly, nl: str) -> str:
+    """The term list of p as json.dumps(..., indent=2) writes it at ``nl``."""
+    if p.is_zero():
+        return "[]"
+    term = nl + "  "
+    field = term + "  "
+    entry = {v.name: field + "  " + _quote(v.name) + ": " for v in p.chart.vars}
+    parts = []
+    for exps, num, den in p.reduced_terms():
+        mono = ("{" + ",".join([entry[name] + str(e) for name, e in exps]) + field + "}"
+                if exps else "{}")
+        coeff = f"{num}/{den}" if den != 1 else str(num)
+        parts.append(f'{{{field}"m": {mono},{field}"c": "{coeff}"{term}}}')
+    return "[" + term + ("," + term).join(parts) + nl + "]"
 
 
 # ---------------------------------------------------------------------------

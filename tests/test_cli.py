@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylfrob import cli, frobenius, orbitspace
+from weylfrob import cli, frobenius, orbitspace, serialize
 from weylfrob.exactalg import Poly
 from weylfrob.fixtures import C3K1, Fixture
 from weylfrob.frobenius import (build_structure, integrate_potential,
@@ -142,6 +142,28 @@ def test_document_contains_all_maps_and_charts(tmp_path):
     assert "forward" in doc["maps"]["generators_zeta_to_y"]
     assert "pullback" not in doc["maps"]["generators_zeta_to_y"]
     assert "pullback" in doc["maps"]["w_to_t"] and "forward" in doc["maps"]["w_to_t"]
+
+
+@pytest.mark.parametrize("family,rank,vertex", [("C", 3, 1), ("B", 3, 2)])
+def test_construct_streams_the_document_json_text(tmp_path, capsys, monkeypatch,
+                                                 family, rank, vertex):
+    struct = build_structure(RootSystemSpec(family, rank, vertex))
+    expected = document_json(structure_document(struct, cli.run_checks(
+        struct, cli.CHECK_NAMES, cli.ORACLE_MAX_RANK))).encode()
+    chunks = []
+
+    def counted(doc):
+        for chunk in serialize.document_chunks(doc):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(cli, "document_chunks", counted)
+    argv = ["construct", "--family", family, "--rank", str(rank), "--vertex", str(vertex)]
+    out = tmp_path / "doc.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected and len(chunks) > 1
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode() == expected
 
 
 def test_unwritable_out_path_exits_2(tmp_path, capsys):

@@ -12,12 +12,11 @@ from weylfrob.metrics import (BilinearForm, BlockFormMismatch, ChristoffelContra
                               eta_from_g, eta_pattern, g_theta, gamma_theta,
                               linearity_check, theta_map, transform_christoffel,
                               transform_form)
-from weylfrob.orbitspace import (CoordMap, elementary_symmetric, generator_map, theta_chart,
-                                 y_chart, zeta_chart)
+from weylfrob.orbitspace import CoordMap, generator_map, theta_chart, y_chart, zeta_chart
 from weylfrob.rootdata import RootSystemSpec, degrees, flat_degrees
 
 from test_exactalg import reference_exact_div, weighted_degree
-from test_orbitspace import extend_with_uv, inject, reference_g_direct
+from test_orbitspace import elementary_symmetric, extend_with_uv, inject, reference_g_direct
 
 
 def identity_map(chart: Chart) -> CoordMap:

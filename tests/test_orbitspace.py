@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
@@ -11,13 +11,40 @@ from weylfrob.exactalg import (Chart, NonUnitLaurentSubstitution, Poly, VarSpec,
                                monomials_of_weighted_degree, substitute_all)
 from weylfrob.frobenius import build_structure, oracle_check
 from weylfrob.metrics import BilinearForm
-from weylfrob.orbitspace import (CoordMap, OracleMismatch, compute_g_direct,
-                                 elementary_symmetric, generator_map, oracle_chart,
-                                 oracle_pairing, theta_chart, theta_map, y_chart,
-                                 zeta_chart, zeta_exprs)
+from weylfrob.orbitspace import (CoordMap, OracleMismatch, compute_g_direct, generator_map,
+                                 oracle_chart, oracle_pairing, theta_chart, theta_map,
+                                 y_chart, zeta_chart, zeta_exprs)
 from weylfrob.rootdata import RootSystemSpec, degrees
 
 from test_exactalg import reference_solve_linear, weighted_degree
+
+
+def elementary_symmetric(values: Sequence[Poly], j: int) -> Poly:
+    """sigma_j of the given ring elements (sigma_0 = 1), by Poly products:
+    the reference for the closed form of ``generator_map``."""
+    chart = values[0].chart
+    coeffs = [Poly.const(chart, 1)]
+    for v in values:
+        nxt = [coeffs[0]]
+        for i in range(1, len(coeffs) + 1):
+            term = coeffs[i] if i < len(coeffs) else Poly.const(chart, 0)
+            prev = coeffs[i - 1] * v
+            nxt.append(term + prev)
+        coeffs = nxt
+    return coeffs[j] if j < len(coeffs) else Poly.const(chart, 0)
+
+
+def reference_generator_map(spec: RootSystemSpec) -> Dict[str, Poly]:
+    """The forward map of ``generator_map``, y^j = E^{d_j} sigma_j(zeta),
+    with sigma_j from ``elementary_symmetric``."""
+    zc = zeta_chart(spec)
+    d = degrees(spec)
+    zs = [Poly.variable(zc, f"zeta{j}") for j in range(1, spec.rank + 1)]
+    E = Poly.variable(zc, "E")
+    forward = {f"y{j}": (E ** int(d[j - 1])) * elementary_symmetric(zs, j)
+               for j in range(1, spec.rank + 1)}
+    forward["E"] = E
+    return forward
 
 
 def inject(p: Poly, target: Chart) -> Poly:
@@ -242,6 +269,15 @@ def test_elementary_symmetric_rank3():
     a, b, d = zs
     assert elementary_symmetric(zs, 2) == a * b + a * d + b * d
     assert elementary_symmetric(zs, 0) == Poly.const(c, 1)
+
+
+@pytest.mark.parametrize("l", range(1, 11))
+def test_generator_map_closed_form_matches_elementary_symmetric(l):
+    for k in range(1, l + 1):
+        spec = RootSystemSpec("C", l, k)
+        gen = generator_map(spec)
+        assert gen.source == zeta_chart(spec) and gen.target == y_chart(spec)
+        assert gen.forward == reference_generator_map(spec)
 
 
 def test_generators_rank2():
