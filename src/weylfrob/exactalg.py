@@ -987,6 +987,17 @@ def contract(matrix: Sequence[Sequence], tensor: list, axis: int) -> list:
     return out
 
 
+def congruence(matrix: Sequence[Sequence], form: Matrix) -> Matrix:
+    """A F A^T for a symmetric matrix F = ``form`` of Polys: only the entries
+    i <= j are formed, so symmetry is checked first."""
+    n, m = len(form), len(matrix)
+    if any(form[i][j] != form[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("form is not symmetric")
+    half = contract(matrix, form, 0)
+    upper = [contract(matrix[i:], half[i], 0) for i in range(m)]  # upper[i][j - i]
+    return [[upper[min(i, j)][abs(j - i)] for j in range(m)] for i in range(m)]
+
+
 def _combine(row: List[tuple], parts: list):
     """The sum of c * parts[a] over the pairs (a, c) of ``row``, entry by entry."""
     first = parts[0]

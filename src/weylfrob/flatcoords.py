@@ -8,9 +8,9 @@ solving the flatness equations
 as exact linear systems over a triangular weighted-homogeneous ansatz; the
 resulting eta patterns (``metrics.eta_pattern``, one per stage) are then
 asserted exactly.  The linear-block constants B^i_j between the z and y
-charts are read off one route, the closed-form generating series
-cosh(sqrt(t)/2) (2 sinh(sqrt(t)/2)/sqrt(t))^(2i-1); the triangular quadratic
-recursion they solve is kept in the tests as the oracle.
+charts are central factorial numbers in closed form (``b_coefficients``);
+the triangular quadratic recursion they solve is kept in the tests as the
+oracle.
 
 Fractional powers never appear: the w-chart realizes (z^l)^{1/(2(l-k))} as a
 Laurent generator s = w^l with z^l = s^{2(l-k)}.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
 
 from .exactalg import (FlatnessRows, Matrix, Poly, contract, mat_inverse_unit,
@@ -118,45 +119,22 @@ def solve_p_block(spec: RootSystemSpec, eta_y: BilinearForm) -> List[Poly]:
     return out
 
 
-def _series_mul(a: List[Fraction], b: List[Fraction], order: int) -> List[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _f_series(i: int, order: int) -> List[Fraction]:
-    """Taylor coefficients in t of cosh(sqrt t/2)(2 sinh(sqrt t/2)/sqrt t)^{2i-1}."""
-    from math import factorial
-
-    cosh = [Fraction(1, 4 ** m * factorial(2 * m)) for m in range(order + 1)]
-    sinc = [Fraction(1, 4 ** m * factorial(2 * m + 1)) for m in range(order + 1)]
-    out = cosh
-    for _ in range(2 * i - 1):
-        out = _series_mul(out, sinc, order)
-    return out
-
-
 def b_coefficients(n: int) -> Dict[Tuple[int, int], Fraction]:
-    """{(i, j): B^i_j} for 1 <= i <= j <= n, read off the closed-form series.
+    """{(i, j): B^i_j} for 1 <= i <= j <= n, the central factorial numbers
 
-    B^i_{i+alpha} is the t^alpha coefficient of ``_f_series(i, n - i)``.  These
-    constants solve the shear recursion 4(i+j-1) B^{i+j-1}_m + (i+j) B^{i+j}_m
-    = 4m sum_{a+b=m+1} B^i_a B^j_b, which the tests keep as an independent
-    oracle; in the build, a wrong constant breaks the eta_z block pattern that
+        B^i_j = sum_{r=0}^{2i} (-1)^r C(2i, r) (i-r)^(2j) / (2i (2j-1)!).
+
+    B^i_j is the t^(j-i) coefficient of cosh(sqrt t/2)
+    (2 sinh(sqrt t/2)/sqrt t)^(2i-1), which is d/dx (2 sinh(x/2))^(2i) /
+    (2i x^(2i-1)) at x = sqrt t.  These constants solve the shear
+    recursion 4(i+j-1) B^{i+j-1}_m + (i+j) B^{i+j}_m = 4m sum_{a+b=m+1}
+    B^i_a B^j_b, which the tests keep as an independent oracle; in the
+    build, a wrong constant breaks the eta_z block pattern that
     ``build_z_chart`` asserts.
     """
-    table: Dict[Tuple[int, int], Fraction] = {}
-    for i in range(1, n + 1):
-        f = _f_series(i, n - i)
-        for alpha in range(n - i + 1):
-            table[(i, i + alpha)] = f[alpha]
-    return table
+    return {(i, j): Fraction(sum((-1) ** r * comb(2 * i, r) * (i - r) ** (2 * j)
+                                 for r in range(2 * i + 1)), 2 * i * factorial(2 * j - 1))
+            for i in range(1, n + 1) for j in range(i, n + 1)}
 
 
 def build_z_chart(spec: RootSystemSpec, eta_y: BilinearForm):

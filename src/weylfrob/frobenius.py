@@ -28,8 +28,8 @@ from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactalg import (Chart, Matrix, NonExactDivision, NonUnitLaurentSubstitution,
-                       Poly, Rational, contract, mat_det, overlay, substitute_all,
-                       sum_products, unit_det)
+                       Poly, Rational, congruence, contract, mat_det, overlay,
+                       substitute_all, sum_products, unit_det)
 from .flatcoords import FlatChartData, covariant_form, flat_pipeline
 from .metrics import (BilinearForm, FlatPencil, assert_eta_pattern, build_pencil,
                       det_eta_check, eta_from_g, linearity_check, transform_form)
@@ -536,7 +536,7 @@ def oracle_check(struct: FrobeniusStructure) -> str:
     gens = generator_map(struct.cspec)
     zc = gens.source
     jac = CoordMap(gens.target, zc, pullback=gens.forward).jacobian_pullback()
-    want = contract(jac, contract(jac, form, 0), 1)  # K G K^T
+    want = congruence(jac, form)  # K G K^T
     entries = [e for row in struct.pencil.g.mat for e in row]
 
     def push(entry: Poly) -> Optional[Poly]:

@@ -1,47 +1,37 @@
 """The intersection form, its connection, and the flat pencil.
 
-In the theta chart, with P(u) = sum_p theta^p u^(l-p), the entry (i, j) of
-g is the coefficient of u^(l-i) v^(l-j) in the generating function
+The pencil is written straight into the y chart.  In the theta chart,
+with P(u) = sum_p theta^p u^(l-p), the entry (i, j) of g is the
+coefficient of u^(l-i) v^(l-j) in
 
     (k-l) P(u) P(v) + ((u^2+4u) P'(u) P(v) - (v^2+4v) P(u) P'(v)) / (u-v)
 
 and that of the contravariant connection Gamma_m the same coefficient of
-the one-form identity with a (u-v)^2 denominator.  Their theta-coefficients
-are divided differences D(x, y) = (u^x v^y - u^y v^x) / (u-v), a signed sum
-of |x-y| monomials.  With a = l-p and b = l-q, the theta^p theta^q
-coefficient of g is (k-l+a) u^a v^a for p = q and
+the one-form identity with a (u-v)^2 denominator; both reduce to integer
+tables of divided differences (``metric_y`` and ``transform_christoffel``
+state them).  The generating functions are kept in the tests as the
+reference.  With theta^0 = E^k, theta^p = y^p E^(k-p) for p < k and
+theta^p = y^p above, every entry of the Jacobian K of theta -> y and of
+its inverse J is one known term.  So a theta^p theta^q term of g lands on
+the key of y^p y^q E^(s_p+s_q) and a theta^p term of Gamma on that of
+y^p E^(s_p) (s_0 = k, s_p = max(k-p, 0)); J g J^T and J J K Gamma are
+integer key shifts over the denominator k^2, and the inhomogeneous term
+-g J dK of the connection is three rules in the log slots.  No Jacobian,
+inverse, substitution or theta-chart tensor is formed.
 
-    (k-l)(u^a v^b + u^b v^a) + a D(a+1, b) + b D(b+1, a) + 4(a-b) D(a, b)
-
-for p < q; with alpha = l-p and beta = l-m, the theta^p coefficient of
-Gamma_m is (k-l) u^alpha v^beta plus
-
-    (u^alpha v^beta (alpha(u+4) - beta(v+4)) - (2u+uv+2v) D(alpha, beta)) / (u-v),
-
-whose quotient, taken degree by degree as a prefix sum, has the
-coefficients that ``gamma_theta`` states.  So ``g_theta`` and
-``gamma_theta`` write integer tables and make one Poly per nonzero entry;
-no polynomial is divided (the generating functions are kept in the tests
-as the reference).
-
-Contravariant 2-tensors are transported between charts through exact
-inverse Jacobians (``transform_form``).  The connection only goes from
-theta to y, where theta^0 = E^k, theta^p = y^p E^(k-p) for p < k and
-theta^p = y^p above: every entry of that Jacobian and of its inverse is one
-known term, so ``transform_christoffel`` applies closed-form index rules
-and forms no Jacobian, inverse or pushed tensor.
+Other contravariant 2-tensors are transported between charts through
+exact inverse Jacobians (``transform_form``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List
+from typing import List
 
-from .exactalg import (Chart, Matrix, Poly, contract, mat_det, mat_inverse_unit,
+from .exactalg import (Chart, Matrix, Poly, congruence, mat_det, mat_inverse_unit,
                        sum_products)
-from .orbitspace import CoordMap, theta_chart, theta_map, y_chart
+from .orbitspace import CoordMap, y_chart
 from .rootdata import RootSystemSpec
 
 
@@ -91,44 +81,96 @@ class FlatPencil:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form coefficient tables in the theta chart
+# The pencil in the y chart by closed-form index rules
 # ---------------------------------------------------------------------------
 
-def g_theta(spec: RootSystemSpec) -> BilinearForm:
-    """The metric in the theta chart; entries are quadratic in theta.
+def _theta_rules(spec: RootSystemSpec, yc: Chart):
+    """The index rules of theta^p = y^p E^(s_p) over the y chart ``yc``.
 
-    For p <= q the theta^p theta^q coefficient of g^{ij} is k-p at i+j = p+q
-    with i in {p, q}, q-p at i+j = p+q with p < i < q, and 4(q-p) at
-    i+j = p+q+1 with p < i <= q; no two of these share an entry."""
+    Every entry of the Jacobian K of this map and of its inverse J is one
+    term: K^p_(p) = E^(s_p), K^0_log = k E^k and K^p_log = s_p y^p E^(s_p);
+    J^(p)_p = E^(-s_p), J^log_0 = E^(-k)/k and J^(p)_0 = -(s_p/k) y^p E^(-k).
+    Returns the key of 1, each theta^p's key offset (that of y^p E^(s_p)),
+    s, and those entries: j_col[u] lists (i, k J^i_u, key offset) and
+    k_row[q] lists (m, K^q_m, key offset).
+    """
     l, k = spec.rank, spec.vertex
-    tc = theta_chart(spec)
     n = l + 1
-    tab: List[List[Dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    # every exponent and degree of a product below sums four, each at most k
+    # in size, so packing that sum once guards every key
+    yc.pack([0] * l + [4 * k])
+    origin = yc.pack([0] * n)
+
+    def offset(p: int, e: int) -> int:  # y^p E^e, y^0 = 1
+        return yc.pack([int(p == j) for j in range(1, n)] + [e]) - origin
+
+    s = [k] + [max(k - p, 0) for p in range(1, n)]
+    image = [offset(p, s[p]) for p in range(n)]
+    slot = [l] + list(range(l))  # theta^p's y coordinate: log for p = 0, y^p else
+    j_col: List[list] = [[] for _ in range(n)]
+    k_row: List[list] = [[] for _ in range(n)]
+    for p in range(n):
+        j_col[p].append((slot[p], k if p else 1, offset(0, -s[p])))
+        k_row[p].append((slot[p], 1 if p else k, offset(0, s[p])))
+        if p and s[p]:
+            j_col[0].append((p - 1, -s[p], offset(p, -k)))
+            k_row[p].append((l, s[p], offset(p, s[p])))
+    return origin, image, s, j_col, k_row
+
+
+def metric_y(spec: RootSystemSpec) -> BilinearForm:
+    """The intersection form g in the y chart.
+
+    For p <= q the theta^p theta^q coefficient of g^{ij} is k-p at
+    i+j = p+q with i in {p, q}, q-p at i+j = p+q with p < i < q, and
+    4(q-p) at i+j = p+q+1 with p < i <= q; no two of these share an entry.
+    Each goes to the key of y^p y^q E^(s_p+s_q) and through
+    g'^{ab} = J^a_i J^b_j g^{ij}, over the denominator k^2; g' is
+    symmetric, so only its entries a <= b are formed."""
+    l, k = spec.rank, spec.vertex
+    yc, n = y_chart(spec), l + 1
+    origin, image, _, j_col, _ = _theta_rules(spec, yc)
+    zero = Poly.const(yc, 0)
+    acc = [[{} for _ in range(n)] for _ in range(n)]
     for p in range(n):
         for q in range(p, n):
-            key = tc.pack([(s == p) + (s == q) for s in range(n)])
+            t = origin + image[p] + image[q]
             for i in range(p, q + 1):
                 for j, c in ((p + q - i, k - p if i in (p, q) else q - p),
                              (p + q + 1 - i, 4 * (q - p) if i > p else 0)):
-                    if c:
-                        tab[i][j][key] = c
-    return BilinearForm(tc, [[Poly.from_packed(tc, e, 1) for e in row] for row in tab])
+                    for a, x, ka in j_col[i] if c else ():
+                        for b, y, kb in j_col[j]:
+                            if a <= b:
+                                cell, key = acc[a][b], t + ka + kb
+                                cell[key] = cell.get(key, 0) + x * y * c
+    upper = [[Poly.from_packed(yc, e, k * k, 4 * k) if e else zero for e in row]
+             for row in acc]
+    return BilinearForm(yc, [[upper[min(a, b)][max(a, b)] for b in range(n)]
+                             for a in range(n)])
 
 
-def gamma_theta(spec: RootSystemSpec) -> ChristoffelContra:
-    """The contravariant connection in the theta chart; entries linear in theta.
+def transform_christoffel(spec: RootSystemSpec, g_y: BilinearForm) -> ChristoffelContra:
+    """The contravariant connection of g in the y chart of ``g_y``.
 
     With lo = min(p, m) and hi = max(p, m), the theta^p coefficient of
     Gamma^{ij}_m is k-lo at (i, j) = (p, m), |m-i| at j = p+m-i for
     lo < i < hi, and sgn(m-p) (4(m-i)+2) at j = p+m+1-i for lo < i <= hi;
-    no two of these share an entry."""
+    no two of these share an entry.  Each goes to the key of y^p E^(s_p)
+    and through Gamma'^{ab}_r = J^a_i J^b_j K^m_r Gamma^{ij}_m, over k^2.
+    The inhomogeneous term -g'^{ia} J^j_c d_a(K^c_m) is nonzero only in
+    the log slots: (log, log) loses k g^{i,log}, ((p), (p)) loses
+    s_p g^{i,log} and ((p), log) loses s_p g^{i,(p)} + s_p (s_p - k) y^p
+    g^{i,log}.
+    """
     l, k = spec.rank, spec.vertex
-    tc = theta_chart(spec)
-    n = l + 1
-    tab: List[List[List[Dict[int, int]]]] = [[[{} for _ in range(n)] for _ in range(n)]
-                                             for _ in range(n)]
+    yc, n = g_y.chart, l + 1
+    if yc != y_chart(spec):
+        raise ValueError("expected g on the y chart of the spec")
+    origin, image, s, j_col, k_row = _theta_rules(spec, yc)
+    zero = Poly.const(yc, 0)
+    acc = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for p in range(n):
-        key = tc.pack([int(s == p) for s in range(n)])
+        t = origin + image[p]
         for m in range(n):
             lo, hi, sign = min(p, m), max(p, m), (m > p) - (m < p)
             terms = ([(p, m, k - lo)]
@@ -136,85 +178,12 @@ def gamma_theta(spec: RootSystemSpec) -> ChristoffelContra:
                      + [(i, p + m + 1 - i, sign * (4 * (m - i) + 2))
                         for i in range(lo + 1, hi + 1)])
             for i, j, c in terms:
-                if c:
-                    tab[i][j][m][key] = c
-    return ChristoffelContra(tc, [[[Poly.from_packed(tc, e, 1) for e in row] for row in plane]
-                                  for plane in tab])
-
-
-# ---------------------------------------------------------------------------
-# Transport of contravariant tensors
-# ---------------------------------------------------------------------------
-
-def transform_form(form: BilinearForm, cmap: CoordMap) -> BilinearForm:
-    """Symmetric contravariant 2-tensor components in the target chart of the
-    map: all entries pushed at once, then the entries i <= j of J g J^T."""
-    if form.chart != cmap.source:
-        raise ValueError("form does not live on the map's source chart")
-    n = form.dim
-    if any(form.mat[i][j] != form.mat[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("form is not symmetric")
-    J = mat_inverse_unit(cmap.jacobian_pullback())
-    flat = cmap.push([e for row in form.mat for e in row])
-    half = contract(J, [flat[i * n:(i + 1) * n] for i in range(n)], 0)
-    upper = [contract(J[i:], half[i], 0) for i in range(n)]  # upper[i][j - i]
-    return BilinearForm(cmap.target, [[upper[min(i, j)][abs(j - i)] for j in range(n)]
-                                      for i in range(n)])
-
-
-def transform_christoffel(gamma: ChristoffelContra, g_y: BilinearForm,
-                          spec: RootSystemSpec) -> ChristoffelContra:
-    """The theta-chart connection in the y chart of ``g_y``, by closed-form
-    index rules.
-
-    Gamma'^{ij}_m = J^i_u J^j_c K^q_m Gamma^{uc}_q - g^{ia} J^j_c d_a(K^c_m),
-    with K the Jacobian of theta^p = y^p E^(s_p) (y^0 = 1, s_0 = k,
-    s_p = max(k-p, 0)) and J its inverse.  Every entry of K and J is one
-    term: K^p_(p) = E^(s_p), K^0_log = k E^k and K^p_log = s_p y^p E^(s_p);
-    J^(p)_p = E^(-s_p), J^log_0 = E^(-k)/k and J^(p)_0 = -(s_p/k) y^p E^(-k).
-    So each theta^p term of Gamma becomes the key of y^p E^(s_p), the
-    products are integer key shifts over the denominator k^2, and the
-    inhomogeneous term is nonzero only in the log slots: (log, log) loses
-    k g^{i,log}, ((p), (p)) loses s_p g^{i,log} and ((p), log) loses
-    s_p g^{i,(p)} + s_p (s_p - k) y^p g^{i,log}.
-    """
-    l, k = spec.rank, spec.vertex
-    tc, yc, n = theta_chart(spec), g_y.chart, l + 1
-    if gamma.chart != tc or yc != y_chart(spec):
-        raise ValueError("expected Gamma on the theta chart and g on the y chart")
-    # every exponent and degree of a product below sums four, each at most k
-    # in size, so packing that sum once guards every key
-    yc.pack([0] * l + [4 * k])
-    origin = yc.pack([0] * n)
-
-    def key(p: int, e: int) -> int:  # y^p E^e, y^0 = 1
-        return yc.pack([int(p == j) for j in range(1, n)] + [e])
-
-    s = [k] + [max(k - p, 0) for p in range(1, n)]
-    image = {tc.pack([int(p == j) for j in range(n)]): key(p, s[p]) for p in range(n)}
-    slot = [l] + list(range(l))  # theta^p's y coordinate: log for p = 0, y^p else
-    j_col = [[] for _ in range(n)]  # u -> (i, k J^i_u, its key offset)
-    k_row = [[] for _ in range(n)]  # q -> (m, K^q_m, its key offset)
-    for p in range(n):
-        j_col[p].append((slot[p], k if p else 1, key(0, -s[p]) - origin))
-        k_row[p].append((slot[p], 1 if p else k, key(0, s[p]) - origin))
-        if p and s[p]:
-            j_col[0].append((p - 1, -s[p], key(p, -k) - origin))
-            k_row[p].append((l, s[p], key(p, s[p]) - origin))
-    den = lcm(1, *(e.den for plane in gamma.arr for row in plane for e in row))
-    acc = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for u, plane in enumerate(gamma.arr):
-        for c, row in enumerate(plane):
-            for q, e in enumerate(row):
-                ts = [(image[t], v * (den // e.den)) for t, v in e.packed.items()]
-                for i, a, ka in j_col[u] if ts else ():
-                    for j, b, kb in j_col[c]:
-                        for m, d, kd in k_row[q]:
-                            cell, w, k0 = acc[i][j][m], a * b * d, ka + kb + kd
-                            for t, v in ts:
-                                cell[k0 + t] = cell.get(k0 + t, 0) + w * v
-    zero = Poly.const(yc, 0)
-    arr = [[[Poly.from_packed(yc, a, k * k * den, 4 * k) if a else zero for a in row]
+                for a, x, ka in j_col[i] if c else ():
+                    for b, y, kb in j_col[j]:
+                        for r, z, kr in k_row[m]:
+                            cell, key = acc[a][b][r], t + ka + kb + kr
+                            cell[key] = cell.get(key, 0) + x * y * z * c
+    arr = [[[Poly.from_packed(yc, a, k * k, 4 * k) if a else zero for a in row]
             for row in plane] for plane in acc]
     g = g_y.mat
     for i in range(n):
@@ -224,6 +193,22 @@ def transform_christoffel(gamma: ChristoffelContra, g_y: BilinearForm,
             arr[i][p - 1][l] = sum_products(yc, [(1, arr[i][p - 1][l]), (-s[p], g[i][p - 1]),
                                                  (s[p] * (k - s[p]) * yc.var(f"y{p}"), g[i][l])])
     return ChristoffelContra(yc, arr)
+
+
+# ---------------------------------------------------------------------------
+# Transport of contravariant 2-tensors
+# ---------------------------------------------------------------------------
+
+def transform_form(form: BilinearForm, cmap: CoordMap) -> BilinearForm:
+    """Symmetric contravariant 2-tensor components in the target chart of the
+    map: all entries pushed at once, then J g J^T by ``congruence``."""
+    if form.chart != cmap.source:
+        raise ValueError("form does not live on the map's source chart")
+    n = form.dim
+    J = mat_inverse_unit(cmap.jacobian_pullback())
+    flat = cmap.push([e for row in form.mat for e in row])
+    return BilinearForm(cmap.target,
+                        congruence(J, [flat[i * n:(i + 1) * n] for i in range(n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +342,8 @@ def linearity_check(g_y: BilinearForm, gamma_y: ChristoffelContra,
 # ---------------------------------------------------------------------------
 
 def build_pencil(spec: RootSystemSpec) -> FlatPencil:
-    """g, its connection Gamma and eta = dg/dy^k on the y-chart via the theta
-    fast path."""
-    g_y = transform_form(g_theta(spec), theta_map(spec))
-    gamma_y = transform_christoffel(gamma_theta(spec), g_y, spec)
+    """g, its connection Gamma and eta = dg/dy^k on one y chart, by the
+    closed-form index rules."""
+    g_y = metric_y(spec)
+    gamma_y = transform_christoffel(spec, g_y)
     return FlatPencil(g_y.chart, g_y, eta_from_g(g_y, spec), gamma_y)

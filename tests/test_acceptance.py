@@ -14,8 +14,7 @@ from weylfrob.fixtures import FIXTURES
 from weylfrob.flatcoords import b_coefficients
 from weylfrob.frobenius import (build_structure, oracle_check, third_derivatives,
                                 verify_euler_unity, verify_intersection, verify_wdvv)
-from weylfrob.metrics import (assert_eta_pattern, det_eta_check, eta_from_g, eta_pattern,
-                              g_theta, theta_map, transform_form)
+from weylfrob.metrics import assert_eta_pattern, build_pencil, det_eta_check, eta_pattern
 from weylfrob.rootdata import RootSystemSpec, dual_index, flat_degrees
 from weylfrob.serialize import document_json, structure_document
 
@@ -117,9 +116,7 @@ def test_criterion_06_det_eta_closed_form_rank6():
     for l in range(1, 7):
         for k in range(1, l + 1):
             spec = RootSystemSpec("C", l, k)
-            g_y = transform_form(g_theta(spec), theta_map(spec))
-            eta = eta_from_g(g_y, spec)
-            det_eta_check(spec, eta)  # closed form with the derived sign
+            det_eta_check(spec, build_pencil(spec).eta)  # closed form with the derived sign
     _report("criterion 6 (det eta closed form, l <= 6)", started)
 
 
@@ -128,8 +125,7 @@ def test_criterion_07_eta_closed_form_rank6():
     for l in range(1, 7):
         for k in range(1, l + 1):
             spec = RootSystemSpec("C", l, k)
-            g_y = transform_form(g_theta(spec), theta_map(spec))
-            assert_eta_pattern(spec, eta_from_g(g_y, spec), "y")
+            assert_eta_pattern(spec, build_pencil(spec).eta, "y")
     _report("criterion 7 (eta block closed form, l <= 6)", started)
 
 
@@ -168,15 +164,15 @@ def test_criterion_09_euler_unity_duality():
 
 
 def test_criterion_10_b_coefficients():
-    # the build reads B off the closed-form series; the shear recursion,
-    # solved independently, must give the same constants at every size up
-    # to 12 (n = l - k = 9 is the deepest block at rank 10)
+    # the build reads B off the central factorial numbers' closed form; the
+    # shear recursion, solved independently, must give the same constants
+    # at every size up to 15 (n = l - k = 15 is the deepest block at rank 16)
     started = time.monotonic()
     bs = b_coefficients(8)
     assert bs[(1, 2)] == Fraction(1, 6)
     assert bs[(2, 3)] == Fraction(1, 4)
     assert bs[(1, 3)] == Fraction(1, 120)
-    for n in range(1, 13):
+    for n in range(1, 16):
         assert b_coefficients(n) == reference_b_recursion(n), n
     _report("criterion 10 (B-series == recursion)", started)
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from weylfrob.exactalg import (FIELD_BITS, Chart, ChartMismatch, ExponentOverflow,
                                NonExactDivision,
-                               NonUnitLaurentSubstitution, Poly, VarSpec, contract,
+                               NonUnitLaurentSubstitution, Poly, VarSpec, congruence,
+                               contract,
                                FlatnessRows, monomials_of_weighted_degree, rat,
                                solve_linear, substitute_all, sum_products)
 
@@ -756,6 +757,30 @@ def test_contract_matches_explicit_loops():
             for axis in range(rank):
                 assert contract(matrix, tensor, axis) == \
                     loop_contract(matrix, tensor, shape, axis)
+
+
+def test_congruence_matches_explicit_loops():
+    """A F A^T from the entries i <= j equals two full loop contractions, for
+    a non-square A of Polys or rationals; a non-symmetric F is refused."""
+    rng = random.Random(78)
+    c = laurent_matrix_chart()
+    n = 3
+    form = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            form[i][j] = form[j][i] = random_laurent_poly(c, rng, max_terms=2)
+    form[0][2] = form[2][0] = Poly.const(c, 0)
+    poly_matrix = [[random_laurent_poly(c, rng, max_terms=2) for _ in range(n)]
+                   for _ in range(4)]
+    frac_matrix = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                   for _ in range(2)]
+    for matrix in (poly_matrix, frac_matrix):
+        m = len(matrix)
+        half = loop_contract(matrix, form, [n, n], 0)
+        assert congruence(matrix, form) == loop_contract(matrix, half, [m, n], 1)
+    form[0][1] = form[0][1] + 1
+    with pytest.raises(ValueError, match=r"^form is not symmetric$"):
+        congruence(frac_matrix, form)
 
 
 # ---------------------------------------------------------------------------

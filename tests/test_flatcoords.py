@@ -90,11 +90,11 @@ def reference_b_recursion(n: int) -> Dict[Tuple[int, int], Fraction]:
 
 
 def test_b_series_spot_values():
-    bs = b_coefficients(8)  # read off the series; criterion 10 runs the recursion
+    bs = b_coefficients(8)  # the closed form; criterion 10 runs the recursion
     assert bs[(1, 2)] == Fraction(1, 6)
     assert bs[(2, 3)] == Fraction(1, 4)
     assert bs[(1, 3)] == Fraction(1, 120)
-    # the diagonal is the series' t^0 coefficient; nothing below it is listed
+    # the diagonal is 1; nothing below it is listed
     assert all(bs[(i, i)] == 1 for i in range(1, 9))
     assert sorted(bs) == [(i, j) for i in range(1, 9) for j in range(i, 9)]
 

@@ -1,18 +1,19 @@
 """Closed-form metric/connection, transports, eta and its closed forms."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import pytest
 
-from weylfrob.exactalg import Chart, Poly, contract, mat_inverse_unit
+from weylfrob.exactalg import Chart, Poly, contract, mat_inverse_unit, substitute_all
 from weylfrob.metrics import (BilinearForm, BlockFormMismatch, ChristoffelContra,
                               build_pencil, det_eta_check, DetMismatch, assert_eta_pattern,
-                              eta_from_g, eta_pattern, g_theta, gamma_theta,
-                              linearity_check, theta_map, transform_christoffel,
-                              transform_form)
-from weylfrob.orbitspace import CoordMap, generator_map, theta_chart, y_chart, zeta_chart
+                              eta_from_g, eta_pattern, linearity_check, metric_y,
+                              transform_christoffel, transform_form)
+from weylfrob.orbitspace import (CoordMap, generator_map, theta_chart, theta_map, y_chart,
+                                 zeta_chart)
 from weylfrob.rootdata import RootSystemSpec, degrees, flat_degrees
 
 from test_exactalg import reference_exact_div, weighted_degree
@@ -148,7 +149,8 @@ def _zeta_products(spec: RootSystemSpec, work: Chart, var: str):
 
 
 def first_principles_g_check(spec: RootSystemSpec) -> None:
-    """g_theta equals (dP(u), dP(v)) computed from the mu-chart derivatives."""
+    """The reference g in the theta chart equals (dP(u), dP(v)) computed from
+    the mu-chart derivatives."""
     l, k = spec.rank, spec.vertex
     work = extend_with_uv(zeta_chart(spec))
     Pu, Pau, _ = _zeta_products(spec, work, "u")
@@ -157,7 +159,7 @@ def first_principles_g_check(spec: RootSystemSpec) -> None:
     rhs = k * Pu * Pv
     for a in range(l):
         rhs = rhs - (zs[a] ** 2 - 4 * zs[a]) * Pau[a] * Pav[a]
-    g_th = g_theta(spec)
+    g_th = reference_g_theta(spec)
     theta_subs = _theta_in_zeta(spec, work)
     u = Poly.variable(work, "u")
     v = Poly.variable(work, "v")
@@ -168,18 +170,20 @@ def first_principles_g_check(spec: RootSystemSpec) -> None:
             if not e.is_zero():
                 lhs = lhs + e.substitute(theta_subs, work) * u ** (l - i) * v ** (l - j)
     if lhs != rhs:
-        raise ArithmeticError(f"g_theta fails the first-principles identity for {spec.label()}")
+        raise ArithmeticError(
+            f"reference g fails the first-principles identity for {spec.label()}")
 
 
 def first_principles_gamma_check(spec: RootSystemSpec) -> None:
-    """gamma_theta equals the mu-chart one-form expansion, component by component."""
+    """The reference Gamma in the theta chart equals the mu-chart one-form
+    expansion, component by component."""
     l, k = spec.rank, spec.vertex
     work = extend_with_uv(zeta_chart(spec))
     Pu, Pau, _ = _zeta_products(spec, work, "u")
     Pv, Pav, Pabv = _zeta_products(spec, work, "v")
     zs = [Poly.variable(work, f"zeta{j}") for j in range(1, l + 1)]
     Ek = Poly.variable(work, "E") ** k
-    gam = gamma_theta(spec)
+    gam = reference_gamma_theta(spec)
     theta_subs = _theta_in_zeta(spec, work)
     u = Poly.variable(work, "u")
     v = Poly.variable(work, "v")
@@ -207,7 +211,7 @@ def first_principles_gamma_check(spec: RootSystemSpec) -> None:
                 rhs = rhs - (zs[a] ** 2 - 4 * zs[a]) * Pau[a] * Pabv[a][c]
         if lhs != rhs:
             raise ArithmeticError(
-                f"gamma_theta fails the dmu_{c + 1} identity for {spec.label()}")
+                f"reference Gamma fails the dmu_{c + 1} identity for {spec.label()}")
 
     # dmu_{l+1} component
     lhs = Poly.const(work, 0)
@@ -218,7 +222,7 @@ def first_principles_gamma_check(spec: RootSystemSpec) -> None:
     for a in range(l):
         rhs = rhs - k * (zs[a] ** 2 - 4 * zs[a]) * Pau[a] * Pav[a]
     if lhs != rhs:
-        raise ArithmeticError(f"gamma_theta fails the dmu_(l+1) identity for {spec.label()}")
+        raise ArithmeticError(f"reference Gamma fails the dmu_(l+1) identity for {spec.label()}")
 
 
 def _esym_or_one(values, j: int, chart: Chart) -> Poly:
@@ -243,7 +247,7 @@ ALL_SMALL = [(l, k) for l in range(1, 5) for k in range(1, l + 1)]
 
 
 def test_g_theta_rank1_entries():
-    g = g_theta(RootSystemSpec("C", 1, 1))
+    g = reference_g_theta(RootSystemSpec("C", 1, 1))
     tc = g.chart
     th0, th1 = tc.var("th0"), tc.var("th1")
     assert g.mat[0][0] == th0 ** 2
@@ -253,7 +257,7 @@ def test_g_theta_rank1_entries():
 
 @pytest.mark.parametrize("l,k", ALL_SMALL)
 def test_g_theta_quadratic_and_symmetric(l, k):
-    g = g_theta(RootSystemSpec("C", l, k))
+    g = reference_g_theta(RootSystemSpec("C", l, k))
     assert all(g.mat[i][j] == g.mat[j][i] for i in range(g.dim) for j in range(i))
     for row in g.mat:
         for entry in row:
@@ -263,7 +267,7 @@ def test_g_theta_quadratic_and_symmetric(l, k):
 
 @pytest.mark.parametrize("l,k", ALL_SMALL)
 def test_gamma_theta_linear(l, k):
-    gam = gamma_theta(RootSystemSpec("C", l, k))
+    gam = reference_gamma_theta(RootSystemSpec("C", l, k))
     for plane in gam.arr:
         for row in plane:
             for entry in row:
@@ -298,7 +302,7 @@ def test_transform_form_rejects_a_non_symmetric_form():
 @pytest.mark.parametrize("l,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
 def test_theta_transport_equals_oracle(l, k):
     spec = RootSystemSpec("C", l, k)
-    fast = transform_form(g_theta(spec), theta_map(spec))
+    fast = metric_y(spec)
     direct = reference_g_direct(spec)
     n = l + 1
     assert all(fast.mat[i][j] == direct.mat[i][j] for i in range(n) for j in range(n))
@@ -459,8 +463,6 @@ def _same(got, want) -> bool:
 def test_closed_form_pencil_equals_the_generating_functions(l, k):
     spec = RootSystemSpec("C", l, k)
     g_th, gam_th = reference_g_theta(spec), reference_gamma_theta(spec)
-    assert _same(g_theta(spec).mat, g_th.mat)
-    assert _same(gamma_theta(spec).arr, gam_th.arr)
     tmap = theta_map(spec)
     g_y = transform_form(g_th, tmap)
     pen = build_pencil(spec)
@@ -469,48 +471,28 @@ def test_closed_form_pencil_equals_the_generating_functions(l, k):
     assert _same(pen.eta.mat, eta_from_g(g_y, spec).mat)
 
 
-def test_pencil_inverts_one_jacobian(monkeypatch):
-    """build_pencil inverts the theta -> y Jacobian once, for g; the
-    connection's transport reads J off closed-form index rules.  Counted
-    wherever a weylfrob module looks mat_inverse_unit up."""
-    inverse = mat_inverse_unit
-    calls = []
-
-    def counting_inverse(matrix):
-        calls.append(len(matrix))
-        return inverse(matrix)
+def _count_everywhere(monkeypatch, fn, calls: Counter) -> None:
+    """Count the calls of ``fn`` into calls[fn.__name__] wherever a weylfrob
+    module looks it up."""
+    def counting(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "weylfrob" or name.startswith("weylfrob."):
             for attr, value in list(vars(module).items()):
-                if value is inverse:
-                    monkeypatch.setattr(module, attr, counting_inverse)
-    for l, k in [(1, 1), (4, 2), (5, 5)]:
-        calls.clear()
-        build_pencil(RootSystemSpec("C", l, k))
-        assert calls == [l + 1]
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
 
 
-def test_connection_transport_rejects_other_charts():
-    spec = RootSystemSpec("C", 3, 2)
-    pen = build_pencil(spec)
-    with pytest.raises(ValueError, match="theta chart"):
-        transform_christoffel(pen.gamma_g, pen.g, spec)
-    with pytest.raises(ValueError, match="y chart"):
-        transform_christoffel(gamma_theta(spec), build_pencil(RootSystemSpec("C", 3, 1)).g,
-                              spec)
-
-
-def test_pencil_uses_no_generating_function(monkeypatch):
-    """Building the C5k3 pencil makes no Poly on a chart with u and v, while
-    the reference does (so the counter sees what it guards against)."""
-    spec = RootSystemSpec("C", 5, 3)
-    seen = {"uv_polys": 0}
+def _count_polys(monkeypatch, on: Callable[[Chart], bool], calls: Counter) -> None:
+    """Count every Poly made on a chart for which ``on`` holds into
+    calls["polys"]; every Poly is made by __init__ or _raw."""
     raw, init = Poly._raw.__func__, Poly.__init__
 
     def note(chart):
-        if "u" in chart.index and "v" in chart.index:
-            seen["uv_polys"] += 1
+        if on(chart):
+            calls["polys"] += 1
 
     def counting_raw(cls, chart, *args):
         note(chart)
@@ -520,10 +502,58 @@ def test_pencil_uses_no_generating_function(monkeypatch):
         note(chart)
         init(self, chart, terms)
 
-    # every Poly is made by __init__ or _raw
     monkeypatch.setattr(Poly, "_raw", classmethod(counting_raw))
     monkeypatch.setattr(Poly, "__init__", counting_init)
+
+
+def test_pencil_forms_no_jacobian_inverse_or_substitution(monkeypatch):
+    """build_pencil calls no mat_inverse_unit, substitute_all or
+    jacobian_pullback and makes no Poly on the theta chart: theta -> y is
+    closed-form index rules.  The generic transport of the reference table
+    trips every counter, so they see what they guard against."""
+    calls = Counter()
+    _count_everywhere(monkeypatch, mat_inverse_unit, calls)
+    _count_everywhere(monkeypatch, substitute_all, calls)
+    jacobian = CoordMap.jacobian_pullback
+
+    def counting_jacobian(cmap):
+        calls["jacobian_pullback"] += 1
+        return jacobian(cmap)
+
+    monkeypatch.setattr(CoordMap, "jacobian_pullback", counting_jacobian)
+    _count_polys(monkeypatch, lambda chart: chart.name == "theta", calls)
+    for l, k in [(1, 1), (4, 2), (5, 5)]:
+        build_pencil(RootSystemSpec("C", l, k))
+        assert not calls, (l, k)
+    spec = RootSystemSpec("C", 4, 2)
+    transform_form(reference_g_theta(spec), theta_map(spec))
+    assert set(calls) == {"mat_inverse_unit", "substitute_all", "jacobian_pullback", "polys"}
+
+
+@pytest.mark.parametrize("l,k", [(1, 1), (4, 2), (5, 5), (7, 1)])
+def test_pencil_shares_one_chart(l, k):
+    """g, Gamma and eta and every entry of them sit on the one y chart
+    object, so sum_products and Poly equality stop at the identity test."""
+    pen = build_pencil(RootSystemSpec("C", l, k))
+    yc = pen.chart
+    assert pen.g.chart is yc and pen.gamma_g.chart is yc and pen.eta.chart is yc
+    assert all(e.chart is yc for row in pen.g.mat + pen.eta.mat for e in row)
+    assert all(e.chart is yc for plane in pen.gamma_g.arr for row in plane for e in row)
+
+
+def test_connection_transport_rejects_other_charts():
+    spec = RootSystemSpec("C", 3, 2)
+    with pytest.raises(ValueError, match="y chart"):
+        transform_christoffel(spec, build_pencil(RootSystemSpec("C", 3, 1)).g)
+
+
+def test_pencil_uses_no_generating_function(monkeypatch):
+    """Building the C5k3 pencil makes no Poly on a chart with u and v, while
+    the reference does (so the counter sees what it guards against)."""
+    spec = RootSystemSpec("C", 5, 3)
+    calls = Counter()
+    _count_polys(monkeypatch, lambda chart: "u" in chart.index and "v" in chart.index, calls)
     build_pencil(spec)
-    assert seen["uv_polys"] == 0
+    assert calls["polys"] == 0
     reference_gamma_theta(spec)
-    assert seen["uv_polys"] > 0
+    assert calls["polys"] > 0
