@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import (FlatnessRows, Matrix, Poly, contract, mat_inverse_unit,
+from .exactalg import (FlatnessRows, Matrix, Poly, mat_inverse_unit,
                        monomials_of_weighted_degree, solve_linear, sum_products)
 from .metrics import BilinearForm, assert_eta_pattern, transform_form
 from .orbitspace import CoordMap, t_chart, w_chart, z_chart
@@ -49,19 +49,50 @@ def covariant_form(form: BilinearForm) -> Matrix:
 
 def lower_christoffels(form: BilinearForm,
                        cov: Optional[Matrix] = None) -> List[List[List[Poly]]]:
-    """Classical Christoffel symbols gamma^m_{ij} of the metric (lower indices).
+    """Classical Christoffel symbols gamma^m_{ij} = g^{ms} Gamma_{s,ij} of
+    the metric (lower indices), with Gamma_{s,ij} = (d_i g_{sj} + d_j g_{si}
+    - d_s g_{ij}) / 2 on the covariant form g_{ij}.
 
-    ``cov`` is the covariant form of ``form``, for a caller that holds it.
+    ``form`` must be symmetric (ValueError otherwise), and ``cov``, its
+    covariant form for a caller that holds it, is then symmetric too: only
+    the entries g_{sj} with s <= j are differentiated, and only the symbols
+    with i <= j are formed, each by one ``sum_products`` call over its
+    nonzero terms; gamma^m_{ji} is the same Poly as gamma^m_{ij}.
     """
+    g = form.mat
+    n = form.dim
+    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("form is not symmetric")
     if cov is None:
         cov = covariant_form(form)
-    n = form.dim
-    dcov = [[[cov[s][j].coord_diff(i) for i in range(n)] for j in range(n)]
-            for s in range(n)]
-    half = Fraction(1, 2)
-    brace = [[[(dcov[s][j][i] + dcov[s][i][j] - dcov[i][j][s]) * half
-               for j in range(n)] for i in range(n)] for s in range(n)]
-    return contract(form.mat, brace, 0)
+    chart = form.chart
+    zero = Poly.const(chart, 0)
+    # dcov[s][j][i] = d_i g_{sj}, one list shared by (s, j) and (j, s)
+    dcov: List[List[Optional[List[Poly]]]] = [[None] * n for _ in range(n)]
+    for s in range(n):
+        for j in range(s, n):
+            if not cov[s][j].is_zero():
+                dcov[s][j] = dcov[j][s] = [cov[s][j].coord_diff(i) for i in range(n)]
+    rows = [[(s, c) for s, c in enumerate(row) if not c.is_zero()] for row in g]
+    half, minus_half = Fraction(1, 2), Fraction(-1, 2)
+    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            first = {}  # s -> Gamma_{s,ij}, nonzero only
+            for s in range(n):
+                terms = [(c, d[a]) for c, d, a in ((half, dcov[s][j], i),
+                                                   (half, dcov[s][i], j),
+                                                   (minus_half, dcov[i][j], s))
+                         if d is not None and not d[a].is_zero()]
+                if terms:
+                    entry = sum_products(chart, terms)
+                    if not entry.is_zero():
+                        first[s] = entry
+            for m in range(n):
+                terms = [(c, first[s]) for s, c in rows[m] if s in first]
+                if terms:
+                    out[m][i][j] = out[m][j][i] = sum_products(chart, terms)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +227,8 @@ def build_w_chart(spec: RootSystemSpec, eta_z: BilinearForm):
 
 
 def gamma_w(spec: RootSystemSpec, eta_w: BilinearForm) -> List[List[List[Poly]]]:
-    """Christoffel symbols of eta in the w-chart, with their structure checks."""
+    """Christoffel symbols of eta in the w-chart, with their structure checks
+    (on the entries i <= j: gamma^m_{ji} is gamma^m_{ij})."""
     l, k = spec.rank, spec.vertex
     n = l - k
     wc = eta_w.chart
@@ -206,7 +238,7 @@ def gamma_w(spec: RootSystemSpec, eta_w: BilinearForm) -> List[List[List[Poly]]]
     # (1) vanishing rows: m in 1..k, l, l+1
     for m in list(range(0, k)) + [l - 1, l]:
         for i in range(dim):
-            for j in range(dim):
+            for j in range(i, dim):
                 if not gammas[m][i][j].is_zero():
                     raise PropertyViolation(
                         f"gamma^{m + 1}_{{{i + 1},{j + 1}}} expected to vanish")
@@ -214,7 +246,7 @@ def gamma_w(spec: RootSystemSpec, eta_w: BilinearForm) -> List[List[List[Poly]]]
     if n >= 1 and k + 1 <= l - 1:
         # (2) gamma^{k+1}_{ij} = -d eta_{ij} / d w^l
         for i in range(dim):
-            for j in range(dim):
+            for j in range(i, dim):
                 expected = -cov[i][j].diff(f"w{l}")
                 if gammas[k][i][j] != expected:
                     raise PropertyViolation(
@@ -223,7 +255,7 @@ def gamma_w(spec: RootSystemSpec, eta_w: BilinearForm) -> List[List[List[Poly]]]
     # (3) polynomiality in w^{k+3}..w^l for middle m, i,j != l
     for m in range(k + 1, l - 1):
         for i in range(dim):
-            for j in range(dim):
+            for j in range(i, dim):
                 if i == l - 1 or j == l - 1:
                     continue
                 _check_support(gammas[m][i][j], allowed, "property (3)")

@@ -159,8 +159,9 @@ def third_derivatives_from_metric(spec: RootSystemSpec, g_t: BilinearForm,
                 if flat != Fraction(1, k):
                     raise Inconsistent("corner constant of g is not 1/k")
             fup[j][i] = fup[i][j]
-    # the tag t^{l+1} at F^{l+1,l+1} lowers to (kpos, kpos)
-    return _tagged_derivatives(contract(eta_cov, contract(eta_cov, fup, 0), 1), kpos)
+    # the tag t^{l+1} at F^{l+1,l+1} lowers to (kpos, kpos); fup is
+    # symmetric, so only the entries i <= j of eta_cov fup eta_cov^T are formed
+    return _tagged_derivatives(congruence(eta_cov, fup), kpos)
 
 
 def _tagged_derivatives(f2: List[List[Poly]], kpos: int) -> List[List[List[Poly]]]:
@@ -250,8 +251,9 @@ def third_derivatives(potential: PotentialF) -> List[List[List[Poly]]]:
 
 def raised_hessian(potential: PotentialF, eta_up: List[List[Rational]]):
     """F^{ij} = eta^{ii'} eta^{jj'} F_{i'j'} without the t^{l+1} tag of
-    F_{kk}, which raises to 1 * t^{l+1} at (l+1, l+1) (eta^{l+1,k} = 1)."""
-    return contract(eta_up, contract(eta_up, potential.hessian, 0), 1)
+    F_{kk}, which raises to 1 * t^{l+1} at (l+1, l+1) (eta^{l+1,k} = 1).
+    F_{ab} is symmetric, so only the entries i <= j are formed."""
+    return congruence(eta_up, potential.hessian)
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +380,26 @@ def verify_intersection(struct: FrobeniusStructure) -> str:
 
     The connection needs no test here (see the module notes).  Nor does its
     compatibility with g_t: once ``euler`` holds, F^{ij} has weight
-    dtilde_i + dtilde_j, and that test is the d_m derivative of this one."""
+    dtilde_i + dtilde_j, and that test is the d_m derivative of this one.
+    F^{ij} is symmetric, so g^{ij} = g^{ji} is tested first and the entries
+    are compared for i <= j only."""
     spec = struct.cspec
     dim = spec.rank + 1
     last, kpos = spec.rank, spec.vertex - 1
+    g = struct.g_t.mat
+    for i in range(dim):
+        for j in range(i):
+            if g[i][j] != g[j][i]:
+                raise Inconsistent(f"g^{{{i + 1},{j + 1}}} != g^{{{j + 1},{i + 1}}}")
     eta_up = struct.eta_up
     fup = raised_hessian(struct.potential, eta_up)
     tag = eta_up[last][kpos]  # = 1; tag coefficient after raising
     for i in range(dim):
-        for j in range(dim):
+        for j in range(i, dim):
             got = lie_euler(fup[i][j])
             if i == last and j == last:
                 got = got + Fraction(tag * tag, spec.vertex)
-            if got != struct.g_t.mat[i][j]:
+            if got != g[i][j]:
                 raise Inconsistent(
                     f"L_E F^{{{i + 1},{j + 1}}} != g^{{{i + 1},{j + 1}}}")
     return "g = L_E F^(ij) and Gamma = dtilde_j c"
@@ -400,7 +409,12 @@ def verify_pencil(struct: FrobeniusStructure) -> str:
     """The ``pencil`` check: in the y-chart, g and Gamma are at most linear in
     y^k, eta = d g/d y^k has a unit determinant, and Gamma is the
     Levi-Civita connection of g; eta keeps its pattern after the z, w and t
-    stages.  Returns the pass detail."""
+    stages.  Returns the pass detail.
+
+    Both identities of the Levi-Civita test are symmetric in (i, j) once g
+    is, so g^{ij} = g^{ji} is tested first; then each compatibility
+    identity is checked for i <= j and each torsion identity for i < j only,
+    each by one ``sum_products`` call over its nonzero terms."""
     cspec = struct.cspec
     pencil = struct.pencil
     if not linearity_check(pencil.g, pencil.gamma_g, cspec):
@@ -415,24 +429,36 @@ def verify_pencil(struct: FrobeniusStructure) -> str:
     unit_det(pencil.eta.mat)  # raises NonInvertibleMatrix on a degenerate eta
     # Gamma must be the Levi-Civita connection of g, in the y-chart:
     # - g = A + y^k eta with A, eta free of y^k, so det g has leading
-    #   coefficient det eta, a unit: g is non-degenerate, and compatible
-    #   plus torsion-free pins Gamma as its Levi-Civita connection (no
-    #   inverse is needed);
+    #   coefficient det eta, a unit: g is non-degenerate, and symmetric,
+    #   compatible and torsion-free pin Gamma as its Levi-Civita connection
+    #   (no inverse is needed);
     # - d/dy^k of compatibility and the (y^k)^2 coefficient of
     #   torsion-freeness are the same two identities for (eta, d_k Gamma),
     #   so the Levi-Civita connection of eta needs no test of its own
-    gam = pencil.gamma_g.arr
     for i in range(dim):
-        for j in range(dim):
+        for j in range(i):
+            if g[i][j] != g[j][i]:
+                raise CheckFailed(f"g^({i+1},{j+1}) != g^({j+1},{i+1})")
+    chart = pencil.g.chart
+    gam = pencil.gamma_g.arr
+    # d_m g^{ij} - Gamma^{ij}_m - Gamma^{ji}_m = 0
+    for i in range(dim):
+        for j in range(i, dim):
+            grads = [g[i][j].coord_diff(m) for m in range(dim)]
             for m in range(dim):
-                if g[i][j].coord_diff(m) != gam[i][j][m] + gam[j][i][m]:
+                terms = [(c, p) for c, p in ((1, grads[m]), (-1, gam[i][j][m]),
+                                             (-1, gam[j][i][m])) if not p.is_zero()]
+                if terms and not sum_products(chart, terms).is_zero():
                     raise CheckFailed(f"gamma^({i+1},{j+1})_{m+1} mismatch")
-    # torsion[j][m][i] = g^{is} gamma^{jm}_s, symmetric in i <-> j
-    torsion = contract(g, gam, 2)
+    # sum_s g^{is} Gamma^{jm}_s - g^{js} Gamma^{im}_s = 0
+    rows = [[(s, c) for s, c in enumerate(row) if not c.is_zero()] for row in g]
+    minus = [[(s, -c) for s, c in row] for row in rows]
     for i in range(dim):
         for j in range(i + 1, dim):
             for m in range(dim):
-                if torsion[j][m][i] != torsion[i][m][j]:
+                terms = [(c, gam[j][m][s]) for s, c in rows[i] if not gam[j][m][s].is_zero()]
+                terms += [(c, gam[i][m][s]) for s, c in minus[j] if not gam[i][m][s].is_zero()]
+                if terms and not sum_products(chart, terms).is_zero():
                     raise CheckFailed(f"gamma^({i+1},{m+1}) and gamma^({j+1},{m+1}) "
                                       "torsion mismatch")
     flat = struct.flat

@@ -213,9 +213,10 @@ def test_value_error_in_a_construction_step_exits_1(monkeypatch, capsys, command
 # Mutation suite: each check must fail on a structure with one entry corrupted
 # ---------------------------------------------------------------------------
 
-def _bump_form(form, i, j):
+def _bump_form(form, i, j, by=1):
+    """form[i][j] += by, and [j][i] left as it is."""
     mat = [list(row) for row in form.mat]
-    mat[i][j] = mat[i][j] + 1
+    mat[i][j] = mat[i][j] + by
     return BilinearForm(form.chart, mat)
 
 
@@ -268,8 +269,8 @@ def _shift_gamma_y(struct, m0, s0):
     return replace(struct, pencil=replace(struct.pencil, gamma_g=gamma))
 
 
-def _bump_pencil_g(struct):
-    return replace(struct, pencil=replace(struct.pencil, g=_bump_form(struct.pencil.g, 0, 0)))
+def _bump_pencil_g(struct, i=0, j=0, by=1):
+    return replace(struct, pencil=replace(struct.pencil, g=_bump_form(struct.pencil.g, i, j, by)))
 
 
 def _laurent_pencil_g(struct):
@@ -345,6 +346,8 @@ MUTATIONS = [
      lambda s, _: replace(s, g_t=_bump_form(s.g_t, 0, 0))),
     ("intersection", "F rebuilt from g_t with g^{11} += t1, g^{12} += t2^2",
      lambda s, _: _rebuild_from_metric(s, CORRUPT_METRIC)),
+    # one-sided: g^{12} bumped, g^{21} left intact
+    ("intersection", "g_t[0][1]", lambda s, _: replace(s, g_t=_bump_form(s.g_t, 0, 1))),
     ("eta-form", "pencil.eta[1][1]",
      lambda s, _: replace(s, pencil=replace(s.pencil, eta=_bump_form(s.pencil.eta, 1, 1)))),
     ("det", "pencil.eta[0][3]",
@@ -357,6 +360,14 @@ MUTATIONS = [
     ("pencil", "gamma_g[0][1][0] up, [1][0][0] down",
      lambda s, _: _twist_gamma_y(s, 0, 1, 0)),
     ("pencil", "gamma_g[j][0][0] += g[j][0]", lambda s, _: _shift_gamma_y(s, 0, 0)),
+    # the twist below the diagonal: the halved loops still see i > j
+    ("pencil", "gamma_g[2][1][0] up, [1][2][0] down",
+     lambda s, _: _twist_gamma_y(s, 2, 1, 0)),
+    # one-sided corruptions of g_y that keep it linear in y^k and leave
+    # eta = d_k g intact
+    ("pencil", "pencil.g[0][1] += 1", lambda s, _: _bump_pencil_g(s, 0, 1)),
+    ("pencil", "pencil.g[2][0] += y2",
+     lambda s, _: _bump_pencil_g(s, 2, 0, Poly.variable(s.pencil.chart, "y2"))),
     # the stage patterns: eta_w[0][0] is 0 in the w chart of C3k1
     ("pencil", "flat.eta_w[0][0]",
      lambda s, _: replace(s, flat=replace(s.flat, eta_w=_bump_form(s.flat.eta_w, 0, 0)))),
@@ -484,6 +495,17 @@ def test_pencil_twist_is_caught_by_torsion_freeness():
     result = cli.run_check("pencil", bad, 3)
     assert result["passed"] is False
     assert "torsion" in result["detail"]
+
+
+@pytest.mark.parametrize("check,corrupt,detail", [
+    ("pencil", lambda s: _bump_pencil_g(s, 0, 1), "g^(2,1) != g^(1,2)"),
+    ("intersection", lambda s: replace(s, g_t=_bump_form(s.g_t, 1, 0)), "g^{2,1} != g^{1,2}"),
+], ids=["pencil", "intersection"])
+def test_one_sided_metric_corruption_fails_the_symmetry_test(check, corrupt, detail):
+    # each check tests symmetry first; intersection then compares only the
+    # entries i <= j, which do not include g_t[1][0]
+    bad = corrupt(build_structure(RootSystemSpec("C", 3, 1)))
+    assert cli.run_check(check, bad, 3) == {"check": check, "passed": False, "detail": detail}
 
 
 def test_pencil_torsion_free_shift_is_caught_by_compatibility():

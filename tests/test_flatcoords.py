@@ -1,21 +1,25 @@
 """The z/w/t normalization stages and the B-series."""
 
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from itertools import product
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
 from weylfrob import exactalg, flatcoords, frobenius
-from weylfrob.exactalg import FlatnessRows, Poly, mat_det, monomials_of_weighted_degree
+from weylfrob.exactalg import (FlatnessRows, Matrix, Poly, contract, mat_det,
+                               monomials_of_weighted_degree, sum_products)
 from weylfrob.flatcoords import (AnsatzInsufficient, b_coefficients,
-                                 build_w_chart, build_z_chart, flat_candidate_solve,
-                                 flat_pipeline, gamma_w, lower_christoffels,
-                                 solve_p_block)
+                                 build_w_chart, build_z_chart, covariant_form,
+                                 flat_candidate_solve, flat_pipeline, gamma_w,
+                                 lower_christoffels, solve_p_block)
 from weylfrob.frobenius import build_structure
-from weylfrob.metrics import BlockFormMismatch, build_pencil
+from weylfrob.metrics import BilinearForm, BlockFormMismatch, build_pencil
 from weylfrob.rootdata import RootSystemSpec, degrees, flat_degrees
 
 from test_exactalg import reference_solve_linear, weighted_degree
+from test_metrics import _count_everywhere
 
 ALL_SMALL = [(l, k) for l in range(1, 5) for k in range(1, l + 1)]
 
@@ -181,6 +185,70 @@ def test_stage_patterns_hold(l, k):
                 assert entry == Poly.const(flat.eta_t.chart, entry.constant_value())
 
 
+def reference_lower_christoffels(form: BilinearForm,
+                                 cov: Optional[Matrix] = None) -> List[List[List[Poly]]]:
+    """Classical Christoffel symbols gamma^m_{ij} of the metric (lower indices).
+
+    ``cov`` is the covariant form of ``form``, for a caller that holds it.
+    The dense oracle for ``lower_christoffels``: every derivative, brace
+    and contraction is formed, for every index triple.
+    """
+    if cov is None:
+        cov = covariant_form(form)
+    n = form.dim
+    dcov = [[[cov[s][j].coord_diff(i) for i in range(n)] for j in range(n)]
+            for s in range(n)]
+    half = Fraction(1, 2)
+    brace = [[[(dcov[s][j][i] + dcov[s][i][j] - dcov[i][j][s]) * half
+               for j in range(n)] for i in range(n)] for s in range(n)]
+    return contract(form.mat, brace, 0)
+
+
+CHRISTOFFEL_SPECS = [(l, k) for l in range(1, 7) for k in range(1, l + 1)] + \
+    [(8, 1), (8, 4), (8, 8)]
+
+
+@pytest.mark.parametrize("l,k", CHRISTOFFEL_SPECS)
+def test_lower_christoffels_match_the_dense_reference(l, k):
+    # on eta in the y chart (the p-block) and in the w chart (gamma_w): the
+    # same numerators over the same denominators at every index triple, and
+    # gamma^m_{ji} the very Poly of gamma^m_{ij}
+    struct = build_structure(RootSystemSpec("C", l, k))
+    for form in (struct.pencil.eta, struct.flat.eta_w):
+        got, want = lower_christoffels(form), reference_lower_christoffels(form)
+        for m, i, j in product(range(form.dim), repeat=3):
+            assert got[m][i][j] == want[m][i][j], (form.chart.name, m, i, j)
+            assert got[m][i][j].den == want[m][i][j].den
+            assert got[m][i][j] is got[m][j][i]
+
+
+def test_lower_christoffels_reject_a_nonsymmetric_form():
+    eta = build_pencil(RootSystemSpec("C", 3, 1)).eta
+    mat = [list(row) for row in eta.mat]
+    mat[0][1] = mat[0][1] + 1
+    with pytest.raises(ValueError, match="^form is not symmetric$"):
+        lower_christoffels(BilinearForm(eta.chart, mat))
+
+
+@pytest.mark.parametrize("l,k", [(7, 1), (7, 7)])
+def test_lower_christoffels_form_only_independent_entries(monkeypatch, l, k):
+    """With cov given, at most n^2 (n + 1) sum_products calls (n = l + 1):
+    one per first-kind symbol Gamma_{s,ij} and one per raised symbol, i <= j
+    only.  Counted wherever a weylfrob module looks sum_products up; the
+    dense reference exceeds the bound, so the counter sees what it guards
+    against."""
+    eta = build_pencil(RootSystemSpec("C", l, k)).eta
+    cov = covariant_form(eta)
+    n = l + 1
+    calls = Counter()
+    _count_everywhere(monkeypatch, sum_products, calls)
+    lower_christoffels(eta, cov)
+    assert 0 < calls["sum_products"] <= n * n * (n + 1)
+    calls.clear()
+    reference_lower_christoffels(eta, cov)
+    assert calls["sum_products"] > n * n * (n + 1)
+
+
 def test_gamma_w_vanishing_cases():
     # k = l: eta(w) is constant, all symbols vanish
     spec = RootSystemSpec("C", 3, 3)
@@ -286,8 +354,6 @@ def test_map_components_weighted_homogeneous():
 def test_corrupted_eta_is_rejected():
     # scaling one block entry of eta by 3 at C3k1 breaks the z-stage pattern
     # at its (2, 2) slot: the pattern check is not vacuous
-    from weylfrob.metrics import BilinearForm
-
     spec = RootSystemSpec("C", 3, 1)
     pen = build_pencil(spec)
     mat = [row[:] for row in pen.eta.mat]

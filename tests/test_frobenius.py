@@ -1,6 +1,7 @@
 """Potential construction, WDVV/Euler/intersection identities, B -> C."""
 
 import sys
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -8,19 +9,19 @@ import pytest
 
 from weylfrob import cli, exactalg, frobenius
 from weylfrob.cli import compare_fixture
-from weylfrob.exactalg import Chart, Poly, VarSpec, contract, sum_products
+from weylfrob.exactalg import Chart, Poly, VarSpec, contract, sum_products, unit_det
 from weylfrob.fixtures import FIXTURES
 from weylfrob.flatcoords import flat_pipeline
 from weylfrob.frobenius import (ORACLE_AGREES, Inconsistent, PotentialF, ShapeMismatch,
                                 build_structure, integrate_potential, oracle_check,
                                 raised_hessian, third_derivatives,
                                 third_derivatives_from_metric, verify_euler_unity,
-                                verify_intersection, verify_wdvv)
+                                verify_intersection, verify_pencil, verify_wdvv)
 from weylfrob.metrics import BilinearForm, build_pencil, transform_christoffel
 from weylfrob.rootdata import RootSystemSpec, flat_degrees
 from weylfrob.serialize import structure_document
 
-from test_metrics import reference_transform_christoffel
+from test_metrics import _count_everywhere, reference_transform_christoffel
 
 ALL_SMALL = [(l, k) for l in range(1, 4) for k in range(1, l + 1)]
 ALL_RANK5 = [(l, k) for l in range(1, 6) for k in range(1, l + 1)]
@@ -373,6 +374,24 @@ def test_package_matrices_eliminate_on_unit_pivots(monkeypatch):
             for check in ("pencil", "det"):
                 assert run_check(check, struct, 3)["passed"], (l, k, check)
     assert calls["unit"] > 0
+
+
+@pytest.mark.parametrize("l,k", [(7, 1), (7, 7)])
+def test_pencil_check_forms_only_independent_identities(monkeypatch, l, k):
+    """The pencil check makes at most n^2 (n + 1)/2 + n^2 (n - 1)/2
+    sum_products calls (n = l + 1) besides those of its unit_det(eta),
+    which are counted on their own: one per compatibility identity with
+    i <= j and one per torsion identity with i < j.  Counted wherever a
+    weylfrob module looks sum_products up."""
+    struct = build_structure(RootSystemSpec("C", l, k))
+    n = l + 1
+    calls = Counter()
+    _count_everywhere(monkeypatch, sum_products, calls)
+    unit_det(struct.pencil.eta.mat)
+    det_calls = calls["sum_products"]
+    calls.clear()
+    verify_pencil(struct)
+    assert 0 < calls["sum_products"] <= n * n * (n + 1) // 2 + n * n * (n - 1) // 2 + det_calls
 
 
 def test_mixed_degree_potential_raises_shape_mismatch():
