@@ -233,15 +233,11 @@ class Poly:
         return p
 
     @staticmethod
-    def from_packed(chart: Chart, nums: Mapping[int, int], den: int,
-                    bound: Optional[int] = None) -> "Poly":
+    def from_packed(chart: Chart, nums: Mapping[int, int], den: int, bound: int) -> "Poly":
         """The Poly sum nums[k] / den * x^k over packed keys k of ``chart``;
-        ``bound``, when given, bounds every |exponent| and |total degree| of
-        the terms from above (else it is computed)."""
-        p = _canon(chart, dict(nums), den, bound or 0)
-        if bound is None:
-            p._bound = _exact_bound(p)
-        return p
+        ``bound`` bounds every |exponent| and |total degree| of the terms
+        from above."""
+        return _canon(chart, dict(nums), den, bound)
 
     # ---- constructors ----
 
@@ -950,17 +946,6 @@ def mat_adjugate(matrix: Matrix, inverse: bool = False):
     if inverse:
         return det, right
     return [[e * det for e in row] for row in right]
-
-
-def unit_det(matrix: Matrix) -> Poly:
-    """The determinant, required to be a unit of the chart's ring (so the
-    matrix is invertible over it); raises NonInvertibleMatrix otherwise.
-    A completed unit elimination gives a product of units, so the only
-    other outcome of ``mat_det`` to reject is 0."""
-    det = mat_det(matrix)
-    if det.is_zero():
-        raise NonInvertibleMatrix("determinant is zero")
-    return det
 
 
 def mat_inverse_unit(matrix: Matrix) -> Matrix:

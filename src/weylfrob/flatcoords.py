@@ -102,12 +102,12 @@ def lower_christoffels(form: BilinearForm,
 def flat_candidate_solve(flatness: FlatnessRows, base: Poly,
                          candidates: List[Poly], what: str) -> Poly:
     """The flat function base + sum c_q * candidate_q, solved on the integer
-    rows of ``flatness`` with free parameters zero and its residual verified
-    exactly: AnsatzInsufficient when the system is inconsistent or that
-    residual is nonzero."""
+    rows of ``flatness`` with free parameters zero: AnsatzInsufficient when
+    the system is inconsistent.  The solution's flatness is not re-derived
+    here: each stage asserts its eta pattern, and a constant eta_t makes
+    every t^j flat, the p-block's y^j + p_j (= t^j, j <= k) and the h-block's
+    solutions among them; a wrong solve breaks the pattern of its stage."""
     chart = base.chart
-    n = chart.dim
-    gammas = flatness.gammas
     rows: Dict[int, Dict[int, int]] = {}  # base's column is the constant term
     for q, acc in enumerate(flatness(candidates + [base])):
         for key, v in acc.items():
@@ -117,17 +117,9 @@ def flat_candidate_solve(flatness: FlatnessRows, base: Poly,
         raise AnsatzInsufficient(f"flatness system for {what} is inconsistent")
     # the rows are on numerators, so x_q multiplies den_q candidate_q / den_base
     # (no new Fraction when the denominators agree, as for monomial candidates)
-    solution = sum_products(chart, [(1, base)] + [
+    return sum_products(chart, [(1, base)] + [
         (x if p.den == base.den else x * p.den / base.den, p)
         for x, p in zip(coeffs, candidates)])
-    grads = [solution.coord_diff(m) for m in range(n)]
-    minus = [(m, -grads[m]) for m in range(n) if not grads[m].is_zero()]
-    for i in range(n):
-        for j in range(i, n):
-            if not sum_products(chart, [(1, grads[i].coord_diff(j))] +
-                                [(gammas[m][i][j], g) for m, g in minus]).is_zero():
-                raise AnsatzInsufficient(f"flatness residual {(i, j)} nonzero for {what}")
-    return solution
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,18 @@ L_E is the degree operator.
 
 The structure is built along one route: F^{ij} = L_E^{-1} g^{ij} from the
 intersection form g_t, F_{abc} by lowering with eta and differentiating, and
-the potential by exact antidifferentiation of F_{abc}; the shape of F is the
-build's only guard.  The single monomial with an explicit log coordinate,
-(t^k)^2 t^{l+1} / 2, is tracked separately and never enters the polynomial
-ring.  The named checks verify the result; among them ``verify_intersection``
-holds g^{ij} = L_E F^{ij} against F entry by entry.  The connection of g is
-certified once, in the y-chart, by the ``pencil`` check: compatible with g_y
-and torsion-free, so it is the Levi-Civita connection of g.  Transported to
-the flat chart it is then dtilde_j dF^{ij}/dt^m for any F that passes
-``wdvv``, ``euler`` and ``intersection`` (Dubrovin, LNM 1620, Lecture 3), so
-the build never transports it.
+the potential by exact antidifferentiation of F_{abc}.  The single monomial
+with an explicit log coordinate, (t^k)^2 t^{l+1} / 2, is tracked separately
+and never enters the polynomial ring.  The build constructs and the named
+checks certify: ``euler`` proves the shape of F (F_{kij} = eta_{ij}, so G is
+free of t^k, and G quasi-homogeneous of degree 2), and
+``verify_intersection`` holds g^{ij} = L_E F^{ij} against F entry by
+entry.  The connection of g is certified once, in the y-chart, by the
+``pencil`` check: compatible with g_y and torsion-free, so it is the
+Levi-Civita connection of g.  Transported to the flat chart it is then
+dtilde_j dF^{ij}/dt^m for any F that passes ``wdvv``, ``euler`` and
+``intersection`` (Dubrovin, LNM 1620, Lecture 3), so the build never
+transports it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactalg import (Chart, Matrix, NonExactDivision, NonUnitLaurentSubstitution,
                        Poly, Rational, congruence, contract, mat_det, overlay,
-                       substitute_all, sum_products, unit_det)
+                       substitute_all, sum_products)
 from .flatcoords import FlatChartData, covariant_form, flat_pipeline
 from .metrics import (BilinearForm, FlatPencil, assert_eta_pattern, build_pencil,
                       det_eta_check, eta_from_g, linearity_check, transform_form)
@@ -176,8 +178,7 @@ def _tagged_derivatives(f2: List[List[Poly]], kpos: int) -> List[List[List[Poly]
             for a in range(dim)]
 
 
-def integrate_potential(spec: RootSystemSpec, f3: List[List[List[Poly]]],
-                        eta_cov: List[List[Rational]]) -> PotentialF:
+def integrate_potential(spec: RootSystemSpec, f3: List[List[List[Poly]]]) -> PotentialF:
     """Antidifferentiate the third-derivative tensor into the potential.
 
     With the head's constant third derivative removed, each term of
@@ -185,8 +186,9 @@ def integrate_potential(spec: RootSystemSpec, f3: List[List[List[Poly]]],
     monomial, its antiderivative along c, b and a in turn (along t^{l+1},
     E d/dE keeps the exponent).  A monomial reached from several (a, b, c)
     takes the value of the last.  Quadratic-and-lower integration constants
-    are zero.  Whether the result matches the metric and the connection is
-    for the named checks to say; the shape of F is the build's one guard.
+    are zero.  Whether the result has the required shape and matches the
+    metric and the connection is for the named checks to say (``euler``
+    certifies F_{kij} = eta_{ij} and L_E F - 2F = (t^k)^2 / (2k)).
     """
     l, k = spec.rank, spec.vertex
     dim = l + 1
@@ -206,40 +208,7 @@ def integrate_potential(spec: RootSystemSpec, f3: List[List[List[Poly]]],
                     raise Inconsistent(
                         f"F_({a + 1},{b + 1},{c + 1}) has a term whose "
                         "antiderivative needs an explicit log coordinate") from None
-    potential = PotentialF(chart, k, overlay(chart, pieces))
-    _check_shape(spec, potential, eta_cov)
-    return potential
-
-
-def _quadratic_tail(spec: RootSystemSpec, chart: Chart,
-                    eta_cov: List[List[Rational]]) -> Poly:
-    """(1/2) t^k sum_{i,j != k} eta_{ij} t^i t^j (no explicit log terms occur)."""
-    l, k = spec.rank, spec.vertex
-    dim = l + 1
-    kpos = k - 1
-    last = l
-    tk = Poly.variable(chart, f"t{k}")
-    acc = Poly.const(chart, 0)
-    for i in range(dim):
-        for j in range(dim):
-            if i == kpos or j == kpos or not eta_cov[i][j]:
-                continue
-            if i == last or j == last:
-                raise ShapeMismatch("eta pairs the log coordinate outside the head")
-            ti = Poly.variable(chart, f"t{i + 1}")
-            tj = Poly.variable(chart, f"t{j + 1}")
-            acc = acc + ti * tj * Fraction(eta_cov[i][j], 2)
-    return tk * acc
-
-
-def _check_shape(spec: RootSystemSpec, potential: PotentialF,
-                 eta_cov: List[List[Rational]]) -> None:
-    k = spec.vertex
-    g = potential.poly - _quadratic_tail(spec, potential.chart, eta_cov)
-    if not g.diff(f"t{k}").is_zero():
-        raise ShapeMismatch("G still depends on t^k")
-    if lie_euler(g) != g * 2:
-        raise ShapeMismatch("G is not weighted-homogeneous of degree 2")
+    return PotentialF(chart, k, overlay(chart, pieces))
 
 
 def third_derivatives(potential: PotentialF) -> List[List[List[Poly]]]:
@@ -414,7 +383,9 @@ def verify_pencil(struct: FrobeniusStructure) -> str:
     Both identities of the Levi-Civita test are symmetric in (i, j) once g
     is, so g^{ij} = g^{ji} is tested first; then each compatibility
     identity is checked for i <= j and each torsion identity for i < j only,
-    each by one ``sum_products`` call over its nonzero terms."""
+    each by one ``sum_products`` call over its nonzero terms.  det(eta) is
+    formed here and again by the ``det`` check, as each check runs alone;
+    the repeat costs under 1 ms per spec through rank 12."""
     cspec = struct.cspec
     pencil = struct.pencil
     if not linearity_check(pencil.g, pencil.gamma_g, cspec):
@@ -426,7 +397,9 @@ def verify_pencil(struct: FrobeniusStructure) -> str:
         for j in range(dim):
             if pencil.eta.mat[i][j] != d_k_g[i][j]:
                 raise CheckFailed(f"eta^({i+1},{j+1}) != d g^({i+1},{j+1})/d y^k")
-    unit_det(pencil.eta.mat)  # raises NonInvertibleMatrix on a degenerate eta
+    # mat_det is a product of units or 0, or raises NonInvertibleMatrix
+    if mat_det(pencil.eta.mat).is_zero():
+        raise CheckFailed("det(eta) = 0")
     # Gamma must be the Levi-Civita connection of g, in the y-chart:
     # - g = A + y^k eta with A, eta free of y^k, so det g has leading
     #   coefficient det eta, a unit: g is non-degenerate, and symmetric,
@@ -495,10 +468,11 @@ def build_structure(spec: RootSystemSpec) -> FrobeniusStructure:
     """Construct (and cache) the structure for a marked spec.
 
     The build runs pencil -> flat coordinates -> g_t -> F_{abc} from g_t ->
-    F, guarded only by the shape of F; the eight named checks (``CHECKS``)
-    verify the result.  Only the metric is transported to the flat chart:
-    the connection is certified in the y-chart (``pencil``), where the
-    pencil builds it."""
+    F.  It guards only the preconditions of its steps and the eta pattern
+    of each flat stage; the eight named checks (``CHECKS``) verify the
+    result, the shape of F included (``euler``).  Only the metric is
+    transported to the flat chart: the connection is certified in the
+    y-chart (``pencil``), where the pencil builds it."""
     key = (spec.family, spec.rank, spec.vertex)
     got = _CACHE.get(key)
     if got is not None:
@@ -521,7 +495,7 @@ def _build_c(spec: RootSystemSpec) -> FrobeniusStructure:
     euler = EulerField(dtilde=tuple(flat_degrees(l, k)[:l]),
                        last_component=Fraction(1, k))
     f3 = third_derivatives_from_metric(spec, g_t, eta_cov)
-    potential = integrate_potential(spec, f3, eta_cov)
+    potential = integrate_potential(spec, f3)
     return FrobeniusStructure(spec=spec, cspec=spec, pencil=pencil, flat=flat,
                               g_t=g_t, eta_cov=eta_cov, eta_up=eta_up, euler=euler,
                               potential=potential)

@@ -300,13 +300,18 @@ def _set_log_scale(struct, log_scale):
     return replace(struct, b_ident=replace(struct.b_ident, log_scale=log_scale))
 
 
-def _bump_f_coefficient(struct, monomial):
-    """Add 1 to the coefficient of one monomial that F already contains."""
+def _add_to_f(struct, monomial):
+    """F += the monomial, with coefficient 1."""
     potential = struct.potential
     mono = Poly.monomial(potential.chart, monomial)
-    (exps,) = mono.terms
-    assert exps in potential.poly.terms
     return replace(struct, potential=replace(potential, poly=potential.poly + mono))
+
+
+def _bump_f_coefficient(struct, monomial):
+    """Add 1 to the coefficient of one monomial that F already contains."""
+    (exps,) = Poly.monomial(struct.potential.chart, monomial).terms
+    assert exps in struct.potential.poly.terms
+    return _add_to_f(struct, monomial)
 
 
 def _rebuild_from_metric(struct, bumps):
@@ -321,13 +326,14 @@ def _rebuild_from_metric(struct, bumps):
     g_t = BilinearForm(chart, mat)
     spec = struct.cspec
     f3 = third_derivatives_from_metric(spec, g_t, struct.eta_cov)
-    return replace(struct, g_t=g_t,
-                   potential=integrate_potential(spec, f3, struct.eta_cov))
+    return replace(struct, g_t=g_t, potential=integrate_potential(spec, f3))
 
 
 # C3k1: g^{11} += t1, g^{12} += t2^2 still integrates to a potential of the
 # right shape; only the intersection check sees that it does not match g_t
 CORRUPT_METRIC = [(0, 0, {"t1": 1}), (0, 1, {"t2": 2})]
+# C3k1: g^{22} += E integrates to an F whose G has mixed weighted degree
+MIXED_DEGREE_METRIC = [(1, 1, {"E": 1})]
 
 
 def _bump_eta_up(struct, i, j):
@@ -336,12 +342,26 @@ def _bump_eta_up(struct, i, j):
     return replace(struct, eta_up=eta_up)
 
 
+def _bump_eta_cov(struct, i, j):
+    """eta_{ij} and eta_{ji} += 1: still symmetric."""
+    eta_cov = [list(row) for row in struct.eta_cov]
+    eta_cov[i][j] += Fraction(1)
+    eta_cov[j][i] += Fraction(1)
+    return replace(struct, eta_cov=eta_cov)
+
+
 # C3k1: F contains t3^8 (a pure G term) and t1 t2 t3 (the unity-row tail)
 MUTATIONS = [
     ("wdvv", "F coefficient of t3^8",
      lambda s, _: _bump_f_coefficient(s, {"t3": 8})),
     ("euler", "F coefficient of t1 t2 t3",
      lambda s, _: _bump_f_coefficient(s, {"t1": 1, "t2": 1, "t3": 1})),
+    # the shape of F: G of mixed degree, G dependent on t^k, and an eta that
+    # pairs the log coordinate t4 outside the head
+    ("euler", "F rebuilt from g_t with g^{22} += E",
+     lambda s, _: _rebuild_from_metric(s, MIXED_DEGREE_METRIC)),
+    ("euler", "F += t1 t2^2", lambda s, _: _add_to_f(s, {"t1": 1, "t2": 2})),
+    ("euler", "eta_cov[1][3] += 1, mirrored", lambda s, _: _bump_eta_cov(s, 1, 3)),
     ("intersection", "g_t[0][0]",
      lambda s, _: replace(s, g_t=_bump_form(s.g_t, 0, 0))),
     ("intersection", "F rebuilt from g_t with g^{11} += t1, g^{12} += t2^2",
@@ -395,6 +415,33 @@ def test_check_fails_on_corrupted_copy(check, where, corrupt, monkeypatch):
     # the cached structure is untouched by the corruption of its copy
     intact = build_structure(spec)
     assert all(r["passed"] for r in cli.run_checks(intact, cli.CHECK_NAMES, 3))
+
+
+@pytest.mark.parametrize("where,detail", [
+    ("F rebuilt from g_t with g^{22} += E",
+     "graded part of F is not quasi-homogeneous of degree 2"),
+    ("F += t1 t2^2", "F_(k,2,2) != eta_(2,2)"),
+    ("eta_cov[1][3] += 1, mirrored", "F_(k,2,4) != eta_(2,4)"),
+])
+def test_euler_names_the_broken_shape_of_f(where, detail):
+    """The build does not guard the shape of F; ``euler`` does, and its
+    detail names the identity that fails."""
+    (corrupt,) = [c for check, w, c in MUTATIONS if check == "euler" and w == where]
+    bad = corrupt(build_structure(RootSystemSpec("C", 3, 1)), None)
+    assert cli.run_check("euler", bad, 3) == {"check": "euler", "passed": False,
+                                              "detail": detail}
+
+
+def test_construct_with_a_mixed_degree_potential_fails_euler(monkeypatch, capsys):
+    # a built F of the wrong shape is a failed verification (exit 1), not an
+    # internal error (exit 3)
+    bad = _rebuild_from_metric(build_structure(RootSystemSpec("C", 3, 1)),
+                               MIXED_DEGREE_METRIC)
+    monkeypatch.setattr(cli, "build_structure", lambda spec: bad)
+    assert run(["construct", "--family", "C", "--rank", "3", "--vertex", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "check euler failed: graded part of F is not quasi-homogeneous of degree 2\n" in err
 
 
 @pytest.mark.parametrize("k,log_scale", [(3, Fraction(1)), (2, Fraction(1, 2))],
@@ -525,6 +572,23 @@ def test_pencil_catches_metric_corruption_above_oracle_bound():
     assert "torsion" in report["pencil"]["detail"]
     assert all(r["passed"] for r in cli.run_checks(build_structure(spec),
                                                    cli.CHECK_NAMES, 3))
+
+
+def test_pencil_catches_a_degenerate_eta():
+    """Row and column 1 of eta cleared, and g changed to match (g - y^k times
+    what was cleared): g stays symmetric and linear in y^k with eta = d g/d y^k,
+    so only the determinant of eta sees it."""
+    struct = build_structure(RootSystemSpec("C", 3, 1))
+    eta, g = struct.pencil.eta, struct.pencil.g
+    yk = Poly.variable(g.chart, "y1")
+    cleared = [[e if 0 not in (i, j) else e * 0 for j, e in enumerate(row)]
+               for i, row in enumerate(eta.mat)]
+    g_mat = [[a - yk * (e - c) for a, e, c in zip(*rows)]
+             for rows in zip(g.mat, eta.mat, cleared)]
+    bad = replace(struct, pencil=replace(struct.pencil, eta=BilinearForm(eta.chart, cleared),
+                                         g=BilinearForm(g.chart, g_mat)))
+    assert cli.run_check("pencil", bad, 3) == {"check": "pencil", "passed": False,
+                                               "detail": "det(eta) = 0"}
 
 
 def test_pencil_catches_eta_not_derived_from_g():

@@ -401,28 +401,29 @@ def test_perturbed_gamma_makes_the_flatness_system_inconsistent():
         flat_candidate_solve(FlatnessRows(gammas), base, candidates, "p_2")
 
 
-def test_equations_dropped_for_one_candidate_leave_a_nonzero_residual(monkeypatch):
-    # the solver never sees the rows of one candidate whose coefficient is
-    # nonzero, so it sets that coefficient to 0 and the system stays
-    # consistent: only the exact residual check of the solution catches it
+def test_equations_dropped_for_one_candidate_break_the_eta_z_pattern(monkeypatch):
+    # the solver never sees the rows of one candidate of p_3 whose
+    # coefficient is nonzero, so it sets that coefficient to 0 and the
+    # system stays consistent; the z-stage pattern of eta, which the build
+    # asserts right after the p-block, names the stage where it broke
     spec = RootSystemSpec("C", 3, 3)
     eta = build_pencil(spec).eta
-    gammas = lower_christoffels(eta)
     base, candidates = p_block_inputs(spec, eta, 3)
-    tau = flat_candidate_solve(FlatnessRows(gammas), base, candidates, "p_3")
+    tau = flat_candidate_solve(FlatnessRows(lower_christoffels(eta)), base, candidates, "p_3")
     q = next(q for q, c in enumerate(candidates)
              if next(iter(c.packed)) in tau.packed)
     solve = flatcoords.solve_linear
     seen = []
 
     def blind_solve(rows, unknowns):
-        seen.append(q)
-        return solve([row for row in rows if q not in row], unknowns)
+        if unknowns == candidates:
+            seen.append(q)
+            rows = [row for row in rows if q not in row]
+        return solve(rows, unknowns)
 
     monkeypatch.setattr(flatcoords, "solve_linear", blind_solve)
-    with pytest.raises(AnsatzInsufficient,
-                       match=r"^flatness residual \(\d+, \d+\) nonzero for p_3$"):
-        flat_candidate_solve(FlatnessRows(gammas), base, candidates, "p_3")
+    with pytest.raises(BlockFormMismatch, match=r"^eta\(z\)\[\d+\]\[\d+\] = "):
+        build_z_chart(spec, eta)
     assert seen
 
 

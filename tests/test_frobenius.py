@@ -9,15 +9,15 @@ import pytest
 
 from weylfrob import cli, exactalg, frobenius
 from weylfrob.cli import compare_fixture
-from weylfrob.exactalg import Chart, Poly, VarSpec, contract, sum_products, unit_det
+from weylfrob.exactalg import Chart, Poly, VarSpec, contract, mat_det, sum_products
 from weylfrob.fixtures import FIXTURES
 from weylfrob.flatcoords import flat_pipeline
-from weylfrob.frobenius import (ORACLE_AGREES, Inconsistent, PotentialF, ShapeMismatch,
+from weylfrob.frobenius import (ORACLE_AGREES, Inconsistent, PotentialF,
                                 build_structure, integrate_potential, oracle_check,
                                 raised_hessian, third_derivatives,
                                 third_derivatives_from_metric, verify_euler_unity,
                                 verify_intersection, verify_pencil, verify_wdvv)
-from weylfrob.metrics import BilinearForm, build_pencil, transform_christoffel
+from weylfrob.metrics import build_pencil, transform_christoffel
 from weylfrob.rootdata import RootSystemSpec, flat_degrees
 from weylfrob.serialize import structure_document
 
@@ -246,7 +246,7 @@ def test_integrate_potential_inverts_third_derivatives(l, k):
     spec = RootSystemSpec("C", l, k)
     struct = build_structure(spec)
     f3 = third_derivatives(struct.potential)
-    assert integrate_potential(spec, f3, struct.eta_cov).poly == struct.potential.poly
+    assert integrate_potential(spec, f3).poly == struct.potential.poly
     # the build's F_{abc}, taken from g_t, are those of the potential
     assert third_derivatives_from_metric(spec, struct.g_t, struct.eta_cov) == f3
 
@@ -379,7 +379,7 @@ def test_package_matrices_eliminate_on_unit_pivots(monkeypatch):
 @pytest.mark.parametrize("l,k", [(7, 1), (7, 7)])
 def test_pencil_check_forms_only_independent_identities(monkeypatch, l, k):
     """The pencil check makes at most n^2 (n + 1)/2 + n^2 (n - 1)/2
-    sum_products calls (n = l + 1) besides those of its unit_det(eta),
+    sum_products calls (n = l + 1) besides those of its mat_det(eta),
     which are counted on their own: one per compatibility identity with
     i <= j and one per torsion identity with i < j.  Counted wherever a
     weylfrob module looks sum_products up."""
@@ -387,25 +387,11 @@ def test_pencil_check_forms_only_independent_identities(monkeypatch, l, k):
     n = l + 1
     calls = Counter()
     _count_everywhere(monkeypatch, sum_products, calls)
-    unit_det(struct.pencil.eta.mat)
+    mat_det(struct.pencil.eta.mat)
     det_calls = calls["sum_products"]
     calls.clear()
     verify_pencil(struct)
     assert 0 < calls["sum_products"] <= n * n * (n + 1) // 2 + n * n * (n - 1) // 2 + det_calls
-
-
-def test_mixed_degree_potential_raises_shape_mismatch():
-    """g^{22} += E gives a G of mixed weighted degree.  The build must raise
-    ShapeMismatch, an ArithmeticError, so the CLI reports a failed
-    construction (exit 1) rather than an internal error (exit 3)."""
-    spec = RootSystemSpec("C", 3, 1)
-    struct = build_structure(spec)
-    mat = [list(row) for row in struct.g_t.mat]
-    mat[1][1] = mat[1][1] + Poly.variable(struct.g_t.chart, "E")
-    f3 = third_derivatives_from_metric(spec, BilinearForm(struct.g_t.chart, mat),
-                                       struct.eta_cov)
-    with pytest.raises(ShapeMismatch):
-        integrate_potential(spec, f3, struct.eta_cov)
 
 
 @pytest.mark.parametrize("triple,mono", [((2, 2, 2), {"t3": -1}),
@@ -420,7 +406,7 @@ def test_integrate_potential_rejects_log_antiderivatives(triple, mono):
     a, b, c = triple
     f3[a][b][c] = f3[a][b][c] + Poly.monomial(struct.potential.chart, mono)
     with pytest.raises(Inconsistent):
-        integrate_potential(spec, f3, struct.eta_cov)
+        integrate_potential(spec, f3)
 
 
 @pytest.mark.parametrize("l,k", ALL_RANK5)

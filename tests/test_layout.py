@@ -6,8 +6,10 @@ A name defined in ``src/weylfrob`` (dunder methods aside) must occur as an
 definition; code that only the tests reach belongs in the tests.  A name a
 module imports must occur as an ``ast.Name`` in that module; ``__init__.py``
 re-exports, and ``from __future__`` imports are exempt.  What ``__init__.py``
-re-exports is exactly what its ``__all__`` lists.  The package is exact: it
-holds no float or complex literal and calls no ``float(...)``.
+re-exports is exactly what its ``__all__`` lists.  Every parameter of every
+function, method and lambda is read in its body (``self`` and ``cls``
+aside).  The package is exact: it holds no float or complex literal and
+calls no ``float(...)``.
 """
 
 import ast
@@ -114,3 +116,42 @@ def test_the_package_holds_no_float():
 def test_the_float_lint_sees_literals_and_calls(tmp_path):
     (tmp_path / "m.py").write_text("x = 0.5\ny = float(2)\nz = 1j\nw = '0.5'\n")
     assert inexact_numbers(tmp_path) == ["m.py:1 0.5", "m.py:2 float(2)", "m.py:3 1j"]
+
+
+def unread_parameters(root: Path = SRC):
+    """Each parameter, ``self`` and ``cls`` aside, of a function, method or
+    lambda under root that its body never reads."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + \
+                [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{path.name}:{node.lineno} {name}({a.arg})" for a in params
+                      if a.arg not in ("self", "cls") and a.arg not in read]
+    return found
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_the_parameter_lint_sees_unread_parameters(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class K:\n"
+        "    def m(self, a, b=1, *rest, c, **kw):\n"
+        "        b = a\n"
+        "        return [kw for _ in rest]\n"
+        "    @classmethod\n"
+        "    def n(cls, d):\n"
+        "        def inner():\n"
+        "            return d\n"
+        "        return inner\n"
+        "f = lambda x, y: x\n")
+    assert unread_parameters(tmp_path) == ["m.py:2 m(b)", "m.py:2 m(c)", "m.py:10 <lambda>(y)"]
