@@ -28,6 +28,9 @@ which adds the products of integer numerators over one common denominator
 (sparse products with packed exponents in the manner of Monagan and
 Pearce).  ``Poly.__mul__`` is its one-pair case.  ``substitute_all``
 composes a batch of polynomials through one table of monomial images.
+Three kernels read exponent fields off the keys and make no Poly per
+term: ``FlatnessRows`` (the rows of the flatness operator),
+``overlay_integrals`` (antiderivatives) and ``Poly.split_linear``.
 
 The module also provides the exact linear algebra the rest of the package
 leans on: a fraction-free integer-row linear solver, the determinant and
@@ -223,7 +226,7 @@ class Poly:
                 raise ValueError(f"negative exponent on non-laurent variable in chart "
                                  f"{chart.name!r}: {chart.unpack(k)}")
         self.chart, self._nums, self._den = chart, nums, den
-        self._bound = _exact_bound(self)
+        self._bound = max([abs(e) for exps in terms for e in (sum(exps), *exps)], default=0)
 
     @classmethod
     def _raw(cls, chart: Chart, nums: Dict[int, int], den: int, bound: int) -> "Poly":
@@ -404,24 +407,23 @@ class Poly:
         """Derivative along the chart's i-th coordinate (0-based)."""
         return self.diff(self.chart.coords[i])
 
-    def coord_integral(self, i: int) -> "Poly":
-        """The antiderivative along the chart's i-th coordinate that
-        ``coord_diff(i)`` maps back to self term by term (no constant
-        term); NonExactDivision when a term would need a logarithm."""
+    def split_linear(self, name: str) -> Tuple["Poly", "Poly"]:
+        """(A, B) with self = A + x B and A, B free of the variable x =
+        ``name``, read off x's field of the packed keys; ValueError when an
+        exponent of x is neither 0 nor 1."""
         chart = self.chart
-        name = chart.coords[i]
-        s, step = chart._along(name)
-        bound = _bound_of(1 if step else 0, self)
-        raw = []
-        for k, v in self._nums.items():
-            k += step
-            e = ((k >> s) & _MASK) - _HALF
-            if not e:
-                raise NonExactDivision(f"the antiderivative along {name} needs a logarithm")
-            raw.append((k, v, e))
-        scale = lcm(1, *[e for _, _, e in raw])
-        return _canon(chart, {k: v * (scale // e) for k, v, e in raw},
-                      self._den * scale, bound)
+        i = chart.index[name]
+        s, unit = chart._shifts[i], chart._units[i]
+        linear = {k: v for k, v in self._nums.items() if (k >> s) & _MASK != _HALF}
+        if not linear:
+            return self, Poly._raw(chart, {}, 1, 0)
+        for k in linear:
+            if (e := ((k >> s) & _MASK) - _HALF) != 1:
+                raise ValueError(f"{name} has exponent {e}, not 0 or 1")
+        free = {k: v for k, v in self._nums.items() if k not in linear}
+        return (_canon(chart, free, self._den, self._bound),
+                _canon(chart, {k - unit: v for k, v in linear.items()}, self._den,
+                       _bound_of(1, self)))
 
     # ---- substitution ----
 
@@ -538,16 +540,30 @@ def _scale(p: Poly, n: int, d: int) -> Poly:
     return _canon(p.chart, {k: v * n for k, v in p._nums.items()}, p._den * d, p._bound)
 
 
-def overlay(chart: Chart, polys: Sequence[Poly]) -> Poly:
-    """The Poly holding the terms of all ``polys``, the last one's coefficient
-    on a monomial several of them share.  Its exponent bound is the largest
-    of theirs, so no key is unpacked."""
-    den = lcm(1, *[p._den for p in polys])
-    nums: Dict[int, int] = {}
-    for p in polys:
-        scale = den // p._den
-        nums.update((k, v * scale) for k, v in p._nums.items())
-    return _canon(chart, nums, den, max([p._bound for p in polys], default=0))
+def overlay_integrals(chart: Chart, pieces: Iterable[Tuple[Poly, Sequence[int]]]) -> Poly:
+    """The Poly holding, for each (p, coords) of ``pieces`` in turn, the
+    antiderivative that ``coord_diff`` along the coordinates ``coords`` maps
+    back to p term by term, the last piece winning on a shared monomial.
+    Along each coordinate, the last first, a term's key steps up and its
+    coefficient is divided by the new exponent (E*d/dE keeps the key); an
+    exponent 0, a logarithm, raises NonExactDivision(message, coords)."""
+    along = [chart._along(coord) for coord in chart.coords]
+    vals: Dict[int, Tuple[int, int]] = {}  # key -> (numerator, denominator > 0)
+    bound = 0
+    for p, coords in pieces:
+        steps = [along[i] for i in reversed(coords)]
+        bound = max(bound, _bound_of(sum(1 for _, step in steps if step), p))
+        for k, v in p._nums.items():
+            d = p._den
+            for s, step in steps:
+                k += step
+                e = ((k >> s) & _MASK) - _HALF
+                if not e:
+                    raise NonExactDivision("an antiderivative needs a logarithm", tuple(coords))
+                d *= e
+            vals[k] = (v, d) if d > 0 else (-v, -d)
+    den = lcm(1, *{d for _, d in vals.values()})
+    return _canon(chart, {k: v * (den // d) for k, (v, d) in vals.items()}, den, bound)
 
 
 def sum_products(chart: Chart, pairs: Iterable[tuple]) -> Poly:
@@ -619,14 +635,15 @@ class FlatnessRows:
     over the pairs i <= j, with s_ij the lcm of the gamma^m_{ij}
     denominators: a dict keyed by the pair's index stacked above the
     monomial's packed key, so equal keys across columns name one equation.
-    d_i d_j of a term is a key shift and gamma^m_{ij} times a term of d_m N
-    shifts gamma's keys.  Gamma's terms are scaled and shifted, and its
-    exponent bound taken, once per instance, not once per call."""
+    No Poly is made: d_m of a term is its exponent field times a key shift,
+    and gamma^m_{ij} times a term of d_m N shifts gamma's keys, which are
+    scaled and shifted, and their bound taken, once per instance."""
 
     def __init__(self, gammas: Sequence[Sequence[Sequence[Poly]]]):
-        self.gammas = gammas
-        n = len(gammas)
-        bias = gammas[0][0][0].chart._bias
+        n = self.dim = len(gammas)
+        chart = gammas[0][0][0].chart
+        self._chart, bias = chart, chart._bias
+        self._along = [chart._along(coord) for coord in chart.coords]
         self._top = top = bias.bit_length()  # a row's key: pair index b above a monomial key
         self._pairs = [(i, j) for i in range(n) for j in range(i, n)]
         self._scales = []
@@ -641,24 +658,30 @@ class FlatnessRows:
         self._bound = max(g._bound for g in self._all)
 
     def __call__(self, columns: Sequence[Poly]) -> Iterable[Dict[int, int]]:
-        n, top, pairs, scales, by_m = len(self.gammas), self._top, self._pairs, \
-            self._scales, self._by_m
-        grads = [[Poly._raw(c.chart, c._nums, 1, c._bound).coord_diff(m) for m in range(n)]
+        n, top, pairs, scales, by_m, along = self.dim, self._top, self._pairs, \
+            self._scales, self._by_m, self._along
+        mask, half = _MASK, _HALF
+        # grads[q][m]: the (key, numerator) terms of d_m N of column q
+        grads = [[[(k - step, v * e) for k, v in c._nums.items()
+                   if (e := ((k >> s) & mask) - half)] for s, step in along]
                  for c in columns]
-        # every product of a gamma and a gradient must stay inside the fields
-        flat = [d for ds in grads for d in ds]
-        if self._bound + max(d._bound for d in flat) >= _HALF:
-            bound = max(map(_exact_bound, self._all)) + max(map(_exact_bound, flat))
-            if bound >= _HALF:
+        # every product of a gamma and a gradient, and every second
+        # derivative, must stay inside the fields; d_m adds at most 1
+        if max(self._bound, 1) + max((c._bound for c in columns), default=0) + 1 >= half:
+            bound = max(1, *map(_exact_bound, self._all)) + max(
+                _exact_bound(Poly._raw(self._chart, dict(d), 1, 0)) for ds in grads for d in ds)
+            if bound >= half:
                 raise ExponentOverflow(f"a product exponent could reach {bound}")
         for ds in grads:
             acc: Dict[int, int] = {}
             for b, (i, j) in enumerate(pairs):  # d_i d_j N = 0 once d_i N or d_j N is
-                if ds[i]._nums and ds[j]._nums:
-                    acc.update(((b << top) + k, scales[b] * v)
-                               for k, v in ds[i].coord_diff(j)._nums.items())
+                if ds[i] and ds[j]:
+                    s, step = along[j]
+                    shift, scale = (b << top) - step, scales[b]
+                    acc.update((k + shift, scale * v * e) for k, v in ds[i]
+                               if (e := ((k >> s) & mask) - half))
             for m in range(n):
-                for k1, a in ds[m]._nums.items():
+                for k1, a in ds[m]:
                     for k2, c in by_m[m]:
                         acc[k1 + k2] = acc.get(k1 + k2, 0) - a * c
             yield acc
@@ -997,32 +1020,31 @@ def _combine(row: List[tuple], parts: list):
 
 def monomials_of_weighted_degree(chart: Chart, names: Sequence[str],
                                  target: Fraction) -> List[Dict[str, int]]:
-    """All monomials in the given variables of exact weighted degree target.
+    """All monomials in the given variables of exact weighted degree target,
+    largest exponents of the first variables first.
 
-    Every listed variable must have positive weight, which bounds the search.
+    Every listed variable must have positive weight, which bounds the search,
+    run on the weights and the target as integers over their lcm.
     """
-    target = rat(target)
-    weights = []
-    for nm in names:
-        w = chart.weight(nm)
+    target, weights = rat(target), [chart.weight(nm) for nm in names]
+    for nm, w in zip(names, weights):
         if w <= 0:
             raise ValueError(f"variable {nm!r} has non-positive weight {w}")
-        weights.append(w)
+    den = lcm(target.denominator, *[w.denominator for w in weights])
+    ints = [int(w * den) for w in weights]
     out: List[Dict[str, int]] = []
 
-    def rec(i: int, remaining: Fraction, acc: Dict[str, int]):
+    def rec(i: int, remaining: int, acc: Dict[str, int]):
         if remaining == 0:
             out.append(dict(acc))
             return
         if i == len(names) or remaining < 0:
             return
-        w = weights[i]
-        max_e = int(remaining / w)
-        for e in range(max_e, -1, -1):
+        for e in range(remaining // ints[i], -1, -1):
             if e:
                 acc[names[i]] = e
-            rec(i + 1, remaining - w * e, acc)
+            rec(i + 1, remaining - ints[i] * e, acc)
             acc.pop(names[i], None)
 
-    rec(0, target, {})
+    rec(0, int(target * den), {})
     return out

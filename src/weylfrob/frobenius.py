@@ -6,7 +6,10 @@ L_E is the degree operator.
 
 The structure is built along one route: F^{ij} = L_E^{-1} g^{ij} from the
 intersection form g_t, F_{abc} by lowering with eta and differentiating, and
-the potential by exact antidifferentiation of F_{abc}.  The single monomial
+the potential by exact antidifferentiation of F_{abc}, each term taken
+straight to its antiderivative's packed key.  g = A + y^k eta with A and
+eta free of y^k, so only A is transported to the flat chart and y^k(t)
+eta_t, with the eta_t of the flat stages, is added.  The single monomial
 with an explicit log coordinate, (t^k)^2 t^{l+1} / 2, is tracked separately
 and never enters the polynomial ring.  The build constructs and the named
 checks certify: ``euler`` proves the shape of F (F_{kij} = eta_{ij}, so G is
@@ -30,11 +33,11 @@ from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactalg import (Chart, Matrix, NonExactDivision, NonUnitLaurentSubstitution,
-                       Poly, Rational, congruence, contract, mat_det, overlay,
+                       Poly, Rational, congruence, contract, mat_det, overlay_integrals,
                        substitute_all, sum_products)
 from .flatcoords import FlatChartData, covariant_form, flat_pipeline
 from .metrics import (BilinearForm, FlatPencil, assert_eta_pattern, build_pencil,
-                      det_eta_check, eta_from_g, linearity_check, transform_form)
+                      det_eta_check, linearity_check, transform_form)
 from .orbitspace import CoordMap, OracleMismatch, compute_g_direct, generator_map
 from .rootdata import RootSystemSpec, dual_index, flat_degrees
 
@@ -184,31 +187,24 @@ def integrate_potential(spec: RootSystemSpec, f3: List[List[List[Poly]]]) -> Pot
     With the head's constant third derivative removed, each term of
     F_{abc} (a <= b <= c) is the derivative along (a, b, c) of exactly one
     monomial, its antiderivative along c, b and a in turn (along t^{l+1},
-    E d/dE keeps the exponent).  A monomial reached from several (a, b, c)
-    takes the value of the last.  Quadratic-and-lower integration constants
-    are zero.  Whether the result has the required shape and matches the
-    metric and the connection is for the named checks to say (``euler``
-    certifies F_{kij} = eta_{ij} and L_E F - 2F = (t^k)^2 / (2k)).
+    E d/dE keeps the exponent), which ``overlay_integrals`` reads off the
+    term's packed key.  A monomial reached from several (a, b, c) takes the
+    value of the last.  Quadratic-and-lower integration constants are zero.
+    Whether the result has the required shape and matches the metric and
+    the connection is for the named checks to say (``euler`` certifies
+    F_{kij} = eta_{ij} and L_E F - 2F = (t^k)^2 / (2k)).
     """
     l, k = spec.rank, spec.vertex
-    dim = l + 1
-    last = l
-    kpos = k - 1
     chart = f3[0][0][0].chart
-    pieces = []
-    for a in range(dim):
-        for b in range(a, dim):
-            for c in range(b, dim):
-                t = f3[a][b][c]
-                if (a, b, c) == (kpos, kpos, last):
-                    t = t - 1
-                try:
-                    pieces.append(t.coord_integral(c).coord_integral(b).coord_integral(a))
-                except NonExactDivision:
-                    raise Inconsistent(
-                        f"F_({a + 1},{b + 1},{c + 1}) has a term whose "
-                        "antiderivative needs an explicit log coordinate") from None
-    return PotentialF(chart, k, overlay(chart, pieces))
+    try:
+        poly = overlay_integrals(chart, [
+            (f3[a][b][c] - 1 if (a, b, c) == (k - 1, k - 1, l) else f3[a][b][c], (a, b, c))
+            for a in range(l + 1) for b in range(a, l + 1) for c in range(b, l + 1)])
+    except NonExactDivision as err:
+        a, b, c = err.args[1]
+        raise Inconsistent(f"F_({a + 1},{b + 1},{c + 1}) has a term whose "
+                           "antiderivative needs an explicit log coordinate") from None
+    return PotentialF(chart, k, poly)
 
 
 def third_derivatives(potential: PotentialF) -> List[List[List[Poly]]]:
@@ -254,10 +250,12 @@ def verify_wdvv(struct: FrobeniusStructure) -> List[Tuple[Tuple[int, int, int, i
     kpos = struct.potential.vertex - 1
     directions = sorted((x for x in range(dim) if x != kpos),
                         key=lambda x: sum(len(p.packed) for row in f3[x] for p in row))
+    hs = {}
     for x in directions:  # row b of h_{xb}^mu = eta^{mu lam} F_{xb lam} is C_x e_b
-        if _krylov_certifies(contract(eta_up, f3[x], 1), kpos):
-            return _residuals_through(f3, eta_up, x)
-    failures = _residuals_through(f3, eta_up, directions[0])
+        hs[x] = contract(eta_up, f3[x], 1)
+        if _krylov_certifies(hs[x], kpos):
+            return _residuals_through(f3, hs[x], x)
+    failures = _residuals_through(f3, hs[directions[0]], directions[0])
     if failures:
         return failures
     raise NoCyclicDirection("no certificate: no x != k makes C_x cyclic at the test point")
@@ -283,14 +281,13 @@ def _krylov_certifies(h: Matrix, kpos: int) -> bool:
     return not mat_det([[Poly.const(point_chart, c) for c in row] for row in krylov]).is_zero()
 
 
-def _residuals_through(f3: List[List[List[Poly]]], eta_up: List[List[Rational]],
+def _residuals_through(f3: List[List[List[Poly]]], h: Matrix,
                        x: int) -> List[Tuple[Tuple[int, int, int, int], Poly]]:
     """The nonzero A_{ijpq} of the multisets {x, b, c, d}, b <= c <= d (see
-    ``verify_wdvv``), through h_{xb}^mu = eta^{mu lam} F_{xb lam}; F_{abc}
-    holds the head's constant 1 at every permutation of (k, k, l+1)."""
+    ``verify_wdvv``), through h[b][mu] = h_{xb}^mu = eta^{mu lam} F_{xb lam};
+    F_{abc} holds the head's constant 1 at every permutation of (k, k, l+1)."""
     dim = len(f3)
     chart = f3[0][0][0].chart
-    h = contract(eta_up, f3[x], 1)
 
     def pairing(b: int, c: int, d: int) -> Poly:  # B(xb;cd)
         return sum_products(chart, [(hm, f3[mu][c][d]) for mu, hm in enumerate(h[b])])
@@ -312,7 +309,8 @@ def _residuals_through(f3: List[List[List[Poly]]], eta_up: List[List[Rational]],
 
 
 def verify_euler_unity(struct: FrobeniusStructure) -> Poly:
-    """Unity row, charge-1 scaling, and quasi-homogeneity.
+    """Unity row, charge-1 scaling, and quasi-homogeneity; each failure is
+    a fault of the shape of F (ShapeMismatch).
 
     Returns the symbolic L_E F - 2F, which must equal (t^k)^2 / (2k)."""
     spec = struct.cspec
@@ -326,7 +324,7 @@ def verify_euler_unity(struct: FrobeniusStructure) -> Poly:
     for i in range(dim):
         for j in range(dim):
             if f2[i][j].coord_diff(kpos) != Poly.const(chart, struct.eta_cov[i][j]):
-                raise SymmetryViolation(
+                raise ShapeMismatch(
                     f"F_(k,{i + 1},{j + 1}) != eta_({i + 1},{j + 1})")
     residual = lie_euler(struct.potential.poly) - struct.potential.poly * 2
     if not residual.is_zero():
@@ -392,10 +390,11 @@ def verify_pencil(struct: FrobeniusStructure) -> str:
         raise CheckFailed("g or Gamma not linear in y^k")
     g = pencil.g.mat
     dim = len(g)
-    d_k_g = eta_from_g(pencil.g, cspec).mat
+    name = f"y{cspec.vertex}"
     for i in range(dim):
         for j in range(dim):
-            if pencil.eta.mat[i][j] != d_k_g[i][j]:
+            # g^{ij} is linear in y^k, so d g^{ij}/d y^k is its y^k coefficient
+            if pencil.eta.mat[i][j] != g[i][j].split_linear(name)[1]:
                 raise CheckFailed(f"eta^({i+1},{j+1}) != d g^({i+1},{j+1})/d y^k")
     # mat_det is a product of units or 0, or raises NonInvertibleMatrix
     if mat_det(pencil.eta.mat).is_zero():
@@ -489,7 +488,8 @@ def _build_c(spec: RootSystemSpec) -> FrobeniusStructure:
     l, k = spec.rank, spec.vertex
     pencil = build_pencil(spec)
     flat = flat_pipeline(spec, pencil.eta)
-    g_t = transform_form(pencil.g, flat.y_to_t)
+    # g = A + y^k eta, so only A is carried to the flat chart (transform_form)
+    g_t = transform_form(pencil.g, flat.y_to_t, (f"y{k}", flat.eta_t))
     eta_up = constant_matrix(flat.eta_t.mat)
     eta_cov = constant_matrix(covariant_form(flat.eta_t))
     euler = EulerField(dtilde=tuple(flat_degrees(l, k)[:l]),

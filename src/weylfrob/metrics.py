@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import List, Optional, Tuple
 
 from .exactalg import (Chart, Matrix, Poly, congruence, mat_det, mat_inverse_unit,
                        sum_products)
@@ -199,16 +199,34 @@ def transform_christoffel(spec: RootSystemSpec, g_y: BilinearForm) -> Christoffe
 # Transport of contravariant 2-tensors
 # ---------------------------------------------------------------------------
 
-def transform_form(form: BilinearForm, cmap: CoordMap) -> BilinearForm:
+def transform_form(form: BilinearForm, cmap: CoordMap,
+                   linear: Optional[Tuple[str, BilinearForm]] = None) -> BilinearForm:
     """Symmetric contravariant 2-tensor components in the target chart of the
-    map: all entries pushed at once, then J g J^T by ``congruence``."""
+    map (ValueError for a form that is not symmetric): the entries i <= j
+    pushed at once, then J g J^T by ``congruence``.  With ``linear`` =
+    (x, eta_t) the form is A + x eta, A and eta free of the source variable
+    x (else ``Poly.split_linear`` raises ValueError), and eta_t is eta
+    transported: only A is, and x's image times eta_t is added."""
     if form.chart != cmap.source:
         raise ValueError("form does not live on the map's source chart")
-    n = form.dim
-    J = mat_inverse_unit(cmap.jacobian_pullback())
-    flat = cmap.push([e for row in form.mat for e in row])
-    return BilinearForm(cmap.target,
-                        congruence(J, [flat[i * n:(i + 1) * n] for i in range(n)]))
+    g, n = form.mat, form.dim
+    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("form is not symmetric")
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    entries = [g[i][j] for i, j in upper]
+    if linear is not None:
+        entries = [e.split_linear(linear[0])[0] for e in entries] + [form.chart.var(linear[0])]
+    pushed = cmap.push(entries)
+    half = dict(zip(upper, pushed))
+    out = congruence(mat_inverse_unit(cmap.jacobian_pullback()),
+                     [[half[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+    if linear is not None:
+        x_t, eta_t = pushed[-1], linear[1].mat
+        for i, j in upper:
+            if eta_t[i][j]._nums:
+                out[i][j] = out[j][i] = sum_products(cmap.target,
+                                                     ((1, out[i][j]), (eta_t[i][j], x_t)))
+    return BilinearForm(cmap.target, out)
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +341,15 @@ def det_eta_check(spec: RootSystemSpec, eta: BilinearForm) -> Poly:
 
 def linearity_check(g_y: BilinearForm, gamma_y: ChristoffelContra,
                     spec: RootSystemSpec) -> bool:
-    """g and Gamma in the y-chart are at most linear in y^k."""
+    """g and Gamma in the y-chart are at most linear in y^k: every exponent
+    of y^k, read off the packed keys by ``Poly.split_linear``, is 0 or 1."""
     name = f"y{spec.vertex}"
-    for row in g_y.mat:
-        for entry in row:
-            if not entry.diff(name).diff(name).is_zero():
-                return False
-    for plane in gamma_y.arr:
-        for row in plane:
-            for entry in row:
-                if not entry.diff(name).diff(name).is_zero():
-                    return False
+    try:
+        for entry in [e for row in g_y.mat for e in row] + \
+                [e for plane in gamma_y.arr for row in plane for e in row]:
+            entry.split_linear(name)
+    except ValueError:
+        return False
     return True
 
 

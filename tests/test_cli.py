@@ -430,6 +430,10 @@ def test_euler_names_the_broken_shape_of_f(where, detail):
     bad = corrupt(build_structure(RootSystemSpec("C", 3, 1)), None)
     assert cli.run_check("euler", bad, 3) == {"check": "euler", "passed": False,
                                               "detail": detail}
+    # each is a fault of the shape of F, whatever identity names it
+    with pytest.raises(frobenius.ShapeMismatch) as err:
+        frobenius.verify_euler_unity(bad)
+    assert str(err.value) == detail
 
 
 def test_construct_with_a_mixed_degree_potential_fails_euler(monkeypatch, capsys):

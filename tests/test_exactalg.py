@@ -15,8 +15,9 @@ from weylfrob.exactalg import (FIELD_BITS, Chart, ChartMismatch, ExponentOverflo
                                NonExactDivision,
                                NonUnitLaurentSubstitution, Poly, VarSpec, congruence,
                                contract,
-                               FlatnessRows, monomials_of_weighted_degree, rat,
-                               solve_linear, substitute_all, sum_products)
+                               FlatnessRows, monomials_of_weighted_degree,
+                               overlay_integrals, rat, solve_linear, substitute_all,
+                               sum_products)
 
 
 def simple_chart():
@@ -256,6 +257,44 @@ def test_monomial_enumeration_is_exact():
     monos = monomials_of_weighted_degree(c, ["a", "b"], Fraction(2))
     assert sorted((m.get("a", 0), m.get("b", 0)) for m in monos) == \
         [(0, 4), (1, 2), (2, 0)]
+
+
+def reference_monomials_of_weighted_degree(chart, names, target):
+    """The enumeration recursing on Fraction weights and remainders."""
+    weights = [chart.weight(nm) for nm in names]
+    out = []
+
+    def rec(i, remaining, acc):
+        if remaining == 0:
+            out.append(dict(acc))
+            return
+        if i == len(names) or remaining < 0:
+            return
+        for e in range(int(remaining / weights[i]), -1, -1):
+            if e:
+                acc[names[i]] = e
+            rec(i + 1, remaining - weights[i] * e, acc)
+            acc.pop(names[i], None)
+
+    rec(0, rat(target), {})
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(1, 9), st.integers(1, 6)), min_size=1,
+                max_size=4),
+       st.builds(Fraction, st.integers(-2, 24), st.integers(1, 6)))
+def test_integer_enumeration_lists_the_fraction_one_in_order(weights, target):
+    c = Chart("m", [VarSpec(f"a{i}", w) for i, w in enumerate(weights)])
+    names = [v.name for v in c.vars]
+    assert monomials_of_weighted_degree(c, names, target) == \
+        reference_monomials_of_weighted_degree(c, names, target)
+
+
+def test_enumeration_rejects_non_positive_weights():
+    c = Chart("m", [VarSpec("a", Fraction(1)), VarSpec("b", Fraction(0))])
+    with pytest.raises(ValueError, match="non-positive weight"):
+        monomials_of_weighted_degree(c, ["a", "b"], 2)
 
 
 def random_laurent_poly(chart, rng, max_terms=4):
@@ -889,6 +928,34 @@ def reference_diff(p, name):
     return Poly(chart, out)
 
 
+def reference_coord_integral(p, i):
+    """The antiderivative along the chart's i-th coordinate that coord_diff(i)
+    maps back to p term by term (no constant term), on exponent tuples;
+    NonExactDivision when a term would need a logarithm."""
+    chart = p.chart
+    name = chart.coords[i]
+    log = name == chart.log_coord
+    idx = chart.index[chart.exp_var if log else name]
+    out = {}
+    for exps, c in p.terms.items():
+        e = exps[idx] + (0 if log else 1)
+        if not e:
+            raise NonExactDivision(f"the antiderivative along {name} needs a logarithm")
+        out[exps[:idx] + (e,) + exps[idx + 1:]] = c / e
+    return Poly(chart, out)
+
+
+def reference_overlay_integrals(pieces):
+    """overlay_integrals by the coord_integral chain of each piece, merged
+    on exponent tuples with the last piece's coefficient winning."""
+    terms = {}
+    for p, coords in pieces:
+        for i in reversed(coords):
+            p = reference_coord_integral(p, i)
+        terms.update(p.terms)
+    return terms
+
+
 def reference_combine(row, parts):
     """The sum of c * parts[a] over (a, c) in row, accumulated one at a time."""
     acc = Poly.const(parts[0].chart, 0)
@@ -1159,9 +1226,12 @@ def test_integral_and_grading_against_their_definitions(p):
     for i in range(p.chart.dim):
         if needs_log(p, i):
             with pytest.raises(NonExactDivision):
-                p.coord_integral(i)
+                reference_coord_integral(p, i)
+            with pytest.raises(NonExactDivision):
+                overlay_integrals(p.chart, [(p, (i,))])
         else:
-            assert p.coord_integral(i).coord_diff(i) == p
+            assert reference_coord_integral(p, i).coord_diff(i) == p
+            assert overlay_integrals(p.chart, [(p, (i,))]) == reference_coord_integral(p, i)
     def weight(exps):
         return reference_term_weight(p.chart, exps)
 
@@ -1200,6 +1270,63 @@ def test_term_maps_are_read_only():
     with pytest.raises(AttributeError):
         p.terms = {}
     assert dict(p.terms) == expected
+
+
+coordinate_lists = st.lists(st.integers(0, 2), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(laurent_polys, coordinate_lists), max_size=4)
+       | st.lists(st.tuples(log_polys, st.lists(st.integers(0, 1), min_size=1, max_size=3)),
+                  max_size=4))
+def test_overlay_integrals_match_the_coord_integral_chain(pieces):
+    """Each piece's antiderivative read off its keys equals the chain of
+    reference integrals, and the last piece wins on a shared monomial; a
+    piece that needs a logarithm raises with its coords."""
+    chart = pieces[0][0].chart if pieces else KERNEL_CHART
+    for at in range(len(pieces)):
+        try:
+            reference_overlay_integrals(pieces[at:at + 1])
+        except NonExactDivision:
+            with pytest.raises(NonExactDivision) as err:
+                overlay_integrals(chart, pieces)
+            assert list(err.value.args[1]) == pieces[at][1]
+            return
+    want = reference_overlay_integrals(pieces)
+    got = overlay_integrals(chart, pieces)
+    assert dict(got.terms) == {e: c for e, c in want.items() if c}
+    # the chain goes along the last coordinate first
+    for p, coords in pieces:
+        back = overlay_integrals(chart, [(p, coords)])
+        for i in coords:
+            back = back.coord_diff(i)
+        assert back == p
+
+
+def test_overlay_integrals_guard_the_packed_fields():
+    c = KERNEL_CHART
+    x_top = Poly(c, {(HALF - 3, 0, 0): 1})
+    assert overlay_integrals(c, [(x_top, (0, 0))]) == \
+        Poly(c, {(HALF - 1, 0, 0): Fraction(1, (HALF - 2) * (HALF - 1))})
+    with pytest.raises(ExponentOverflow):
+        overlay_integrals(c, [(x_top, (0, 0, 0))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_polys | log_polys)
+def test_split_linear_reads_one_field(p):
+    """split_linear(x) gives (A, B) with p = A + x B, A and B free of x, or
+    ValueError when an exponent of x is neither 0 nor 1."""
+    chart = p.chart
+    for v in chart.vars:
+        exps = {e[chart.index[v.name]] for e in p.terms}
+        if exps <= {0, 1}:
+            free, linear = p.split_linear(v.name)
+            assert free + chart.var(v.name) * linear == p
+            assert free.diff(v.name).is_zero() and linear.diff(v.name).is_zero()
+        else:
+            with pytest.raises(ValueError, match=f"^{v.name} has exponent"):
+                p.split_linear(v.name)
 
 
 def test_exponents_at_the_field_bound_raise():

@@ -18,8 +18,8 @@ from weylfrob.frobenius import build_structure
 from weylfrob.metrics import BilinearForm, BlockFormMismatch, build_pencil
 from weylfrob.rootdata import RootSystemSpec, degrees, flat_degrees
 
-from test_exactalg import reference_solve_linear, weighted_degree
-from test_metrics import _count_everywhere
+from test_exactalg import reference_solve_linear, scaled_residuals, weighted_degree
+from test_metrics import _count_everywhere, _count_polys
 
 ALL_SMALL = [(l, k) for l in range(1, 5) for k in range(1, l + 1)]
 
@@ -371,6 +371,83 @@ def p_block_inputs(spec: RootSystemSpec, eta_y, j: int):
     names = [f"y{i}" for i in range(1, j)] + ["E"]
     basis = monomials_of_weighted_degree(yc, names, degrees(spec)[j - 1])
     return Poly.variable(yc, f"y{j}"), [Poly.monomial(yc, mono) for mono in basis]
+
+
+def h_block_inputs(spec: RootSystemSpec, eta_w, j: int):
+    """(base, candidates) of t^j exactly as ``solve_flat_chart`` builds them."""
+    l, k = spec.rank, spec.vertex
+    wc = eta_w.chart
+    s, wj = Poly.variable(wc, f"w{l}"), Poly.variable(wc, f"w{j}")
+    names = [f"w{m}" for m in range(max(j + 1, k + 2), l)]
+    basis = monomials_of_weighted_degree(wc, names, Fraction(k * (l - j), l - k))
+    return (wj if j == k + 1 else s * wj), [s * Poly.monomial(wc, mono) for mono in basis]
+
+
+def reference_rows(gammas, columns):
+    """The rows of ``FlatnessRows(gammas)`` built as Polys: the numerators
+    of the ``scaled_residuals`` of each column's numerator polynomial, the
+    pair's index stacked above the key."""
+    top = columns[0].chart.pack([0] * columns[0].chart.nvars).bit_length()
+    for col in columns:
+        yield {(b << top) + key: v
+               for b, r in enumerate(scaled_residuals(gammas, col * col.den))
+               for key, v in r.packed.items()}
+
+
+def _stage_columns():
+    """(gammas, columns) of the C7k7 p-block and of the C7k1 and C7k4
+    h-blocks: every column its candidate solves read."""
+    spec = RootSystemSpec("C", 7, 7)
+    eta = build_pencil(spec).eta
+    gammas = lower_christoffels(eta)
+    for j in range(1, 8):
+        base, candidates = p_block_inputs(spec, eta, j)
+        yield gammas, candidates + [base]
+    for k in (1, 4):
+        spec = RootSystemSpec("C", 7, k)
+        _, eta_z, _ = build_z_chart(spec, build_pencil(spec).eta)
+        _, eta_w = build_w_chart(spec, eta_z)
+        gammas = gamma_w(spec, eta_w)
+        for j in range(k + 1, 7):
+            base, candidates = h_block_inputs(spec, eta_w, j)
+            yield gammas, candidates + [base]
+
+
+def test_key_level_rows_are_the_scaled_residuals_of_every_stage_column():
+    """The rows read off the packed keys hold exactly the numerators of the
+    Poly-built residuals, key for key, on every column of the C7k7 p-block
+    and the C7k1 and C7k4 h-blocks."""
+    seen = 0
+    for gammas, columns in _stage_columns():
+        for row, want in zip(FlatnessRows(gammas)(columns), reference_rows(gammas, columns)):
+            assert {key: v for key, v in row.items() if v} == want
+            seen += 1
+    assert seen == 119 + 21
+
+
+def test_the_p_block_rows_make_no_poly(monkeypatch):
+    """solve_p_block at C7k7 makes no Poly while it forms the rows of its
+    112 candidate columns; rows built from coord_diff Polys, as the
+    reference builds them, trip the counter."""
+    spec = RootSystemSpec("C", 7, 7)
+    eta = build_pencil(spec).eta
+    calls, active = Counter(), [False]
+    call = FlatnessRows.__call__
+
+    def counting_call(self, columns):
+        active[0] = True
+        try:
+            return list(call(self, columns))
+        finally:
+            active[0] = False
+
+    monkeypatch.setattr(FlatnessRows, "__call__", counting_call)
+    _count_polys(monkeypatch, lambda chart: active[0], calls)
+    p_list = solve_p_block(spec, eta)
+    assert calls["polys"] == 0
+    call = lambda self, columns: reference_rows(lower_christoffels(eta), columns)
+    assert solve_p_block(spec, eta) == p_list
+    assert calls["polys"] > 112
 
 
 @pytest.mark.parametrize("l,k", [(3, 2), (4, 4), (5, 3)])

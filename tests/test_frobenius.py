@@ -9,7 +9,8 @@ import pytest
 
 from weylfrob import cli, exactalg, frobenius
 from weylfrob.cli import compare_fixture
-from weylfrob.exactalg import Chart, Poly, VarSpec, contract, mat_det, sum_products
+from weylfrob.exactalg import (Chart, NonExactDivision, Poly, VarSpec, contract, mat_det,
+                               sum_products)
 from weylfrob.fixtures import FIXTURES
 from weylfrob.flatcoords import flat_pipeline
 from weylfrob.frobenius import (ORACLE_AGREES, Inconsistent, PotentialF,
@@ -17,14 +18,17 @@ from weylfrob.frobenius import (ORACLE_AGREES, Inconsistent, PotentialF,
                                 raised_hessian, third_derivatives,
                                 third_derivatives_from_metric, verify_euler_unity,
                                 verify_intersection, verify_pencil, verify_wdvv)
-from weylfrob.metrics import build_pencil, transform_christoffel
+from weylfrob.metrics import BilinearForm, build_pencil, transform_christoffel, transform_form
 from weylfrob.rootdata import RootSystemSpec, flat_degrees
 from weylfrob.serialize import structure_document
 
+from test_exactalg import reference_coord_integral, reference_overlay_integrals
 from test_metrics import _count_everywhere, reference_transform_christoffel
 
 ALL_SMALL = [(l, k) for l in range(1, 4) for k in range(1, l + 1)]
 ALL_RANK5 = [(l, k) for l in range(1, 6) for k in range(1, l + 1)]
+ALL_RANK7 = [(l, k) for l in range(1, 8) for k in range(1, l + 1)]
+ALL_RANK8 = [(l, k) for l in range(1, 9) for k in range(1, l + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +409,91 @@ def test_integrate_potential_rejects_log_antiderivatives(triple, mono):
     f3 = third_derivatives(struct.potential)
     a, b, c = triple
     f3[a][b][c] = f3[a][b][c] + Poly.monomial(struct.potential.chart, mono)
-    with pytest.raises(Inconsistent):
+    with pytest.raises(Inconsistent, match=rf"^F_\({a + 1},{b + 1},{c + 1}\) has a term whose "
+                       "antiderivative needs an explicit log coordinate$"):
         integrate_potential(spec, f3)
+    # the coord_integral chain fails on the same term
+    with pytest.raises(NonExactDivision):
+        reference_overlay_integrals([(f3[a][b][c], [a, b, c])])
+
+
+@pytest.mark.parametrize("l,k", ALL_RANK7)
+def test_integrate_potential_matches_the_coord_integral_chain(l, k):
+    """F read off the keys of F_{abc} is the reference: the coord_integral
+    chain along c, b and a of each F_{abc}, a <= b <= c (less the head's
+    constant at (k, k, l+1)), merged with the last triple winning."""
+    spec = RootSystemSpec("C", l, k)
+    struct = build_structure(spec)
+    f3 = third_derivatives_from_metric(spec, struct.g_t, struct.eta_cov)
+    dim = l + 1
+    pieces = [(f3[a][b][c] - int((a, b, c) == (k - 1, k - 1, l)), [a, b, c])
+              for a in range(dim) for b in range(a, dim) for c in range(b, dim)]
+    want = reference_overlay_integrals(pieces)
+    assert dict(integrate_potential(spec, f3).poly.terms) == {e: v for e, v in want.items() if v}
+    assert integrate_potential(spec, f3).poly == struct.potential.poly
+
+
+@pytest.mark.parametrize("l,k", ALL_RANK8)
+def test_g_t_is_the_unsplit_transport_of_g(l, k):
+    """The build transports A = g - y^k eta and adds y^k(t) eta_t; the
+    transport of the whole of g gives the same g_t, entry for entry."""
+    struct = build_structure(RootSystemSpec("C", l, k))
+    assert struct.g_t.mat == transform_form(struct.pencil.g, struct.flat.y_to_t).mat
+
+
+def test_g_transport_skips_the_yk_eta_part(monkeypatch):
+    """At C7k7 the transport of g takes at most 55 000 sum_products term
+    pairs (x's terms times y's, one per term of y for a rational x; 52 334
+    here), counted wherever a weylfrob module looks sum_products up; the
+    transport of the whole of g, counted the same way, takes more (65 807,
+    and 69 302 when every entry, not only i <= j, was pushed)."""
+    struct = build_structure(RootSystemSpec("C", 7, 7))
+    pairs = [0]
+    kernel = exactalg.sum_products
+
+    def counting(chart, ps):
+        ps = list(ps)
+        pairs[0] += sum(len(y.packed) * (len(x.packed) if isinstance(x, Poly) else 1)
+                        for x, y in ps)
+        return kernel(chart, ps)
+
+    for name, module in list(sys.modules.items()):
+        if name == "weylfrob" or name.startswith("weylfrob."):
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, counting)
+    g_t = transform_form(struct.pencil.g, struct.flat.y_to_t, ("y7", struct.flat.eta_t))
+    split, pairs[0] = pairs[0], 0
+    assert g_t.mat == transform_form(struct.pencil.g, struct.flat.y_to_t).mat
+    assert 0 < split <= 55_000 < pairs[0]
+
+
+def test_split_transport_rejects_a_metric_of_degree_two_in_yk():
+    """The split that the transport of g rests on raises on a term in
+    (y^k)^2."""
+    struct = build_structure(RootSystemSpec("C", 3, 1))
+    g = struct.pencil.g
+    mat = [list(row) for row in g.mat]
+    mat[0][0] = mat[0][0] + Poly.monomial(g.chart, {"y1": 2})
+    with pytest.raises(ValueError, match="^y1 has exponent 2, not 0 or 1$"):
+        transform_form(BilinearForm(g.chart, mat), struct.flat.y_to_t, ("y1", struct.flat.eta_t))
+
+
+def test_pencil_compares_eta_with_the_yk_coefficient_of_g():
+    """pencil fails when eta is not the y^k coefficient of g, and when g
+    is not linear in y^k."""
+    struct = build_structure(RootSystemSpec("C", 3, 1))
+    pen = struct.pencil
+    eta = [list(row) for row in pen.eta.mat]
+    eta[1][1] = eta[1][1] + 1
+    bad = replace(struct, pencil=replace(pen, eta=BilinearForm(pen.chart, eta)))
+    with pytest.raises(frobenius.CheckFailed, match=r"^eta\^\(2,2\) != d g\^\(2,2\)/d y\^k$"):
+        verify_pencil(bad)
+    g = [list(row) for row in pen.g.mat]
+    g[1][1] = g[1][1] + Poly.monomial(pen.chart, {"y1": 2})
+    bad = replace(struct, pencil=replace(pen, g=BilinearForm(pen.chart, g)))
+    with pytest.raises(frobenius.CheckFailed, match=r"^g or Gamma not linear in y\^k$"):
+        verify_pencil(bad)
 
 
 @pytest.mark.parametrize("l,k", ALL_RANK5)
@@ -449,7 +536,7 @@ def test_wdvv_corrupted_potential_reports_exact_residuals(lk, mono):
     failures = verify_wdvv(bad)
     assert failures and reference_wdvv(bad) and reference_wdvv_pairings(bad)
     f3, h = _wdvv_tensors(bad)
-    through = [frobenius._residuals_through(f3, bad.eta_up, x)
+    through = [frobenius._residuals_through(f3, h[x], x)
                for x in range(len(f3)) if x != lk[1] - 1]
     for reported in [failures] + through:
         assert reported

@@ -404,7 +404,7 @@ def test_det_mismatch_detected():
         det_eta_check(spec, corrupted)
 
 
-@pytest.mark.parametrize("l,k", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("l,k", [(2, 1), (3, 2), (3, 3)])
 def test_linearity_and_negative_control(l, k):
     spec = RootSystemSpec(family="C", rank=l, vertex=k)
     pen = build_pencil(spec)
@@ -412,6 +412,12 @@ def test_linearity_and_negative_control(l, k):
     yc = pen.chart
     bad = pen.g.map_entries(lambda p: p + Poly.monomial(yc, {f"y{k}": 2}))
     assert not linearity_check(bad, pen.gamma_g, spec)
+    # one entry of Gamma in (y^k)^2, or with y^k to a negative power when
+    # y^k is the Laurent y^l
+    for exponent in [2] + [-1] * (k == l):
+        arr = [[list(row) for row in plane] for plane in pen.gamma_g.arr]
+        arr[l][0][1] = arr[l][0][1] + Poly.monomial(yc, {f"y{k}": exponent})
+        assert not linearity_check(pen.g, ChristoffelContra(yc, arr), spec)
 
 
 def test_transport_to_t_reproduces_corner_identities():
