@@ -431,6 +431,7 @@ def test_the_p_block_rows_make_no_poly(monkeypatch):
     reference builds them, trip the counter."""
     spec = RootSystemSpec("C", 7, 7)
     eta = build_pencil(spec).eta
+    gammas = lower_christoffels(eta)
     calls, active = Counter(), [False]
     call = FlatnessRows.__call__
 
@@ -445,7 +446,7 @@ def test_the_p_block_rows_make_no_poly(monkeypatch):
     _count_polys(monkeypatch, lambda chart: active[0], calls)
     p_list = solve_p_block(spec, eta)
     assert calls["polys"] == 0
-    call = lambda self, columns: reference_rows(lower_christoffels(eta), columns)
+    call = lambda self, columns: reference_rows(gammas, columns)
     assert solve_p_block(spec, eta) == p_list
     assert calls["polys"] > 112
 

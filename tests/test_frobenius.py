@@ -445,8 +445,7 @@ def test_g_transport_skips_the_yk_eta_part(monkeypatch):
     """At C7k7 the transport of g takes at most 55 000 sum_products term
     pairs (x's terms times y's, one per term of y for a rational x; 52 334
     here), counted wherever a weylfrob module looks sum_products up; the
-    transport of the whole of g, counted the same way, takes more (65 807,
-    and 69 302 when every entry, not only i <= j, was pushed)."""
+    transport of the whole of g, counted the same way, takes more (65 807)."""
     struct = build_structure(RootSystemSpec("C", 7, 7))
     pairs = [0]
     kernel = exactalg.sum_products
